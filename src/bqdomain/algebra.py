@@ -53,6 +53,13 @@ class CharacterPoint:
                                     self.x, self.y, self.z))
 
 
+# _PAIRING[i-1][j-1] is the index into omega of lambda_ij (None: i == j).
+_PAIRING = ((None, 0, 2, 1),
+            (0, None, 1, 2),
+            (2, 1, None, 0),
+            (1, 2, 0, None))
+
+
 @dataclass(frozen=True)
 class BoundaryData:
     """Boundary traces omega = (x,y,z) and their max modulus M."""
@@ -84,15 +91,9 @@ class BoundaryData:
         The pairing identifies complementary pairs: {1,2}~{3,4} -> x,
         {2,3}~{1,4} -> y, {1,3}~{2,4} -> z.
         """
-        pair = frozenset((i, j))
-        x, y, z = self.omega
-        if pair in (frozenset((1, 2)), frozenset((3, 4))):
-            return x
-        if pair in (frozenset((2, 3)), frozenset((1, 4))):
-            return y
-        if pair in (frozenset((1, 3)), frozenset((2, 4))):
-            return z
-        raise ValueError("bad color pair %r" % (pair,))
+        if 1 <= i <= 4 and 1 <= j <= 4 and i != j:
+            return self.omega[_PAIRING[i - 1][j - 1]]
+        raise ValueError("bad color pair %r" % ((i, j),))
 
 
 @dataclass(frozen=True)

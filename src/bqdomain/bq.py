@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
-from .markoff import MarkoffMap, modulus
+from .markoff import MarkoffMap, Quad, Value, face_value_capped, modulus
 from .neighbors import dist_to_interval, h_star
-from .tree import (COLORS, EdgeKey, FaceKey, VertexWord, face_edge_at,
-                   face_side_region, face_vertex_at, faces_at)
+from .tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, VertexWord,
+                   canonical_face, face_edge_at, face_vertex_at, faces_at)
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,15 @@ def face_in_level(m: MarkoffMap, f: FaceKey, K: float) -> bool:
     if min(modulus(ai), modulus(aj)) >= K:
         return False
     return modulus(m.eval_face(f)) < K * K + m.boundary.M
+
+
+def values_in_level(ai: Value, aj: Value, lam_ij: complex, K: float,
+                    M: float) -> bool:
+    """face_in_level from a face's two region values and lambda_ij, with
+    the same arithmetic, for callers that carry quads instead of keys."""
+    if min(modulus(ai), modulus(aj)) >= K:
+        return False
+    return modulus(face_value_capped(ai, aj, lam_ij)) < K * K + M
 
 
 def face_witness(m: MarkoffMap, f: FaceKey,
@@ -152,51 +161,72 @@ class ArcResult:
     n1: int = 0
     n2: int = -1          # empty arc when n2 < n1
     steps: int = 0
+    # Vertex quads at positions n1..n2+1 of a finite arc, in order.
+    quads: List[Quad] = field(default_factory=list, repr=False,
+                              compare=False)
 
 
 def attracting_arc(m: MarkoffMap, f: FaceKey, params: BqParams) -> ArcResult:
     """Bound the window of boundary edges whose side regions dip below
     the face's threshold.
 
-    Walks both rays from the anchor; a ray may stop once, for both side
-    colors, the latest value exceeds the threshold and exceeds its
-    predecessor of the same color (beyond that point the sequences are
-    strictly monotone).
+    Walks both rays from the anchor by position, carrying the vertex
+    quad one elementary move per step (no words are built and nothing
+    is memoized).  With (k, l) = f.edge_colors, the positive ray's
+    letters run k, l, k, ... and the negative ray's l, k, l, ...  Edge t
+    of a ray (t = 0, 1, ...; boundary edge t or -t-1) has the ray's t-th
+    letter as its color, and its side region has the other edge color,
+    read from the quad t steps out along the ray.  A ray may stop once,
+    for both side colors, the latest value exceeds the threshold and
+    exceeds its predecessor of the same color (beyond that point the
+    sequences are strictly monotone).  A finite result carries the quads
+    of the window's vertices.
     """
     K = params.level(m)
     h = h_star(m, f, K, params.tol_real, params.tol_sigma)
     if math.isinf(h):
         return ArcResult(ArcOutcome.INFINITE)
 
-    lo, hi = 0, -1
+    anchor_quad = m.quad_at(f.anchor)
     steps = 0
 
-    def scan(direction: int) -> Optional[str]:
-        nonlocal lo, hi, steps
-        prev: Dict[int, float] = {}       # parity -> last modulus
-        escaped: Dict[int, bool] = {0: False, 1: False}
-        n = 0 if direction > 0 else -1
+    def scan(letters: Tuple[int, int]) -> Optional[Tuple[List[Quad], int]]:
+        """Quads at ray positions 0, 1, ... and the number of leading
+        edges that reach the window, or None when the budget runs out."""
+        nonlocal steps
+        quads = [anchor_quad]
+        prev: List[Optional[float]] = [None, None]   # parity -> modulus
+        escaped = [False, False]
+        window = 0
+        t = 0
         while True:
             if steps >= params.max_arc_steps:
-                return "budget"
+                return None
             steps += 1
-            u = modulus(m.eval_region(face_side_region(f, n)))
+            p = t & 1
+            if t == len(quads):
+                quads.append(m._move(quads[-1], letters[1 - p]))
+            u = modulus(quads[t][letters[1 - p] - 1])
             if u < h:
-                lo, hi = min(lo, n), max(hi, n)
-                escaped = {0: False, 1: False}
+                window = t + 1
+                escaped = [False, False]
             else:
-                p = n & 1
-                escaped[p] = p in prev and u > prev[p]
+                escaped[p] = prev[p] is not None and u > prev[p]
                 if escaped[0] and escaped[1]:
-                    return None
-            prev[n & 1] = u
-            n += direction
+                    return quads, window
+            prev[p] = u
+            t += 1
 
-    for direction in (1, -1):
-        failure = scan(direction)
-        if failure is not None:
-            return ArcResult(ArcOutcome.BUDGET, steps=steps)
-    return ArcResult(ArcOutcome.FINITE, n1=lo, n2=hi, steps=steps)
+    k, l = f.edge_colors
+    ray_pos = scan((k, l))
+    if ray_pos is None:
+        return ArcResult(ArcOutcome.BUDGET, steps=steps)
+    ray_neg = scan((l, k))
+    if ray_neg is None:
+        return ArcResult(ArcOutcome.BUDGET, steps=steps)
+    (pos_quads, hi), (neg_quads, lo) = ray_pos, ray_neg
+    return ArcResult(ArcOutcome.FINITE, n1=-lo, n2=hi - 1, steps=steps,
+                     quads=neg_quads[lo:0:-1] + pos_quads[:hi + 1])
 
 
 def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
@@ -221,6 +251,8 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         return BqVerdict(Status.UNDECIDED, budget_hit="no_seed_face",
                          steps_used=steps)
 
+    M = m.boundary.M
+    pairs = [(i, j, m.boundary.lam(i, j)) for i, j in FACE_PAIRS]
     tree = AttractingTree()
     seen: Set[FaceKey] = set(seeds)
     queue: List[FaceKey] = sorted(seeds)
@@ -244,16 +276,25 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
             return BqVerdict(Status.UNDECIDED, budget_hit="max_arc_steps",
                              steps_used=steps)
         tree.arc_bounds[f] = (arc.n1, arc.n2)
-        for n in range(arc.n1, arc.n2 + 1):
-            tree.edges.add(face_edge_at(f, n))
         total_edges += max(0, arc.n2 - arc.n1 + 1)
         if total_edges > params.max_total_edges:
             return BqVerdict(Status.UNDECIDED, budget_hit="max_total_edges",
                              steps_used=steps)
-        for n in range(arc.n1, arc.n2 + 2):
-            vert = face_vertex_at(f, n)
-            for g in faces_at(vert):
+        # Screen the other five faces at each window vertex on the carried
+        # quad; only faces that pass get a key (and confirm on the memo).
+        for n, quad in enumerate(arc.quads, arc.n1):
+            vert = None
+            for i, j, lam_ij in pairs:
+                if (i, j) == f.colors or not values_in_level(
+                        quad[i - 1], quad[j - 1], lam_ij, K, M):
+                    continue
+                if vert is None:
+                    vert = face_vertex_at(f, n)
+                g = canonical_face(vert, i, j)
                 if g not in seen and face_in_level(m, g, K):
                     seen.add(g)
                     queue.append(g)
+    # Edge keys are built once, for the certificate that is returned.
+    tree.edges = {face_edge_at(f, n) for f, (n1, n2) in tree.arc_bounds.items()
+                  for n in range(n1, n2 + 1)}
     return BqVerdict(Status.IN_BQ, tree=tree, steps_used=steps)

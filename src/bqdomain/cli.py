@@ -12,8 +12,6 @@ from .bq import BqParams, Status, decide_bq
 from .fib import FibTable, growth_report
 from .markoff import MarkoffMap
 from .render import load_config, render_to_file
-from .torelli import (IDENTITY_FACTORS, MAGNUS, TAU, character_agree,
-                      equal_in_out, factored, induced_character_map)
 
 EXIT_IN_BQ = 0
 EXIT_NOT_BQ = 1
@@ -85,6 +83,10 @@ def cmd_fib(args) -> int:
 
 
 def cmd_torelli(args) -> int:
+    # torelli is the only module that needs numpy; importing it here keeps
+    # numpy out of every other subcommand's start-up.
+    from .torelli import (IDENTITY_FACTORS, MAGNUS, character_agree,
+                          equal_in_out, factored)
     worst = 0.0
     for name in sorted(MAGNUS):
         f = factored(name)

@@ -2,8 +2,14 @@
 
 A map is determined by boundary data and a root quadruple; the value of a
 region is obtained by replaying one elementary move per letter of its
-anchor word, with the per-vertex quads memoized so shared prefixes are
-computed once.  Values whose modulus exceeds an overflow cap are replaced
+anchor word.  ``quad_at`` memoizes the quad of every vertex it reaches,
+so the memo is closed under prefixes: a lookup finds the longest
+memoized prefix of the word and replays the remaining letters forward,
+iteratively, so words of any length are safe.  Callers that walk a long
+path one letter at a time (the attracting-arc scan in ``bq``) carry the
+quad themselves with ``_move`` instead; a move of color c rewrites only
+entry c and copies the other three, so carried and memoized quads agree
+bit for bit.  Values whose modulus exceeds an overflow cap are replaced
 by a symbolic Huge marker that compares larger than every finite modulus,
 so deep descent never degrades into NaN arithmetic.
 """
@@ -16,7 +22,7 @@ from typing import Dict, Tuple, Union
 
 from .algebra import BoundaryData, MarkoffQuad
 from .tree import (COLORS, EdgeKey, FaceKey, RegionKey, VertexWord,
-                   canonical_region, edge_surrounding, neighbors)
+                   edge_surrounding, neighbors)
 
 OVERFLOW_CAP = 1e150
 
@@ -41,6 +47,7 @@ class Huge:
 HUGE = Huge()
 
 Value = Union[complex, Huge]
+Quad = Tuple[Value, Value, Value, Value]
 
 
 def modulus(v: Value) -> float:
@@ -52,6 +59,13 @@ def _cap(v: complex) -> Value:
                                      and math.isfinite(v.imag)):
         return HUGE
     return v
+
+
+def face_value_capped(ai: Value, aj: Value, lam_ij: complex) -> Value:
+    """Face value a_i*a_j - lambda_ij, saturated to HUGE on overflow."""
+    if isinstance(ai, Huge) or isinstance(aj, Huge):
+        return HUGE
+    return _cap(ai * aj - lam_ij)
 
 
 class Orientation(Enum):
@@ -72,32 +86,39 @@ class MarkoffMap:
     def __init__(self, root_quad: MarkoffQuad):
         self.boundary: BoundaryData = root_quad.boundary
         self.root_quad = root_quad
-        self._quads: Dict[VertexWord, Tuple[Value, Value, Value, Value]] = {
+        self._quads: Dict[VertexWord, Quad] = {
             "": root_quad.values,
         }
+        lam = self.boundary.lam
+        # color i -> ((j, lambda_ij) for the three other colors j)
+        self._move_terms = {i: tuple((j, lam(i, j)) for j in COLORS if j != i)
+                            for i in COLORS}
 
-    def quad_at(self, v: VertexWord) -> Tuple[Value, Value, Value, Value]:
+    def quad_at(self, v: VertexWord) -> Quad:
         """Values of the four regions around vertex v, indexed by color-1."""
-        got = self._quads.get(v)
+        quads = self._quads
+        got = quads.get(v)
         if got is not None:
             return got
-        parent_quad = self.quad_at(v[:-1])
-        quad = self._move(parent_quad, int(v[-1]))
-        self._quads[v] = quad
-        return quad
+        n = len(v) - 1
+        got = quads.get(v[:n])
+        while got is None:                # the root is always memoized
+            n -= 1
+            got = quads.get(v[:n])
+        for k in range(n, len(v)):
+            got = self._move(got, int(v[k]))
+            quads[v[:k + 1]] = got
+        return got
 
     def _move(self, vals, i: int):
-        others = [j for j in COLORS if j != i]
-        a, b, c = (vals[j - 1] for j in others)
+        (j1, l1), (j2, l2), (j3, l3) = self._move_terms[i]
+        a, b, c = vals[j1 - 1], vals[j2 - 1], vals[j3 - 1]
         if isinstance(a, Huge) or isinstance(b, Huge) or isinstance(c, Huge):
             new = HUGE
         else:
-            lam = self.boundary.lam
             old = vals[i - 1]
-            s = lam(i, others[0]) * a + lam(i, others[1]) * b \
-                + lam(i, others[2]) * c
-            prod = a * b * c
-            new = HUGE if isinstance(old, Huge) else _cap(s - prod - old)
+            new = HUGE if isinstance(old, Huge) \
+                else _cap(l1 * a + l2 * b + l3 * c - a * b * c - old)
         out = list(vals)
         out[i - 1] = new
         return tuple(out)
@@ -112,9 +133,7 @@ class MarkoffMap:
 
     def eval_face(self, f: FaceKey) -> Value:
         ai, aj = self.region_values_at(f)
-        if isinstance(ai, Huge) or isinstance(aj, Huge):
-            return HUGE
-        return _cap(ai * aj - self.boundary.lam(*f.colors))
+        return face_value_capped(ai, aj, self.boundary.lam(*f.colors))
 
     def eval_sigma(self, f: FaceKey) -> Value:
         ai, aj = self.region_values_at(f)
@@ -164,6 +183,3 @@ class MarkoffMap:
         if inward == 0:
             return VertexClass.SOURCE
         return VertexClass.FORK
-
-    def region_value_at_vertex(self, v: VertexWord, c: int) -> Value:
-        return self.eval_region(canonical_region(v, c))

@@ -10,7 +10,6 @@ for any worker count.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -157,6 +156,9 @@ def render_slice(config: SliceConfig, workers: int = 1
     if workers <= 1:
         chunks = [_render_rows((config, all_rows))]
     else:
+        # imported here: the pool machinery is a sizeable share of the
+        # package's import time and memory, and only this branch uses it
+        from concurrent.futures import ProcessPoolExecutor
         batches = [(config, all_rows[i::workers]) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_render_rows, batches))

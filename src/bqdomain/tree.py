@@ -10,6 +10,13 @@ bi-infinite geodesic whose edges use the two complementary colors.
 
 Keys are plain value types (strings and named tuples) with lexicographic
 ordering, so iteration order is deterministic everywhere.
+
+A face's boundary geodesic is addressed by signed position: position 0
+is the face's anchor, and the word at position p appends the first |p|
+letters of the alternating pattern k,l,k,... (p > 0) or l,k,l,... (p < 0)
+of its two edge colors k < l.  Hot loops walk a geodesic by position
+and carry vertex values along it (see ``bq.attracting_arc``); the key
+builders here are for the few vertices and faces that need a name.
 """
 
 from __future__ import annotations
@@ -17,6 +24,9 @@ from __future__ import annotations
 from typing import Iterator, List, NamedTuple, Tuple
 
 COLORS = (1, 2, 3, 4)
+
+# The six face color pairs, in the order faces_at lists them.
+FACE_PAIRS = tuple((i, j) for i in COLORS for j in COLORS if i < j)
 
 # A vertex key is a reduced word encoded as a string of digits '1'..'4'.
 VertexWord = str
@@ -118,12 +128,7 @@ def regions_at(v: VertexWord) -> List[RegionKey]:
 
 
 def faces_at(v: VertexWord) -> List[FaceKey]:
-    return [canonical_face(v, i, j)
-            for i in COLORS for j in COLORS if i < j]
-
-
-def edge_endpoints(e: EdgeKey) -> Tuple[VertexWord, VertexWord]:
-    return e.endpoints()
+    return [canonical_face(v, i, j) for i, j in FACE_PAIRS]
 
 
 def edge_surrounding(e: EdgeKey):
@@ -170,12 +175,9 @@ def face_position(f: FaceKey, v: VertexWord) -> int:
 def face_vertex_at(f: FaceKey, pos: int) -> VertexWord:
     """Vertex at signed position pos on f's boundary geodesic."""
     k, l = f.edge_colors
-    first = str(k) if pos > 0 else str(l)
-    second = str(l) if pos > 0 else str(k)
-    word = f.anchor
-    for n in range(abs(pos)):
-        word += first if n % 2 == 0 else second
-    return word
+    pair = "%d%d" % ((k, l) if pos > 0 else (l, k))
+    n = abs(pos)
+    return f.anchor + (pair * ((n + 1) // 2))[:n]
 
 
 def face_boundary_walk(f: FaceKey, start: VertexWord, steps: int) -> VertexWord:
@@ -184,10 +186,9 @@ def face_boundary_walk(f: FaceKey, start: VertexWord, steps: int) -> VertexWord:
 
 
 def face_edge_at(f: FaceKey, n: int) -> EdgeKey:
-    """The n-th boundary edge of f: joins positions n and n+1."""
-    u = face_vertex_at(f, n)
-    v = face_vertex_at(f, n + 1)
-    return EdgeKey(v if len(v) > len(u) else u)
+    """The n-th boundary edge of f: joins positions n and n+1, and is
+    named by the one farther from the anchor."""
+    return EdgeKey(face_vertex_at(f, n + 1 if n >= 0 else n))
 
 
 def face_side_region(f: FaceKey, n: int) -> RegionKey:
