@@ -3,7 +3,11 @@ three-holed projective plane.
 
 Points are septuples (a,b,c,d,x,y,z) subject to the quadratic vertex
 relation; (x,y,z) are the boundary traces and (a,b,c,d) the traces of the
-four one-sided curves.  Everything here is pure complex arithmetic.
+four one-sided curves.  Everything here is pure complex arithmetic, and
+each trace identity is written once, over plain values: the vertex
+relation (``quad_residual``), the elementary move (``moved_value``), the
+face value and sigma.  ``markoff`` applies them over the tree and adds
+only saturation and the memo.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Tuple
 
 Complex = complex
@@ -95,38 +100,39 @@ class BoundaryData:
             return self.omega[_PAIRING[i - 1][j - 1]]
         raise ValueError("bad color pair %r" % ((i, j),))
 
+    @cached_property
+    def move_terms(self):
+        """color i -> ((j, lambda_ij) for the three other colors j), the
+        coefficients of ``moved_value``."""
+        return {i: tuple((j, self.lam(i, j)) for j in (1, 2, 3, 4) if j != i)
+                for i in (1, 2, 3, 4)}
+
 
 @dataclass(frozen=True)
 class MarkoffQuad:
     """Ordered quadruple (a1..a4) with boundary data.
 
     ``on_variety`` records whether the quad is required to satisfy the
-    vertex relation (to ``tol``); raw quads are legal and flagged free.
+    vertex relation (to ``DEFAULT_ON_VARIETY_TOL``); raw quads are legal
+    and flagged free.
     """
 
     values: Tuple[complex, complex, complex, complex]
     boundary: BoundaryData
     on_variety: bool = True
-    tol: float = DEFAULT_ON_VARIETY_TOL
 
     def __post_init__(self):
         _require_finite(*self.values)
         if self.on_variety:
             r = abs(quad_residual(self.values, self.boundary))
             scale = 1.0 + max(abs(v) for v in self.values) ** 4
-            if r > self.tol * scale:
+            if r > DEFAULT_ON_VARIETY_TOL * scale:
                 raise ValueError(
                     "quad residual %g exceeds tolerance; "
                     "flag on_variety=False for raw quads" % r)
 
     def __getitem__(self, color: int) -> complex:
         return self.values[color - 1]
-
-    def replace(self, color: int, value: complex) -> "MarkoffQuad":
-        vals = list(self.values)
-        vals[color - 1] = value
-        return MarkoffQuad(tuple(vals), self.boundary,
-                           on_variety=self.on_variety, tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -164,13 +170,13 @@ class Theta(Enum):
     Z = "z"
 
 
+# The involutions that act on the quad are the elementary moves.
+_THETA_COLOR = {Theta.A: 1, Theta.B: 2, Theta.C: 3, Theta.D: 4}
+
+
 def vertex_residual(pt: CharacterPoint) -> complex:
     """LHS - RHS of the vertex relation; zero iff pt lies on the variety."""
-    a, b, c, d, x, y, z = pt.a, pt.b, pt.c, pt.d, pt.x, pt.y, pt.z
-    lhs = a * a + b * b + c * c + d * d + a * b * c * d
-    rhs = (x * (a * b + c * d) + y * (b * c + a * d) + z * (a * c + b * d)
-           + 4 - x * x - y * y - z * z - x * y * z)
-    return lhs - rhs
+    return quad_residual(pt.quad, pt.omega)
 
 
 def quad_residual(values, boundary: BoundaryData) -> complex:
@@ -204,13 +210,25 @@ def solve_fourth(a: complex, b: complex, c: complex,
     return (-B - root) / 2
 
 
+def moved_value(vals, i: int, terms) -> complex:
+    """The new a_i of the elementary move on color i:
+    sum_{j!=i} lambda_ij a_j - prod_{j!=i} a_j - a_i, for a value tuple
+    and ``terms = boundary.move_terms[i]``."""
+    (j1, l1), (j2, l2), (j3, l3) = terms
+    a, b, c = vals[j1 - 1], vals[j2 - 1], vals[j3 - 1]
+    return l1 * a + l2 * b + l3 * c - a * b * c - vals[i - 1]
+
+
+def _moved(vals, i: int, boundary: BoundaryData) -> tuple:
+    out = list(vals)
+    out[i - 1] = moved_value(vals, i, boundary.move_terms[i])
+    return tuple(out)
+
+
 def elementary_move(q: MarkoffQuad, i: int) -> MarkoffQuad:
     """Replace a_i by sum_{j!=i} lambda_ij a_j - prod_{j!=i} a_j - a_i."""
-    others = [j for j in (1, 2, 3, 4) if j != i]
-    lam = q.boundary.lam
-    s = sum(lam(i, j) * q[j] for j in others)
-    p = q[others[0]] * q[others[1]] * q[others[2]]
-    return q.replace(i, s - p - q[i])
+    return MarkoffQuad(_moved(q.values, i, q.boundary), q.boundary,
+                       on_variety=q.on_variety)
 
 
 def face_value(a_i: complex, a_j: complex, lam_ij: complex) -> complex:
@@ -235,17 +253,8 @@ def sigma(a_i: complex, a_j: complex, face: complex,
 def involution_theta(pt: CharacterPoint, which: Theta) -> CharacterPoint:
     """One of the seven involution generators acting on the variety."""
     a, b, c, d, x, y, z = pt.a, pt.b, pt.c, pt.d, pt.x, pt.y, pt.z
-    if which is Theta.A:
-        return CharacterPoint(x * b + z * c + y * d - b * c * d - a,
-                              b, c, d, x, y, z)
-    if which is Theta.B:
-        return CharacterPoint(a, x * a + y * c + z * d - a * c * d - b,
-                              c, d, x, y, z)
-    if which is Theta.C:
-        return CharacterPoint(a, b, z * a + y * b + x * d - a * b * d - c,
-                              d, x, y, z)
-    if which is Theta.D:
-        return CharacterPoint(a, b, c, y * a + z * b + x * c - a * b * c - d,
+    if which in _THETA_COLOR:
+        return CharacterPoint(*_moved(pt.quad, _THETA_COLOR[which], pt.omega),
                               x, y, z)
     der = DerivedBoundary.from_point(pt)
     if which is Theta.X:

@@ -79,15 +79,13 @@ def region_in_level(m: MarkoffMap, value, K: float) -> bool:
 def face_in_level(m: MarkoffMap, f: FaceKey, K: float) -> bool:
     """|psi(face)| < K^2 + M and at least one bounding region below K."""
     ai, aj = m.region_values_at(f)
-    if min(modulus(ai), modulus(aj)) >= K:
-        return False
-    return modulus(m.eval_face(f)) < K * K + m.boundary.M
+    return values_in_level(ai, aj, m.boundary.lam(*f.colors), K, m.boundary.M)
 
 
 def values_in_level(ai: Value, aj: Value, lam_ij: complex, K: float,
                     M: float) -> bool:
-    """face_in_level from a face's two region values and lambda_ij, with
-    the same arithmetic, for callers that carry quads instead of keys."""
+    """The level test on a face's two region values and lambda_ij, for
+    callers that carry quads instead of keys."""
     if min(modulus(ai), modulus(aj)) >= K:
         return False
     return modulus(face_value_capped(ai, aj, lam_ij)) < K * K + M
@@ -126,24 +124,24 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
     v: VertexWord = ""
     trace = [v]
     for step in range(params.max_descent_steps + 1):
-        for f in faces_at(v):
+        faces = faces_at(v)
+        for f in faces:
             w = face_witness(m, f, params)
             if w is not None:
                 return DescentResult(witness=w, steps=step, trace=trace)
-        if any(face_in_level(m, f, K) for f in faces_at(v)):
+        if any(face_in_level(m, f, K) for f in faces):
             return DescentResult(vertex=v, steps=step, trace=trace)
         quad = m.quad_at(v)
-        best: Optional[Tuple[float, int]] = None
+        best: Optional[Tuple[float, VertexWord]] = None
         for c in COLORS:
             far = v[:-1] if v and v[-1] == str(c) else v + str(c)
             far_mod = modulus(m.quad_at(far)[c - 1])
             if far_mod < modulus(quad[c - 1]):
                 if best is None or far_mod < best[0]:
-                    best = (far_mod, c)
+                    best = (far_mod, far)
         if best is None:
             return DescentResult(vertex=v, steps=step, trace=trace)
-        c = best[1]
-        v = v[:-1] if v and v[-1] == str(c) else v + str(c)
+        v = best[1]
         trace.append(v)
     return DescentResult(budget_hit="max_descent_steps",
                          steps=params.max_descent_steps, trace=trace)

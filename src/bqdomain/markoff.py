@@ -9,9 +9,11 @@ iteratively, so words of any length are safe.  Callers that walk a long
 path one letter at a time (the attracting-arc scan in ``bq``) carry the
 quad themselves with ``_move`` instead; a move of color c rewrites only
 entry c and copies the other three, so carried and memoized quads agree
-bit for bit.  Values whose modulus exceeds an overflow cap are replaced
-by a symbolic Huge marker that compares larger than every finite modulus,
-so deep descent never degrades into NaN arithmetic.
+bit for bit.  The arithmetic itself (the move, the face value, sigma) is
+``algebra``'s; this module adds only saturation and the memo.  Values
+whose modulus exceeds an overflow cap are replaced by a symbolic Huge
+marker that compares larger than every finite modulus, so deep descent
+never degrades into NaN arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from enum import Enum
 from typing import Dict, Tuple, Union
 
-from .algebra import BoundaryData, MarkoffQuad
+from .algebra import BoundaryData, MarkoffQuad, face_value, moved_value, sigma
 from .tree import (COLORS, EdgeKey, FaceKey, RegionKey, VertexWord,
                    edge_surrounding, neighbors)
 
@@ -50,22 +52,26 @@ Value = Union[complex, Huge]
 Quad = Tuple[Value, Value, Value, Value]
 
 
-def modulus(v: Value) -> float:
-    return abs(v)
+# The modulus of a Value: abs, which Huge answers with +inf.
+modulus = abs
 
 
 def _cap(v: complex) -> Value:
-    if abs(v) > OVERFLOW_CAP or not (math.isfinite(v.real)
-                                     and math.isfinite(v.imag)):
-        return HUGE
-    return v
+    """v, or HUGE when |v| exceeds the cap, is not finite (the comparison
+    is false for NaN and inf parts) or is too large for abs."""
+    try:
+        if abs(v) <= OVERFLOW_CAP:
+            return v
+    except OverflowError:
+        pass
+    return HUGE
 
 
 def face_value_capped(ai: Value, aj: Value, lam_ij: complex) -> Value:
     """Face value a_i*a_j - lambda_ij, saturated to HUGE on overflow."""
-    if isinstance(ai, Huge) or isinstance(aj, Huge):
+    if ai is HUGE or aj is HUGE:
         return HUGE
-    return _cap(ai * aj - lam_ij)
+    return _cap(face_value(ai, aj, lam_ij))
 
 
 class Orientation(Enum):
@@ -89,10 +95,7 @@ class MarkoffMap:
         self._quads: Dict[VertexWord, Quad] = {
             "": root_quad.values,
         }
-        lam = self.boundary.lam
-        # color i -> ((j, lambda_ij) for the three other colors j)
-        self._move_terms = {i: tuple((j, lam(i, j)) for j in COLORS if j != i)
-                            for i in COLORS}
+        self._move_terms = self.boundary.move_terms
 
     def quad_at(self, v: VertexWord) -> Quad:
         """Values of the four regions around vertex v, indexed by color-1."""
@@ -111,16 +114,9 @@ class MarkoffMap:
         return got
 
     def _move(self, vals, i: int):
-        (j1, l1), (j2, l2), (j3, l3) = self._move_terms[i]
-        a, b, c = vals[j1 - 1], vals[j2 - 1], vals[j3 - 1]
-        if isinstance(a, Huge) or isinstance(b, Huge) or isinstance(c, Huge):
-            new = HUGE
-        else:
-            old = vals[i - 1]
-            new = HUGE if isinstance(old, Huge) \
-                else _cap(l1 * a + l2 * b + l3 * c - a * b * c - old)
         out = list(vals)
-        out[i - 1] = new
+        out[i - 1] = HUGE if HUGE in vals \
+            else _cap(moved_value(vals, i, self._move_terms[i]))
         return tuple(out)
 
     def eval_region(self, r: RegionKey) -> Value:
@@ -138,17 +134,12 @@ class MarkoffMap:
     def eval_sigma(self, f: FaceKey) -> Value:
         ai, aj = self.region_values_at(f)
         face = self.eval_face(f)
-        if isinstance(ai, Huge) or isinstance(aj, Huge) \
-                or isinstance(face, Huge):
+        if HUGE in (ai, aj, face):
             return HUGE
         i, j = f.colors
         k = next(c for c in COLORS if c not in (i, j))
         lam = self.boundary.lam
-        lam_ij, lam_ik, lam_jk = lam(i, j), lam(i, k), lam(j, k)
-        f1 = ai * ai + aj * aj + lam_ij * lam_ij - ai * aj * lam_ij - 4
-        f2 = (lam_ik * lam_ik + lam_jk * lam_jk + face * face
-              - lam_ik * lam_jk * face - 4)
-        return _cap(f1 * f2)
+        return _cap(sigma(ai, aj, face, lam(i, j), lam(i, k), lam(j, k)))
 
     def orient_edge(self, e: EdgeKey) -> Orientation:
         """Arrow points into the smaller-modulus end region (tie: child)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Tuple
 
-from .algebra import BoundaryData
+from .algebra import BoundaryData, face_value
 from .markoff import Huge, MarkoffMap, modulus
 from .tree import COLORS, FaceKey
 
@@ -45,8 +45,7 @@ class HOutputs:
     H: float           # math.inf when the threshold does not exist
 
 
-def h_value(inp: HInputs, tol_real: float = 1e-12,
-            tol_t: float = 0.0) -> HOutputs:
+def h_value(inp: HInputs, tol_real: float = 1e-12) -> HOutputs:
     """Threshold data for the recurrence with parameters (Q,R,S,X).
 
     H is +inf when X lies on [-2,2] (the multiplier has modulus one) or
@@ -68,7 +67,7 @@ def h_value(inp: HInputs, tol_real: float = 1e-12,
     T = num / (denom * denom)
     eta = (2 * Q - X * R) / denom
     zeta = (2 * R - X * Q) / denom
-    if abs(num) <= tol_t or num == 0:
+    if num == 0:
         return HOutputs(lam, T, eta, zeta, math.inf, math.inf)
     al = abs(lam)
     radicand = abs(eta) ** 2 - al * (al * al - 1)
@@ -182,7 +181,7 @@ def face_h_inputs(boundary: BoundaryData, quad, i: int, j: int) -> HInputs:
     ai, aj, ak, al = (quad[i - 1], quad[j - 1], quad[k - 1], quad[l - 1])
     q = lam(i, k) * ai + lam(j, k) * aj
     r = lam(j, k) * ai + lam(i, k) * aj
-    x = ai * aj - lam(i, j)
+    x = face_value(ai, aj, lam(i, j))
     s = q * ak + r * al - ak * ak - al * al - x * ak * al
     return HInputs(q, r, s, x)
 
