@@ -5,7 +5,7 @@ whose values sit below the level threshold, and closes it up by walking
 the attracting arc of each face.  A finite closed-up tree certifies
 membership; a face value on the real band [-2,2], a vanishing sigma, or
 an arc that cannot terminate certifies non-membership; exhausted budgets
-yield an honest Undecided.
+and values saturated past the overflow cap yield an honest Undecided.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .markoff import MarkoffMap, Quad, Value, face_value_capped, modulus
+from .markoff import (HUGE, MarkoffMap, Quad, Value, face_value_capped,
+                      modulus, sigma_capped)
 from .neighbors import dist_to_interval, h_star
 from .tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, VertexWord,
-                   canonical_face, face_edge_at, face_vertex_at, faces_at)
+                   boundary_face, face_edge_at, faces_at)
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,14 @@ def values_in_level(ai: Value, aj: Value, lam_ij: complex, K: float,
 def face_witness(m: MarkoffMap, f: FaceKey,
                  params: BqParams) -> Optional[Witness]:
     """Band or sigma witness at f, if any."""
-    psi = m.eval_face(f)
+    i, j = f.colors
+    ai, aj = m.region_values_at(f)
+    psi = face_value_capped(ai, aj, m.boundary.lam(i, j))
     if modulus(psi) <= 2.0 + params.tol_real \
             and dist_to_interval(psi) <= params.tol_real:
         return Witness(WitnessKind.BQ1_VIOLATION, f, psi)
-    sig = m.eval_sigma(f)
-    if modulus(sig) <= params.tol_sigma:
+    if modulus(sigma_capped(m.boundary, i, j, ai, aj, psi)) \
+            <= params.tol_sigma:
         return Witness(WitnessKind.SIGMA_ZERO, f)
     return None
 
@@ -151,6 +154,7 @@ class ArcOutcome(Enum):
     FINITE = "finite"
     INFINITE = "infinite"
     BUDGET = "budget"
+    OVERFLOW = "overflow"     # a value on the walk saturated to HUGE
 
 
 @dataclass
@@ -179,18 +183,26 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, params: BqParams) -> ArcResult:
     exceeds its predecessor of the same color (beyond that point the
     sequences are strictly monotone).  A finite result carries the quads
     of the window's vertices.
+
+    Saturated values end the walk with OVERFLOW: a HUGE in the anchor
+    quad leaves no threshold, and a ray whose latest two values of one
+    side color are both HUGE can never pass the strict escape test,
+    because every later move is HUGE as well.
     """
     K = params.level(m)
+    anchor_quad = m.quad_at(f.anchor)
+    if HUGE in anchor_quad:
+        return ArcResult(ArcOutcome.OVERFLOW)
     h = h_star(m, f, K, params.tol_real, params.tol_sigma)
     if math.isinf(h):
         return ArcResult(ArcOutcome.INFINITE)
-
-    anchor_quad = m.quad_at(f.anchor)
     steps = 0
 
-    def scan(letters: Tuple[int, int]) -> Optional[Tuple[List[Quad], int]]:
+    def scan(letters: Tuple[int, int]
+             ) -> Union[Tuple[List[Quad], int], ArcOutcome]:
         """Quads at ray positions 0, 1, ... and the number of leading
-        edges that reach the window, or None when the budget runs out."""
+        edges that reach the window, or the ArcOutcome (BUDGET or
+        OVERFLOW) that ended the ray."""
         nonlocal steps
         quads = [anchor_quad]
         prev: List[Optional[float]] = [None, None]   # parity -> modulus
@@ -199,7 +211,7 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, params: BqParams) -> ArcResult:
         t = 0
         while True:
             if steps >= params.max_arc_steps:
-                return None
+                return ArcOutcome.BUDGET
             steps += 1
             p = t & 1
             if t == len(quads):
@@ -208,6 +220,8 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, params: BqParams) -> ArcResult:
             if u < h:
                 window = t + 1
                 escaped = [False, False]
+            elif u == prev[p] == math.inf:
+                return ArcOutcome.OVERFLOW
             else:
                 escaped[p] = prev[p] is not None and u > prev[p]
                 if escaped[0] and escaped[1]:
@@ -217,11 +231,11 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, params: BqParams) -> ArcResult:
 
     k, l = f.edge_colors
     ray_pos = scan((k, l))
-    if ray_pos is None:
-        return ArcResult(ArcOutcome.BUDGET, steps=steps)
+    if isinstance(ray_pos, ArcOutcome):
+        return ArcResult(ray_pos, steps=steps)
     ray_neg = scan((l, k))
-    if ray_neg is None:
-        return ArcResult(ArcOutcome.BUDGET, steps=steps)
+    if isinstance(ray_neg, ArcOutcome):
+        return ArcResult(ray_neg, steps=steps)
     (pos_quads, hi), (neg_quads, lo) = ray_pos, ray_neg
     return ArcResult(ArcOutcome.FINITE, n1=-lo, n2=hi - 1, steps=steps,
                      quads=neg_quads[lo:0:-1] + pos_quads[:hi + 1])
@@ -231,7 +245,8 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     """Decide membership with a certificate or witness.
 
     InBQ carries the closed-up attracting tree; NotBQ carries a face
-    witness; Undecided reports which budget ran out.
+    witness; Undecided reports which budget ran out, or "overflow" when
+    a value the arc walk needs saturated to HUGE.
     """
     K = params.level(m)
     descent = find_sink(m, params)
@@ -251,6 +266,10 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
 
     M = m.boundary.M
     pairs = [(i, j, m.boundary.lam(i, j)) for i, j in FACE_PAIRS]
+    # The pairs screened at a face's first window vertex (all but its
+    # own), and after crossing an edge of color c (the pairs holding c).
+    first = {p: [t for t in pairs if t[:2] != p] for p in FACE_PAIRS}
+    crossed = {c: [t for t in pairs if c in t[:2]] for c in COLORS}
     tree = AttractingTree()
     seen: Set[FaceKey] = set(seeds)
     queue: List[FaceKey] = sorted(seeds)
@@ -273,25 +292,29 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         if arc.outcome is ArcOutcome.BUDGET:
             return BqVerdict(Status.UNDECIDED, budget_hit="max_arc_steps",
                              steps_used=steps)
+        if arc.outcome is ArcOutcome.OVERFLOW:
+            return BqVerdict(Status.UNDECIDED, budget_hit="overflow",
+                             steps_used=steps)
         tree.arc_bounds[f] = (arc.n1, arc.n2)
         total_edges += max(0, arc.n2 - arc.n1 + 1)
         if total_edges > params.max_total_edges:
             return BqVerdict(Status.UNDECIDED, budget_hit="max_total_edges",
                              steps_used=steps)
-        # Screen the other five faces at each window vertex on the carried
-        # quad; only faces that pass get a key (and confirm on the memo).
+        # Screen the faces at each window vertex on the carried quad.  An
+        # edge of color c keeps every face whose pair lacks c, with both
+        # region values bitwise unchanged, so past the first vertex only
+        # the three pairs holding the crossed color can be new.  A face
+        # that passes is keyed from its position on f's boundary.
+        k, l = f.edge_colors
+        screen = first[f.colors]
         for n, quad in enumerate(arc.quads, arc.n1):
-            vert = None
-            for i, j, lam_ij in pairs:
-                if (i, j) == f.colors or not values_in_level(
-                        quad[i - 1], quad[j - 1], lam_ij, K, M):
-                    continue
-                if vert is None:
-                    vert = face_vertex_at(f, n)
-                g = canonical_face(vert, i, j)
-                if g not in seen and face_in_level(m, g, K):
-                    seen.add(g)
-                    queue.append(g)
+            for i, j, lam_ij in screen:
+                if values_in_level(quad[i - 1], quad[j - 1], lam_ij, K, M):
+                    g = boundary_face(f, n, i, j)
+                    if g not in seen:
+                        seen.add(g)
+                        queue.append(g)
+            screen = crossed[(k, l)[n & 1]]    # edge n joins n and n+1
     # Edge keys are built once, for the certificate that is returned.
     tree.edges = {face_edge_at(f, n) for f, (n1, n2) in tree.arc_bounds.items()
                   for n in range(n1, n2 + 1)}

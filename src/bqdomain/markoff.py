@@ -11,9 +11,9 @@ quad themselves with ``_move`` instead; a move of color c rewrites only
 entry c and copies the other three, so carried and memoized quads agree
 bit for bit.  The arithmetic itself (the move, the face value, sigma) is
 ``algebra``'s; this module adds only saturation and the memo.  Values
-whose modulus exceeds an overflow cap are replaced by a symbolic Huge
-marker that compares larger than every finite modulus, so deep descent
-never degrades into NaN arithmetic.
+whose modulus exceeds an overflow cap, the root quad's included, are
+replaced by a symbolic Huge marker that compares larger than every
+finite modulus, so deep descent never degrades into NaN arithmetic.
 """
 
 from __future__ import annotations
@@ -74,6 +74,17 @@ def face_value_capped(ai: Value, aj: Value, lam_ij: complex) -> Value:
     return _cap(face_value(ai, aj, lam_ij))
 
 
+def sigma_capped(boundary: BoundaryData, i: int, j: int, ai: Value,
+                 aj: Value, psi: Value) -> Value:
+    """sigma of face {i,j} from its region values and its face value psi,
+    saturated to HUGE on overflow."""
+    if HUGE in (ai, aj, psi):
+        return HUGE
+    k = next(c for c in COLORS if c not in (i, j))
+    lam = boundary.lam
+    return _cap(sigma(ai, aj, psi, lam(i, j), lam(i, k), lam(j, k)))
+
+
 class Orientation(Enum):
     TOWARD_CHILD = "toward_child"
     TOWARD_PARENT = "toward_parent"
@@ -93,7 +104,7 @@ class MarkoffMap:
         self.boundary: BoundaryData = root_quad.boundary
         self.root_quad = root_quad
         self._quads: Dict[VertexWord, Quad] = {
-            "": root_quad.values,
+            "": tuple(_cap(v) for v in root_quad.values),
         }
         self._move_terms = self.boundary.move_terms
 
@@ -133,13 +144,9 @@ class MarkoffMap:
 
     def eval_sigma(self, f: FaceKey) -> Value:
         ai, aj = self.region_values_at(f)
-        face = self.eval_face(f)
-        if HUGE in (ai, aj, face):
-            return HUGE
         i, j = f.colors
-        k = next(c for c in COLORS if c not in (i, j))
-        lam = self.boundary.lam
-        return _cap(sigma(ai, aj, face, lam(i, j), lam(i, k), lam(j, k)))
+        psi = face_value_capped(ai, aj, self.boundary.lam(i, j))
+        return sigma_capped(self.boundary, i, j, ai, aj, psi)
 
     def orient_edge(self, e: EdgeKey) -> Orientation:
         """Arrow points into the smaller-modulus end region (tie: child)."""

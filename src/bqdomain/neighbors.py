@@ -16,7 +16,8 @@ from enum import Enum
 from typing import List, Tuple
 
 from .algebra import BoundaryData, face_value
-from .markoff import Huge, MarkoffMap, modulus
+from .markoff import (HUGE, MarkoffMap, face_value_capped, modulus,
+                      sigma_capped)
 from .tree import COLORS, FaceKey
 
 
@@ -194,17 +195,16 @@ def h_star(m: MarkoffMap, f: FaceKey, K: float,
     vanishes, or when a bounding region value is zero — in each case the
     whole boundary geodesic stays attracting and no finite arc exists.
     """
-    psi = m.eval_face(f)
+    i, j = f.colors
     quad = m.quad_at(f.anchor)
-    if isinstance(psi, Huge) or any(isinstance(v, Huge) for v in quad):
+    ai, aj = quad[i - 1], quad[j - 1]
+    psi = face_value_capped(ai, aj, m.boundary.lam(i, j))
+    if psi is HUGE or HUGE in quad:
         raise ValueError("h_star called on a face with overflowed values")
     if dist_to_interval(psi) <= tol_real:
         return math.inf
-    sig = m.eval_sigma(f)
-    if modulus(sig) <= tol_sigma:
+    if modulus(sigma_capped(m.boundary, i, j, ai, aj, psi)) <= tol_sigma:
         return math.inf
-    i, j = f.colors
-    ai, aj = quad[i - 1], quad[j - 1]
     lo = min(abs(ai), abs(aj))
     if lo == 0:
         return math.inf

@@ -14,9 +14,13 @@ ordering, so iteration order is deterministic everywhere.
 A face's boundary geodesic is addressed by signed position: position 0
 is the face's anchor, and the word at position p appends the first |p|
 letters of the alternating pattern k,l,k,... (p > 0) or l,k,l,... (p < 0)
-of its two edge colors k < l.  Hot loops walk a geodesic by position
-and carry vertex values along it (see ``bq.attracting_arc``); the key
-builders here are for the few vertices and faces that need a name.
+of its two edge colors k < l, so boundary edge t has color
+(k, l)[t & 1].  Hot loops walk a geodesic by position and carry vertex
+values along it (see ``bq.attracting_arc``).  A face met on f's
+boundary is keyed from its position by ``boundary_face``: its anchor is
+f's anchor plus a prefix of the pattern, less at most one letter, so no
+word is scanned.  The other key builders here are for the few vertices
+and faces that need a name.
 """
 
 from __future__ import annotations
@@ -85,6 +89,11 @@ class RegionKey(NamedTuple):
     color: int
 
 
+# The two complementary colors (k < l) of each ordered pair of colors.
+_EDGE_COLORS = {(i, j): tuple(c for c in COLORS if c not in (i, j))
+                for i in COLORS for j in COLORS if i != j}
+
+
 class FaceKey(NamedTuple):
     anchor: VertexWord
     colors: Tuple[int, int]  # sorted pair of region colors
@@ -92,9 +101,7 @@ class FaceKey(NamedTuple):
     @property
     def edge_colors(self) -> Tuple[int, int]:
         """Colors of the edges along this face's boundary geodesic."""
-        i, j = self.colors
-        k, l = [c for c in COLORS if c not in (i, j)]
-        return (k, l)
+        return _EDGE_COLORS[self.colors]
 
 
 def canonical_region(v: VertexWord, c: int) -> RegionKey:
@@ -172,12 +179,38 @@ def face_position(f: FaceKey, v: VertexWord) -> int:
     return len(suffix) if suffix[0] == lo else -len(suffix)
 
 
-def face_vertex_at(f: FaceKey, pos: int) -> VertexWord:
-    """Vertex at signed position pos on f's boundary geodesic."""
-    k, l = f.edge_colors
+def _walk(anchor: VertexWord, k: int, l: int, pos: int) -> VertexWord:
+    """The word at signed position pos from anchor along edge colors
+    (k, l)."""
     pair = "%d%d" % ((k, l) if pos > 0 else (l, k))
     n = abs(pos)
-    return f.anchor + (pair * ((n + 1) // 2))[:n]
+    return anchor + (pair * ((n + 1) // 2))[:n]
+
+
+def face_vertex_at(f: FaceKey, pos: int) -> VertexWord:
+    """Vertex at signed position pos on f's boundary geodesic."""
+    return _walk(f.anchor, *f.edge_colors, pos)
+
+
+def boundary_face(f: FaceKey, n: int, i: int, j: int) -> FaceKey:
+    """The {i,j} face at position n of f's boundary geodesic, for a sorted
+    pair (i, j) other than f.colors: canonical_face(face_vertex_at(f, n),
+    i, j), built from the position instead of scanning the word.
+
+    Boundary edge t has color (k, l)[t & 1], and the last letter of the
+    word at n != 0 is the color of the edge toward the anchor.  A pair
+    that lacks that letter holds the other edge color, the letter before
+    it, so the anchor drops exactly one letter; only when that empties
+    the walked prefix does the anchor's own word need a scan.
+    """
+    k, l = f.edge_colors
+    if n > 0 and (k, l)[(n - 1) & 1] not in (i, j):
+        n -= 1
+    elif n < 0 and (k, l)[n & 1] not in (i, j):
+        n += 1
+    if n == 0:
+        return canonical_face(f.anchor, i, j)
+    return FaceKey(_walk(f.anchor, k, l, n), (i, j))
 
 
 def face_boundary_walk(f: FaceKey, start: VertexWord, steps: int) -> VertexWord:

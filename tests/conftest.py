@@ -10,6 +10,7 @@ import pytest
 from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice,
                               solve_fourth)
 from bqdomain.markoff import MarkoffMap
+from bqdomain.tree import FaceKey, ball_vertices, faces_at
 
 Omega = Tuple[complex, complex, complex]
 
@@ -53,6 +54,21 @@ def not_bq_fixtures() -> List[MarkoffQuad]:
 
 def make_map(quad: MarkoffQuad) -> MarkoffMap:
     return MarkoffMap(quad)
+
+
+def slice_map(a: complex) -> MarkoffMap:
+    """The render slice b=c=3, x=y=z=0, d = solve_minus."""
+    zero = BoundaryData((0.0, 0.0, 0.0))
+    d = solve_fourth(a, 3, 3, zero, RootChoice.MINUS)
+    return MarkoffMap(MarkoffQuad((a, 3, 3, d), zero, on_variety=False))
+
+
+def shallow_faces() -> List[FaceKey]:
+    """Every face touching a vertex of depth <= 3, sorted."""
+    faces = set()
+    for v in ball_vertices(3):
+        faces.update(faces_at(v))
+    return sorted(faces)
 
 
 def random_complex(rng: np.random.Generator, scale: float = 3.0) -> complex:

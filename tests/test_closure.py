@@ -1,0 +1,192 @@
+"""Closing up the attracting tree by position.
+
+The closure in ``decide_bq`` screens each window vertex on the carried
+quad, but past the first vertex only the three colour pairs that hold
+the colour of the edge just crossed, and keys a face that passes from
+its position on the boundary (``tree.boundary_face``).  These tests pin
+that the keys and the first-met order equal the five-pair screen with
+word-built keys, that the exploration order on the budget-bound points
+does not move, that a popped face is evaluated from one quad, and that
+saturated values end a decision as Undecided instead of crashing or
+spending the arc budget.
+"""
+
+import pytest
+
+from bqdomain import cli
+from bqdomain.algebra import BoundaryData, MarkoffQuad
+from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
+                         decide_bq, face_in_level, face_witness,
+                         values_in_level)
+from bqdomain.markoff import HUGE, MarkoffMap, sigma_capped
+from bqdomain.neighbors import h_star
+from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, boundary_face,
+                           canonical_face, face_vertex_at)
+
+from conftest import shallow_faces, slice_map
+
+ZERO = BoundaryData((0.0, 0.0, 0.0))
+POSITIONS = range(-40, 41)
+
+
+def raw_map(values) -> MarkoffMap:
+    return MarkoffMap(MarkoffQuad(values, ZERO, on_variety=False))
+
+
+def first_met(keys):
+    out = {}
+    for g in keys:
+        out.setdefault(g, None)
+    return list(out)
+
+
+def five_pair_screen(m, f, arc, K):
+    """Every pair but f's at every window vertex, keyed from the word."""
+    M = m.boundary.M
+    for n, quad in enumerate(arc.quads, arc.n1):
+        for i, j in FACE_PAIRS:
+            if (i, j) != f.colors and values_in_level(
+                    quad[i - 1], quad[j - 1], m.boundary.lam(i, j), K, M):
+                yield canonical_face(face_vertex_at(f, n), i, j)
+
+
+def three_pair_screen(m, f, arc, K):
+    """Five pairs at the first vertex, then the pairs holding the colour
+    of the edge just crossed, keyed from the position."""
+    M = m.boundary.M
+    k, l = f.edge_colors
+    screen = [p for p in FACE_PAIRS if p != f.colors]
+    for n, quad in enumerate(arc.quads, arc.n1):
+        for i, j in screen:
+            if values_in_level(quad[i - 1], quad[j - 1],
+                               m.boundary.lam(i, j), K, M):
+                yield boundary_face(f, n, i, j)
+        c = (k, l)[n & 1]
+        screen = [p for p in FACE_PAIRS if c in p]
+
+
+class TestBoundaryFace:
+    def test_matches_canonical_face_of_the_vertex(self):
+        for f in shallow_faces():
+            for i, j in FACE_PAIRS:
+                if (i, j) == f.colors:
+                    continue
+                for n in POSITIONS:
+                    want = canonical_face(face_vertex_at(f, n), i, j)
+                    assert boundary_face(f, n, i, j) == want, (f, n, i, j)
+
+    def test_edge_colors_table(self):
+        for i in COLORS:
+            for j in COLORS:
+                if i != j:
+                    want = tuple(c for c in COLORS if c not in (i, j))
+                    assert FaceKey("", (i, j)).edge_colors == want
+
+
+class TestScreen:
+    @pytest.mark.parametrize("a", [-2.25 - 2.25j, -0.75 + 0.75j,
+                                   -5.25 + 5.25j])
+    def test_three_pairs_find_the_five_pair_faces_in_order(self, a):
+        m = slice_map(a)
+        params = BqParams()
+        K = params.level(m)
+        arcs = hits = 0
+        for f in shallow_faces():
+            if not face_in_level(m, f, K):
+                continue
+            arc = attracting_arc(m, f, params)
+            if arc.outcome is not ArcOutcome.FINITE:
+                continue
+            want = first_met(five_pair_screen(m, f, arc, K))
+            assert first_met(three_pair_screen(m, f, arc, K)) == want, f
+            arcs += 1
+            hits += len(want)
+        assert arcs > 0 and hits > arcs
+
+
+class TestExplorationOrder:
+    # Budget-bound points: the LIFO queue's order decides where each
+    # budget runs out, so a reordered closure changes these numbers.
+    @pytest.mark.parametrize("a, budget, steps", [
+        (-0.75 + 0.75j, "max_arc_steps", 1303),
+        (0.75 - 0.75j, "max_faces", 6141),
+        (-5.25 + 5.25j, "max_faces", 6636)])
+    def test_deep_points_pinned(self, a, budget, steps):
+        v = decide_bq(slice_map(a))
+        assert (v.status, v.budget_hit, v.steps_used) == \
+            (Status.UNDECIDED, budget, steps)
+
+
+def counted_quad_reads(m):
+    reads = []
+    lookup = m.quad_at
+
+    def quad_at(v):
+        reads.append(v)
+        return lookup(v)
+    m.quad_at = quad_at
+    return reads
+
+
+class TestOneQuadPerFace:
+    def test_witness_and_h_star_read_the_anchor_once(self):
+        m = slice_map(-2.25 - 2.25j)
+        params = BqParams()
+        K = params.level(m)
+        for f in shallow_faces()[::5]:
+            m.quad_at(f.anchor)
+            reads = counted_quad_reads(m)
+            face_witness(m, f, params)
+            assert reads == [f.anchor]
+            if face_in_level(m, f, K):
+                del reads[:]
+                h_star(m, f, K)
+                assert reads == [f.anchor]
+            del m.quad_at
+
+    def test_sigma_capped_is_eval_sigma(self):
+        m = slice_map(3.75 + 3.75j)
+        for f in shallow_faces():
+            i, j = f.colors
+            ai, aj = m.region_values_at(f)
+            psi = m.eval_face(f)
+            assert sigma_capped(m.boundary, i, j, ai, aj, psi) \
+                == m.eval_sigma(f)
+        assert sigma_capped(ZERO, 1, 2, HUGE, 1.0, 1.0) is HUGE
+
+
+class TestOverflow:
+    def test_root_is_capped(self):
+        m = raw_map((complex(1.5e308, 1.5e308), 3, 3, 3))
+        assert m.quad_at("")[0] is HUGE
+        assert m.quad_at("")[1:] == (3, 3, 3)
+
+    def test_huge_anchor_quad_ends_the_arc(self):
+        m = raw_map((complex(1.5e308, 1.5e308), 1.9, 1.9, 3))
+        f = canonical_face("", 2, 3)
+        with pytest.raises(ValueError):
+            h_star(m, f, BqParams().level(m))
+        assert attracting_arc(m, f, BqParams()).outcome \
+            is ArcOutcome.OVERFLOW
+
+    def test_saturated_ray_is_undecided_at_once(self):
+        m = raw_map((1.9, 1.9, 5e149, 5e149))
+        arc = attracting_arc(m, canonical_face("", 1, 2), BqParams())
+        assert arc.outcome is ArcOutcome.OVERFLOW
+        assert arc.steps < 10
+        v = decide_bq(raw_map((1.9, 1.9, 5e149, 5e149)))
+        assert (v.status, v.budget_hit) == (Status.UNDECIDED, "overflow")
+
+    def test_unsaturated_ray_stays_in_bq(self):
+        v = decide_bq(raw_map((1.9, 1.9, 1e149, 1e149)))
+        assert v.status is Status.IN_BQ
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "1.5e308,1.5e308", "3", "3", "3", "0", "0", "0"],
+        ["check", "1.5e308,1.5e308", "1.9", "1.9", "3", "0", "0", "0"]],
+        ids=["no_seed", "huge_seed_quad"])
+    def test_check_exits_undecided(self, argv, capsys):
+        assert cli.main(argv) == cli.EXIT_UNDECIDED
+        out, err = capsys.readouterr()
+        assert "verdict: Undecided" in out
+        assert err == ""

@@ -13,30 +13,16 @@ import sys
 
 import pytest
 
-from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice,
-                              solve_fourth)
+from bqdomain.algebra import BoundaryData
 from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
                          decide_bq, face_in_level, values_in_level)
 from bqdomain.markoff import MarkoffMap
-from bqdomain.tree import (FACE_PAIRS, EdgeKey, ball_vertices, canonical_face,
-                           face_edge_at, face_side_region, face_vertex_at,
-                           faces_at)
+from bqdomain.tree import (FACE_PAIRS, EdgeKey, canonical_face, face_edge_at,
+                           face_side_region, face_vertex_at)
 
-ZERO = BoundaryData((0.0, 0.0, 0.0))
+from conftest import shallow_faces, slice_map
+
 POSITIONS = range(-40, 41)
-
-
-def slice_map(a: complex) -> MarkoffMap:
-    """The render slice b=c=3, x=y=z=0, d = solve_minus."""
-    d = solve_fourth(a, 3, 3, ZERO, RootChoice.MINUS)
-    return MarkoffMap(MarkoffQuad((a, 3, 3, d), ZERO, on_variety=False))
-
-
-def shallow_faces():
-    faces = set()
-    for v in ball_vertices(3):
-        faces.update(faces_at(v))
-    return sorted(faces)
 
 
 def carried_quads(m: MarkoffMap, f, count: int):
