@@ -19,8 +19,6 @@ from enum import Enum
 from functools import cached_property
 from typing import Tuple
 
-Complex = complex
-
 DEFAULT_ON_VARIETY_TOL = 1e-9
 
 
@@ -74,19 +72,7 @@ class BoundaryData:
     def __post_init__(self):
         _require_finite(*self.omega)
 
-    @property
-    def x(self) -> complex:
-        return self.omega[0]
-
-    @property
-    def y(self) -> complex:
-        return self.omega[1]
-
-    @property
-    def z(self) -> complex:
-        return self.omega[2]
-
-    @property
+    @cached_property
     def M(self) -> float:
         return max(abs(v) for v in self.omega)
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
-from .markoff import (HUGE, MarkoffMap, Quad, Value, face_value_capped,
-                      modulus, sigma_capped)
-from .neighbors import dist_to_interval, h_star
+from .markoff import HUGE, MarkoffMap, Quad, Value, face_value_capped, modulus
+from .neighbors import WitnessKind, face_obstruction, h_star
 from .tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, VertexWord,
                    boundary_face, face_edge_at, faces_at)
 
@@ -37,12 +36,6 @@ class BqParams:
         if k < 2.0 + m.boundary.M:
             raise ValueError("K must be at least 2 + M")
         return k
-
-
-class WitnessKind(Enum):
-    BQ1_VIOLATION = "bq1_violation"
-    SIGMA_ZERO = "sigma_zero"
-    INFINITE_ARC = "infinite_arc"
 
 
 @dataclass(frozen=True)
@@ -73,10 +66,6 @@ class BqVerdict:
     steps_used: int = 0
 
 
-def region_in_level(m: MarkoffMap, value, K: float) -> bool:
-    return modulus(value) < K
-
-
 def face_in_level(m: MarkoffMap, f: FaceKey, K: float) -> bool:
     """|psi(face)| < K^2 + M and at least one bounding region below K."""
     ai, aj = m.region_values_at(f)
@@ -94,17 +83,15 @@ def values_in_level(ai: Value, aj: Value, lam_ij: complex, K: float,
 
 def face_witness(m: MarkoffMap, f: FaceKey,
                  params: BqParams) -> Optional[Witness]:
-    """Band or sigma witness at f, if any."""
+    """Band or sigma witness at f, if any (``face_obstruction``); a band
+    witness carries the face value."""
     i, j = f.colors
-    ai, aj = m.region_values_at(f)
-    psi = face_value_capped(ai, aj, m.boundary.lam(i, j))
-    if modulus(psi) <= 2.0 + params.tol_real \
-            and dist_to_interval(psi) <= params.tol_real:
-        return Witness(WitnessKind.BQ1_VIOLATION, f, psi)
-    if modulus(sigma_capped(m.boundary, i, j, ai, aj, psi)) \
-            <= params.tol_sigma:
-        return Witness(WitnessKind.SIGMA_ZERO, f)
-    return None
+    psi, kind = face_obstruction(m.boundary, i, j, *m.region_values_at(f),
+                                 params.tol_real, params.tol_sigma)
+    if kind is None:
+        return None
+    return Witness(kind, f, psi if kind is WitnessKind.BQ1_VIOLATION
+                   else None)
 
 
 @dataclass
@@ -196,47 +183,36 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, params: BqParams) -> ArcResult:
     h = h_star(m, f, K, params.tol_real, params.tol_sigma)
     if math.isinf(h):
         return ArcResult(ArcOutcome.INFINITE)
+    k, l = f.edge_colors
     steps = 0
-
-    def scan(letters: Tuple[int, int]
-             ) -> Union[Tuple[List[Quad], int], ArcOutcome]:
-        """Quads at ray positions 0, 1, ... and the number of leading
-        edges that reach the window, or the ArcOutcome (BUDGET or
-        OVERFLOW) that ended the ray."""
-        nonlocal steps
+    rays = []
+    for letters in ((k, l), (l, k)):
+        # Quads at ray positions 0, 1, ..., and the number of leading
+        # edges that reach the window.
         quads = [anchor_quad]
         prev: List[Optional[float]] = [None, None]   # parity -> modulus
         escaped = [False, False]
         window = 0
         t = 0
-        while True:
+        while not (escaped[0] and escaped[1]):
             if steps >= params.max_arc_steps:
-                return ArcOutcome.BUDGET
+                return ArcResult(ArcOutcome.BUDGET, steps=steps)
             steps += 1
             p = t & 1
-            if t == len(quads):
+            if t:
                 quads.append(m._move(quads[-1], letters[1 - p]))
             u = modulus(quads[t][letters[1 - p] - 1])
             if u < h:
                 window = t + 1
                 escaped = [False, False]
             elif u == prev[p] == math.inf:
-                return ArcOutcome.OVERFLOW
+                return ArcResult(ArcOutcome.OVERFLOW, steps=steps)
             else:
                 escaped[p] = prev[p] is not None and u > prev[p]
-                if escaped[0] and escaped[1]:
-                    return quads, window
             prev[p] = u
             t += 1
-
-    k, l = f.edge_colors
-    ray_pos = scan((k, l))
-    if isinstance(ray_pos, ArcOutcome):
-        return ArcResult(ray_pos, steps=steps)
-    ray_neg = scan((l, k))
-    if isinstance(ray_neg, ArcOutcome):
-        return ArcResult(ray_neg, steps=steps)
-    (pos_quads, hi), (neg_quads, lo) = ray_pos, ray_neg
+        rays.append((quads, window))
+    (pos_quads, hi), (neg_quads, lo) = rays
     return ArcResult(ArcOutcome.FINITE, n1=-lo, n2=hi - 1, steps=steps,
                      quads=neg_quads[lo:0:-1] + pos_quads[:hi + 1])
 
@@ -246,7 +222,9 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
 
     InBQ carries the closed-up attracting tree; NotBQ carries a face
     witness; Undecided reports which budget ran out, or "overflow" when
-    a value the arc walk needs saturated to HUGE.
+    a value the arc walk needs saturated to HUGE.  Each popped face runs
+    the band and sigma test once: in ``h_star`` when its arc is finite,
+    and through ``face_witness`` when the closure stops at it.
     """
     K = params.level(m)
     descent = find_sink(m, params)
@@ -277,23 +255,26 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     while queue:
         f = queue.pop()
         steps += 1
-        w = face_witness(m, f, params)
-        if w is not None:
-            return BqVerdict(Status.NOT_BQ, witness=w, steps_used=steps)
-        if len(seen) > params.max_faces:
-            return BqVerdict(Status.UNDECIDED, budget_hit="max_faces",
-                             steps_used=steps)
-        arc = attracting_arc(m, f, params)
-        if arc.outcome is ArcOutcome.INFINITE:
-            return BqVerdict(
-                Status.NOT_BQ,
-                witness=Witness(WitnessKind.INFINITE_ARC, f),
-                steps_used=steps)
-        if arc.outcome is ArcOutcome.BUDGET:
-            return BqVerdict(Status.UNDECIDED, budget_hit="max_arc_steps",
-                             steps_used=steps)
-        if arc.outcome is ArcOutcome.OVERFLOW:
-            return BqVerdict(Status.UNDECIDED, budget_hit="overflow",
+        # A band or sigma face has an infinite H*, so its walk ends at
+        # once, with INFINITE (or OVERFLOW when its anchor quad holds
+        # HUGE): a face whose arc is finite needs no witness test.
+        over_budget = len(seen) > params.max_faces
+        arc = None if over_budget else attracting_arc(m, f, params)
+        if over_budget or arc.outcome is not ArcOutcome.FINITE:
+            w = face_witness(m, f, params)
+            if w is not None:
+                return BqVerdict(Status.NOT_BQ, witness=w, steps_used=steps)
+            if over_budget:
+                return BqVerdict(Status.UNDECIDED, budget_hit="max_faces",
+                                 steps_used=steps)
+            if arc.outcome is ArcOutcome.INFINITE:
+                return BqVerdict(
+                    Status.NOT_BQ,
+                    witness=Witness(WitnessKind.INFINITE_ARC, f),
+                    steps_used=steps)
+            budget = "max_arc_steps" if arc.outcome is ArcOutcome.BUDGET \
+                else "overflow"
+            return BqVerdict(Status.UNDECIDED, budget_hit=budget,
                              steps_used=steps)
         tree.arc_bounds[f] = (arc.n1, arc.n2)
         total_edges += max(0, arc.n2 - arc.n1 + 1)

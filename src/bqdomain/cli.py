@@ -4,6 +4,7 @@ diagnostics, and the involution-identity verification report."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -43,7 +44,12 @@ def _map_for(pt: CharacterPoint) -> MarkoffMap:
 def cmd_check(args) -> int:
     pt = _point(args.coords)
     verdict = decide_bq(_map_for(pt), BqParams(K=args.k))
-    print("residual: %.3g" % abs(vertex_residual(pt)))
+    r = vertex_residual(pt)
+    residual = math.hypot(r.real, r.imag)
+    if math.isfinite(residual):
+        print("residual: %.3g" % residual)
+    else:
+        print("residual: not finite (a coordinate is too large)")
     if verdict.status is Status.IN_BQ:
         print("verdict: InBQ")
         print("certificate: %d faces, %d edges"

@@ -13,10 +13,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .algebra import BoundaryData, face_value
-from .markoff import (HUGE, MarkoffMap, face_value_capped, modulus,
+from .markoff import (HUGE, MarkoffMap, Value, face_value_capped, modulus,
                       sigma_capped)
 from .tree import COLORS, FaceKey
 
@@ -25,6 +25,26 @@ def dist_to_interval(v: complex) -> float:
     """Distance in the complex plane from v to the real segment [-2,2]."""
     t = min(max(v.real, -2.0), 2.0)
     return math.hypot(v.real - t, v.imag)
+
+
+class WitnessKind(Enum):
+    BQ1_VIOLATION = "bq1_violation"
+    SIGMA_ZERO = "sigma_zero"
+    INFINITE_ARC = "infinite_arc"
+
+
+def face_obstruction(boundary: BoundaryData, i: int, j: int, ai: Value,
+                     aj: Value, tol_real: float, tol_sigma: float
+                     ) -> Tuple[Value, Optional[WitnessKind]]:
+    """Face value psi of face {i,j} and its obstruction: BQ1_VIOLATION
+    when psi is on the band [-2,2], SIGMA_ZERO when sigma vanishes, else
+    None.  Either obstruction makes H* infinite; HUGE values show none."""
+    psi = face_value_capped(ai, aj, boundary.lam(i, j))
+    if modulus(psi) <= 2.0 + tol_real and dist_to_interval(psi) <= tol_real:
+        return psi, WitnessKind.BQ1_VIOLATION
+    if modulus(sigma_capped(boundary, i, j, ai, aj, psi)) <= tol_sigma:
+        return psi, WitnessKind.SIGMA_ZERO
+    return psi, None
 
 
 @dataclass(frozen=True)
@@ -191,22 +211,20 @@ def h_star(m: MarkoffMap, f: FaceKey, K: float,
            tol_real: float = 1e-9, tol_sigma: float = 1e-12) -> float:
     """Arc-gluing threshold for face f at level K.
 
-    Infinite when the face value sits on the forbidden band, when sigma
-    vanishes, or when a bounding region value is zero — in each case the
-    whole boundary geodesic stays attracting and no finite arc exists.
+    Infinite when the face shows a ``face_obstruction`` (its value sits
+    on the forbidden band, or sigma vanishes), or when a bounding region
+    value is zero — in each case the whole boundary geodesic stays
+    attracting and no finite arc exists.
     """
     i, j = f.colors
     quad = m.quad_at(f.anchor)
     ai, aj = quad[i - 1], quad[j - 1]
-    psi = face_value_capped(ai, aj, m.boundary.lam(i, j))
+    psi, obstruction = face_obstruction(m.boundary, i, j, ai, aj,
+                                        tol_real, tol_sigma)
     if psi is HUGE or HUGE in quad:
         raise ValueError("h_star called on a face with overflowed values")
-    if dist_to_interval(psi) <= tol_real:
-        return math.inf
-    if modulus(sigma_capped(m.boundary, i, j, ai, aj, psi)) <= tol_sigma:
-        return math.inf
     lo = min(abs(ai), abs(aj))
-    if lo == 0:
+    if obstruction is not None or lo == 0:
         return math.inf
     h_psi = h_value_sym(face_h_inputs(m.boundary, quad, i, j), tol_real)
     M = m.boundary.M

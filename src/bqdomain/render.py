@@ -10,7 +10,7 @@ for any worker count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (BoundaryData, MarkoffQuad, RootChoice, quad_residual,
@@ -25,6 +25,9 @@ TAG_NOTBQ_SIGMA = 1
 TAG_NOTBQ_ARC = 2
 TAG_UNDECIDED = 3
 TAG_IN_BQ = 4
+
+# The BqParams fields a config's "budgets" may set.
+BUDGETS = [f.name for f in fields(BqParams) if f.name.startswith("max_")]
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,11 @@ class SliceConfig:
             return complex(v[0], v[1]) if isinstance(v, (list, tuple)) \
                 else complex(v)
         budgets = doc.get("budgets", {})
+        if not isinstance(budgets, dict) or any(
+                k not in BUDGETS or type(v) is not int or v < 0
+                for k, v in budgets.items()):
+            raise ValueError("budgets must map %s to non-negative integers"
+                             % ", ".join(BUDGETS))
         params = BqParams(K=doc.get("k_override"), **budgets)
         px = doc["px"]
         if isinstance(px, int):

@@ -8,7 +8,7 @@ import pytest
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import (ArcOutcome, BqParams, Status, WitnessKind,
                          attracting_arc, decide_bq, face_in_level,
-                         face_witness, find_sink, region_in_level)
+                         face_witness, find_sink)
 from bqdomain.markoff import MarkoffMap, modulus
 from bqdomain.tree import EdgeKey, canonical_face, faces_at, neighbors
 from conftest import (in_bq_fixtures, in_bq_quad, make_map, not_bq_fixtures,
@@ -31,11 +31,6 @@ class TestParams:
 
 
 class TestLevelPredicates:
-    def test_region_in_level(self):
-        m = make_map(in_bq_quad(4.0))
-        assert region_in_level(m, 1.5, 2.0)
-        assert not region_in_level(m, 2.0, 2.0)
-
     def test_face_needs_small_region_and_small_value(self):
         # both regions at 4.0 exceed K=2, so no face between them counts
         m = make_map(in_bq_quad(4.0))

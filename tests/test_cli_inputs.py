@@ -1,0 +1,46 @@
+"""Outside input that the command line must report instead of crashing
+on or silently using: overflowing coordinates in ``check`` and render
+budgets that are not the four ``max_*`` integers."""
+
+import json
+
+import pytest
+
+from bqdomain import cli
+from bqdomain.render import SliceConfig
+
+SLICE = {"fixed": {"b": 3, "c": 3, "d": 0, "x": 0, "y": 0, "z": 0},
+         "varying": "a", "center": [0, 0], "width": 12.0, "height": 12.0,
+         "px": 2, "mode": "solve_minus"}
+
+
+def test_check_reports_overflowing_residual(capsys):
+    argv = ["check", "1.5e308,1.5e308", "3", "3", "3", "0", "0", "0"]
+    assert cli.main(argv) == cli.EXIT_UNDECIDED
+    out, err = capsys.readouterr()
+    assert "nan" not in out
+    assert "residual: not finite (a coordinate is too large)" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("budgets", [
+    {"max_faces": "500"}, {"tol_real": 3.0}, {"max_faces": -1},
+    {"max_faces": True}, {"max_faces": 1.5}, {"K": 9}, ["max_faces"]])
+def test_render_rejects_bad_budgets(budgets, tmp_path, capsys):
+    doc = dict(SLICE, budgets=budgets)
+    with pytest.raises(ValueError):
+        SliceConfig.from_json(doc)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o.ppm"
+    assert cli.main(["render", "--config", str(cfg),
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    assert "bad config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_accepts_the_four_budgets():
+    budgets = {"max_descent_steps": 0, "max_faces": 500,
+               "max_arc_steps": 2000, "max_total_edges": 100000}
+    params = SliceConfig.from_json(dict(SLICE, budgets=budgets)).params
+    assert {k: getattr(params, k) for k in budgets} == budgets
