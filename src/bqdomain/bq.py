@@ -11,6 +11,7 @@ and values saturated past the overflow cap yield an honest Undecided.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
@@ -30,6 +31,14 @@ class BqParams:
     max_faces: int = 20000
     max_arc_steps: int = 2000
     max_total_edges: int = 100000
+
+    def __post_init__(self):
+        # abs(K) < inf is false for NaN and the infinities; bool is an int.
+        K = self.K
+        if K is not None and (isinstance(K, bool)
+                              or not isinstance(K, numbers.Real)
+                              or not abs(K) < math.inf):
+            raise ValueError("K must be a finite real number, got %r" % (K,))
 
     def level(self, m: MarkoffMap) -> float:
         k = 2.0 + m.boundary.M if self.K is None else self.K

@@ -1,4 +1,4 @@
-"""Reference growth functions on the tree and growth diagnostics.
+"""Growth values on the tree and growth diagnostics.
 
 F assigns 1 to the three regions flanking a base edge and 2 to the three
 faces containing it, then grows outward: a new region is the sum of the
@@ -6,6 +6,11 @@ three previously assigned regions at its anchor vertex, a new face the
 sum of two previously assigned faces.  F equals the cyclically reduced
 word length of the curve a key represents (see words.py), and the ratio
 log+ |psi| / F measures exponential growth of a map against it.
+
+``FibTable`` computes F key by key and is the reference.  The
+diagnostics look no key up: they read F and the map's values from one
+depth-first ``ball_walk`` that carries both down the tree, so they leave
+the map's memo alone.
 """
 
 from __future__ import annotations
@@ -13,20 +18,30 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .markoff import OVERFLOW_CAP, MarkoffMap, modulus
-from .tree import (COLORS, EdgeKey, FaceKey, RegionKey, ball_vertices,
-                   canonical_face, canonical_region, faces_at, regions_at)
+from .markoff import (OVERFLOW_CAP, MarkoffMap, Quad, Value,
+                      face_value_capped, modulus)
+from .tree import (COLORS, FACE_PAIRS, ROOT, EdgeKey, FaceKey, RegionKey,
+                   VertexWord, ball_vertices, canonical_face,
+                   canonical_region, faces_at, regions_at)
 
 BASE_EDGE = EdgeKey("4")
+
+# The two endpoints of the base edge, whose colour-4 regions are seeds.
+BASE_ENDS = (BASE_EDGE.parent, BASE_EDGE.child)
+
+# The face colour pairs that hold colour c, sorted.
+_PAIRS_WITH = {c: tuple(p for p in FACE_PAIRS if c in p) for c in COLORS}
 
 Key = Union[RegionKey, FaceKey]
 
 
 @dataclass
 class FibTable:
-    """Memoized region/face growth values relative to the base edge."""
+    """Memoized region/face growth values relative to the base edge,
+    computed key by key: the reference for the values ``ball_walk``
+    carries."""
 
     base_edge: EdgeKey = BASE_EDGE
     _regions: Dict[RegionKey, int] = field(default_factory=dict)
@@ -102,33 +117,79 @@ class GrowthReport:
     argmin: Optional[Key]
 
 
+def ball_walk(m: MarkoffMap, table: FibTable, depth: int) -> Iterator[
+        Tuple[VertexWord, int, Quad, Tuple[int, int, int, int]]]:
+    """Every vertex w of the depth ball in preorder, children in increasing
+    colour, so words come in lexicographic order.
+
+    Yields (w, last, quad, grow): last is the last letter of w (0 at the
+    root), quad the values and grow the growth values of the four
+    regions at w.  Both are carried down the walk, one
+    ``MarkoffMap._move`` per step, and a move on colour c sets grow[c]
+    to the sum of the other three; the root's growth values come from
+    the table.  The memo is left alone and the stack holds O(depth)
+    entries.
+    """
+    seeds = tuple(table.region(RegionKey(ROOT, c)) for c in COLORS)
+    stack = [(ROOT, 0, m.quad_at(ROOT), seeds)]
+    while stack:
+        w, last, quad, grow = stack.pop()
+        yield w, last, quad, grow
+        if len(w) < depth:
+            total = sum(grow)
+            for c in (4, 3, 2, 1):          # popped in increasing colour
+                if c != last:
+                    g = list(grow)
+                    g[c - 1] = total - grow[c - 1]
+                    stack.append((w + str(c), c, m._move(quad, c), tuple(g)))
+
+
+def _log_ratio(val: Value, f: int) -> float:
+    mod = modulus(val)
+    # A saturated value contributes its saturation scale: the true ratio
+    # is at least as large.
+    top = math.log(OVERFLOW_CAP) if math.isinf(mod) else log_plus(mod)
+    return top / f
+
+
 def growth_report(m: MarkoffMap, table: FibTable, depth: int) -> GrowthReport:
     """Extremes of log+ |psi(X)| / F(X) over the depth ball.
 
     The base simplices (where F is the seed value) are excluded; a
     positive lower ratio is the signature of uniform exponential growth,
     a near-zero one of a bounded orbit somewhere in the ball.
+
+    One ``ball_walk`` visits every key: a vertex w with last letter c
+    anchors the region (w, c) and the three faces (w, {c, o}), and a
+    face's growth value is the sum of its two regions'.  The root's
+    three faces without colour 4 contain the base edge and are seeds, so
+    the root is read as if entered by the colour-4 base edge, like its
+    other end "4"; the colour-4 regions at both ends are seeds as well
+    and are skipped.  Regions win ties against faces, so ``argmin`` is
+    the first minimal key in sorted regions, then sorted faces.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
-    regions, faces = keys_to_depth(depth)
-    base_r, base_f = base_keys(table)
-    skip = set(base_r) | set(base_f) | {RegionKey("", 4), RegionKey("4", 4)}
-    lo, hi, argmin = math.inf, -math.inf, None
-    for key in list(regions) + list(faces):
-        if key in skip:
-            continue
-        val = m.eval_region(key) if isinstance(key, RegionKey) \
-            else m.eval_face(key)
-        mod = modulus(val)
-        # A saturated value contributes its saturation scale: the true
-        # ratio is at least as large.
-        top = math.log(OVERFLOW_CAP) if math.isinf(mod) else log_plus(mod)
-        ratio = top / table.value(key)
-        if ratio < lo:
-            lo, argmin = ratio, key
-        hi = max(hi, ratio)
-    return GrowthReport(lo, hi, argmin)
+    lam = {pair: m.boundary.lam(*pair) for pair in FACE_PAIRS}
+    hi = -math.inf
+    lo_r = lo_f = math.inf
+    arg_r = arg_f = None
+    for w, last, quad, grow in ball_walk(m, table, depth):
+        c = last or BASE_EDGE.color
+        if w not in BASE_ENDS:
+            ratio = _log_ratio(quad[c - 1], grow[c - 1])
+            if ratio < lo_r:
+                lo_r, arg_r = ratio, RegionKey(w, c)
+            hi = max(hi, ratio)
+        for i, j in _PAIRS_WITH[c]:
+            psi = face_value_capped(quad[i - 1], quad[j - 1], lam[i, j])
+            ratio = _log_ratio(psi, grow[i - 1] + grow[j - 1])
+            if ratio < lo_f:
+                lo_f, arg_f = ratio, FaceKey(w, (i, j))
+            hi = max(hi, ratio)
+    if lo_f < lo_r:
+        return GrowthReport(lo_f, hi, arg_f)
+    return GrowthReport(lo_r, hi, arg_r)
 
 
 def trace_length(t: complex) -> complex:
@@ -140,9 +201,8 @@ def upper_bound_holds(m: MarkoffMap, depth: int) -> bool:
     """log+ of each quad value is controlled by the other three plus a
     universal additive constant, at every vertex of the ball."""
     slack = math.log(32.0)
-    for v in ball_vertices(depth):
-        quad = [modulus(q) for q in m.quad_at(v)]
-        logs = [log_plus(q) for q in quad]
+    for _, _, quad, _ in ball_walk(m, FibTable(), depth):
+        logs = [log_plus(modulus(q)) for q in quad]
         for i in range(4):
             rest = sum(logs) - logs[i]
             if logs[i] > rest + slack + 1e-9:

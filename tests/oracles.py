@@ -23,10 +23,16 @@ a NaN entry are counted and reported for transparency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
+
+from bqdomain.fib import (FibTable, GrowthReport, base_keys, keys_to_depth,
+                          log_plus)
+from bqdomain.markoff import OVERFLOW_CAP, MarkoffMap, modulus
+from bqdomain.tree import RegionKey
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
@@ -237,3 +243,28 @@ def brute_force_bq(quad, omega, depth: int = 14, K: Optional[float] = None,
         verdict = "in_bq" if empty else "unknown"
     return OracleReport(verdict, band_value, sigma_zero, hits, rows,
                         pruned, kept_nan)
+
+
+def growth_report_reference(m: MarkoffMap, table: FibTable,
+                            depth: int) -> GrowthReport:
+    """``fib.growth_report`` by keys: every region and face key of the
+    depth ball, sorted regions then sorted faces, valued through the
+    memo (``eval_region``/``eval_face``) and the recursive ``FibTable``."""
+    if depth < 2:
+        raise ValueError("depth must be at least 2")
+    regions, faces = keys_to_depth(depth)
+    base_r, base_f = base_keys(table)
+    skip = set(base_r) | set(base_f) | {RegionKey("", 4), RegionKey("4", 4)}
+    lo, hi, argmin = math.inf, -math.inf, None
+    for key in list(regions) + list(faces):
+        if key in skip:
+            continue
+        val = m.eval_region(key) if isinstance(key, RegionKey) \
+            else m.eval_face(key)
+        mod = modulus(val)
+        top = math.log(OVERFLOW_CAP) if math.isinf(mod) else log_plus(mod)
+        ratio = top / table.value(key)
+        if ratio < lo:
+            lo, argmin = ratio, key
+        hi = max(hi, ratio)
+    return GrowthReport(lo, hi, argmin)

@@ -29,6 +29,16 @@ class TestParams:
         with pytest.raises(ValueError):
             BqParams(K=4.0).level(m)
 
+    @pytest.mark.parametrize("k", ["9", True, math.nan, math.inf, -math.inf,
+                                   4j])
+    def test_rejects_k_that_is_not_finite_real(self, k):
+        with pytest.raises(ValueError):
+            BqParams(K=k)
+
+    @pytest.mark.parametrize("k", [None, 9, 9.5])
+    def test_accepts_finite_real_k(self, k):
+        assert BqParams(K=k).K == k
+
 
 class TestLevelPredicates:
     def test_face_needs_small_region_and_small_value(self):

@@ -1,8 +1,10 @@
 """Outside input that the command line must report instead of crashing
-on or silently using: overflowing coordinates in ``check`` and render
-budgets that are not the four ``max_*`` integers."""
+on or silently using: overflowing coordinates in ``check``, render
+budgets that are not the four ``max_*`` integers, and a level threshold
+K (``--k``, ``k_override``) that is not a finite real number."""
 
 import json
+import math
 
 import pytest
 
@@ -44,3 +46,25 @@ def test_render_accepts_the_four_budgets():
                "max_arc_steps": 2000, "max_total_edges": 100000}
     params = SliceConfig.from_json(dict(SLICE, budgets=budgets)).params
     assert {k: getattr(params, k) for k in budgets} == budgets
+
+
+@pytest.mark.parametrize("k", ["9", math.nan])
+def test_render_rejects_bad_k_override(k, tmp_path, capsys):
+    doc = dict(SLICE, k_override=k)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o.ppm"
+    assert cli.main(["render", "--config", str(cfg),
+                     "--out", str(out)]) == cli.EXIT_USAGE
+    assert "bad config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["inf", "nan"])
+def test_check_rejects_non_finite_k(k, capsys):
+    argv = ["check", "--k", k, "4.0", "4.0", "4.0", "-63.30495168499706",
+            "0", "0", "0"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
