@@ -25,8 +25,6 @@ from .tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, VertexWord,
 @dataclass(frozen=True)
 class BqParams:
     K: Optional[float] = None          # None -> 2 + M
-    tol_real: float = 1e-9
-    tol_sigma: float = 1e-12
     max_descent_steps: int = 200
     max_faces: int = 20000
     max_arc_steps: int = 2000
@@ -95,8 +93,7 @@ def face_witness(m: MarkoffMap, f: FaceKey,
     """Band or sigma witness at f, if any (``face_obstruction``); a band
     witness carries the face value."""
     i, j = f.colors
-    psi, kind = face_obstruction(m.boundary, i, j, *m.region_values_at(f),
-                                 params.tol_real, params.tol_sigma)
+    psi, kind = face_obstruction(m.boundary, i, j, *m.region_values_at(f))
     if kind is None:
         return None
     return Witness(kind, f, psi if kind is WitnessKind.BQ1_VIOLATION
@@ -189,7 +186,7 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, params: BqParams) -> ArcResult:
     anchor_quad = m.quad_at(f.anchor)
     if HUGE in anchor_quad:
         return ArcResult(ArcOutcome.OVERFLOW)
-    h = h_star(m, f, K, params.tol_real, params.tol_sigma)
+    h = h_star(m, f, K)
     if math.isinf(h):
         return ArcResult(ArcOutcome.INFINITE)
     k, l = f.edge_colors

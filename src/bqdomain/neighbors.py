@@ -33,16 +33,19 @@ class WitnessKind(Enum):
     INFINITE_ARC = "infinite_arc"
 
 
+TOL_REAL = 1e-9
+TOL_SIGMA = 1e-12
+
+
 def face_obstruction(boundary: BoundaryData, i: int, j: int, ai: Value,
-                     aj: Value, tol_real: float, tol_sigma: float
-                     ) -> Tuple[Value, Optional[WitnessKind]]:
+                     aj: Value) -> Tuple[Value, Optional[WitnessKind]]:
     """Face value psi of face {i,j} and its obstruction: BQ1_VIOLATION
     when psi is on the band [-2,2], SIGMA_ZERO when sigma vanishes, else
     None.  Either obstruction makes H* infinite; HUGE values show none."""
     psi = face_value_capped(ai, aj, boundary.lam(i, j))
-    if modulus(psi) <= 2.0 + tol_real and dist_to_interval(psi) <= tol_real:
+    if modulus(psi) <= 2.0 + TOL_REAL and dist_to_interval(psi) <= TOL_REAL:
         return psi, WitnessKind.BQ1_VIOLATION
-    if modulus(sigma_capped(boundary, i, j, ai, aj, psi)) <= tol_sigma:
+    if modulus(sigma_capped(boundary, i, j, ai, aj, psi)) <= TOL_SIGMA:
         return psi, WitnessKind.SIGMA_ZERO
     return psi, None
 
@@ -66,7 +69,7 @@ class HOutputs:
     H: float           # math.inf when the threshold does not exist
 
 
-def h_value(inp: HInputs, tol_real: float = 1e-12) -> HOutputs:
+def h_value(inp: HInputs) -> HOutputs:
     """Threshold data for the recurrence with parameters (Q,R,S,X).
 
     H is +inf when X lies on [-2,2] (the multiplier has modulus one) or
@@ -82,7 +85,7 @@ def h_value(inp: HInputs, tol_real: float = 1e-12) -> HOutputs:
         lam = (mu - root) / 2
     denom = X * X - 4
     num = Q * Q + R * R - X * R * Q + S * denom
-    if dist_to_interval(X) <= tol_real or abs(lam) <= 1 + 1e-12:
+    if dist_to_interval(X) <= 1e-12 or abs(lam) <= 1 + 1e-12:
         return HOutputs(lam, complex("nan"), complex("nan"),
                         complex("nan"), math.inf, math.inf)
     T = num / (denom * denom)
@@ -98,11 +101,11 @@ def h_value(inp: HInputs, tol_real: float = 1e-12) -> HOutputs:
     return HOutputs(lam, T, eta, zeta, w, h)
 
 
-def h_value_sym(inp: HInputs, tol_real: float = 1e-12) -> float:
+def h_value_sym(inp: HInputs) -> float:
     """max of H over the two orderings of (Q,R) — covers both of the two
     interleaved side-region sequences along a face."""
-    h1 = h_value(inp, tol_real).H
-    h2 = h_value(HInputs(inp.R, inp.Q, inp.S, inp.X), tol_real).H
+    h1 = h_value(inp).H
+    h2 = h_value(HInputs(inp.R, inp.Q, inp.S, inp.X)).H
     return max(h1, h2)
 
 
@@ -207,8 +210,7 @@ def face_h_inputs(boundary: BoundaryData, quad, i: int, j: int) -> HInputs:
     return HInputs(q, r, s, x)
 
 
-def h_star(m: MarkoffMap, f: FaceKey, K: float,
-           tol_real: float = 1e-9, tol_sigma: float = 1e-12) -> float:
+def h_star(m: MarkoffMap, f: FaceKey, K: float) -> float:
     """Arc-gluing threshold for face f at level K.
 
     Infinite when the face shows a ``face_obstruction`` (its value sits
@@ -219,13 +221,12 @@ def h_star(m: MarkoffMap, f: FaceKey, K: float,
     i, j = f.colors
     quad = m.quad_at(f.anchor)
     ai, aj = quad[i - 1], quad[j - 1]
-    psi, obstruction = face_obstruction(m.boundary, i, j, ai, aj,
-                                        tol_real, tol_sigma)
+    psi, obstruction = face_obstruction(m.boundary, i, j, ai, aj)
     if psi is HUGE or HUGE in quad:
         raise ValueError("h_star called on a face with overflowed values")
     lo = min(abs(ai), abs(aj))
     if obstruction is not None or lo == 0:
         return math.inf
-    h_psi = h_value_sym(face_h_inputs(m.boundary, quad, i, j), tol_real)
+    h_psi = h_value_sym(face_h_inputs(m.boundary, quad, i, j))
     M = m.boundary.M
     return max(h_psi, (K * K + 2 * M) / lo)

@@ -161,6 +161,8 @@ def render_slice(config: SliceConfig, workers: int = 1
     residual seen over the window."""
     w, h = config.px
     all_rows = list(range(h))
+    # a forked pool starts all its processes at once; extra ones get no row
+    workers = min(workers, h)
     if workers <= 1:
         chunks = [_render_rows((config, all_rows))]
     else:

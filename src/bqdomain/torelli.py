@@ -9,11 +9,12 @@ search) and numerically (trace coordinates of random matrix triples).
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, Optional, Tuple
-
-import numpy as np
 
 from .algebra import CharacterPoint
 
@@ -58,20 +59,15 @@ class Automorphism:
         object.__setattr__(self, "images",
                            tuple(reduce_word(w) for w in self.images))
 
+    @cached_property
     def _table(self) -> Dict[str, str]:
-        got = self.__dict__.get("_table_cache")
-        if got is None:
-            got = {
-                "A": self.images[0], "B": self.images[1],
-                "C": self.images[2], "a": invert(self.images[0]),
-                "b": invert(self.images[1]), "c": invert(self.images[2]),
-            }
-            object.__setattr__(self, "_table_cache", got)
-        return got
+        a, b, c = self.images
+        return {"A": a, "B": b, "C": c,
+                "a": invert(a), "b": invert(b), "c": invert(c)}
 
     def apply(self, w: str) -> str:
         # each image is reduced, so only the segment junctions cancel
-        table = self._table()
+        table = self._table
         out: list = []
         for ch in w:
             seg = table[ch]
@@ -177,49 +173,59 @@ def equal_in_out(f: Automorphism, g: Automorphism,
 
 
 # ---------------------------------------------------------------------------
-# Numeric evaluation through SL(2,C) triples.
+# Numeric evaluation through SL(2,C) triples, each matrix a pair of rows.
 
 CHAR_WORDS = ("A", "B", "C", "ABC", "AB", "BC", "AC")
 
+Mat = Tuple[Tuple[complex, complex], Tuple[complex, complex]]
 
-def eval_word(w: str, mats: Dict[str, np.ndarray]) -> np.ndarray:
-    out = np.eye(2, dtype=complex)
+
+def mat_mul(m: Mat, n: Mat) -> Mat:
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def det(m: Mat) -> complex:
+    (a, b), (c, d) = m
+    return a * d - b * c
+
+
+def word_trace(w: str, mats: Dict[str, Mat]) -> complex:
+    out: Mat = ((1, 0), (0, 1))
     for ch in w:
-        out = out @ mats[ch]
-    return out
+        out = mat_mul(out, mats[ch])
+    return out[0][0] + out[1][1]
 
 
-def _mat_table(triple) -> Dict[str, np.ndarray]:
-    ma, mb, mc = triple
-    return {
-        "A": ma, "B": mb, "C": mc,
-        "a": np.linalg.inv(ma), "b": np.linalg.inv(mb),
-        "c": np.linalg.inv(mc),
-    }
+def _mat_table(triple) -> Dict[str, Mat]:
+    table = dict(zip(GENS, triple))
+    for gen, m in zip("abc", triple):
+        (a, b), (c, d) = m
+        dt = det(m)
+        table[gen] = ((d / dt, -b / dt), (-c / dt, a / dt))
+    return table
 
 
-def random_triple(rng: np.random.Generator):
+def random_triple(rng: random.Random):
     """A random irreducible det-1 triple; resamples near-reducible draws."""
     while True:
         mats = []
         for _ in range(3):
-            m = (rng.uniform(-1, 1, (2, 2))
-                 + 1j * rng.uniform(-1, 1, (2, 2)))
-            det = np.linalg.det(m)
-            if abs(det) < 1e-6:
+            m = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                  for _ in range(2)] for _ in range(2)]
+            s = cmath.sqrt(det(m))
+            if abs(s) < 1e-3:
                 break
-            mats.append(m / np.sqrt(det))
+            mats.append(tuple(tuple(v / s for v in row) for row in m))
         else:
-            comm = (mats[0] @ mats[1] @ np.linalg.inv(mats[0])
-                    @ np.linalg.inv(mats[1]))
-            if abs(np.trace(comm) - 2) >= 1e-3:
+            if abs(word_trace("ABab", _mat_table(mats)) - 2) >= 1e-3:
                 return tuple(mats)
 
 
 def character_coords(f: Automorphism, triple) -> Tuple[complex, ...]:
     mats = _mat_table(triple)
-    return tuple(complex(np.trace(eval_word(f.apply(w), mats)))
-                 for w in CHAR_WORDS)
+    return tuple(complex(word_trace(f.apply(w), mats)) for w in CHAR_WORDS)
 
 
 def character_agree(f: Automorphism, g: Automorphism,
@@ -229,7 +235,7 @@ def character_agree(f: Automorphism, g: Automorphism,
     Zero (to rounding) when f and g agree in Out(F3), since traces are
     conjugation-invariant.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(trials):
         triple = random_triple(rng)
@@ -244,36 +250,30 @@ def lift_point(pt: CharacterPoint):
     (a,b,c,d,x,y,z).
 
     M_A and M_B are put in a standard position from (a, x, b); M_C is
-    solved in the basis (I, M_A, M_B, M_A M_B) from the remaining four
-    traces.  Fails on the reducible locus a^2+b^2+x^2-abx-4 = 0, where
-    that basis degenerates.
+    solved from (c, z, y, d) in closed form.  Fails on the reducible locus
+    a^2+b^2+x^2-abx-4 = 0, where that solve is singular.
     """
-    a, b, c, d = pt.a, pt.b, pt.c, pt.d
+    a, b, c, d = pt.quad
     x, y, z = pt.x, pt.y, pt.z
     crit = a * a + b * b + x * x - a * b * x - 4
     if abs(crit) < 1e-8:
         raise ValueError("point lies on the reducible locus; no "
                          "irreducible matrix lift exists")
-    eta = (x + np.sqrt(complex(x * x - 4))) / 2
-    if eta == 0:
-        eta = (x - np.sqrt(complex(x * x - 4))) / 2
-    ma = np.array([[a, -1], [1, 0]], dtype=complex)
-    mb = np.array([[0, eta], [-1 / eta, b]], dtype=complex)
-    mab = ma @ mb
-    # tr of the basis elements against I, A, B, AB.
-    gram = np.array([
-        [2, a, b, x],
-        [a, a * a - 2, x, a * x - b],
-        [b, x, b * b - 2, b * x - a],
-        [x, a * x - b, b * x - a, x * x - 2],
-    ], dtype=complex)
-    rhs = np.array([c, z, y, d], dtype=complex)
-    alpha, beta, gamma, delta = np.linalg.solve(gram, rhs)
-    mc = (alpha * np.eye(2) + beta * ma + gamma * mb + delta * mab)
-    if abs(np.linalg.det(mc) - 1) > 1e-6 * (1 + np.abs(mc).max() ** 2):
+    root = cmath.sqrt(x * x - 4)
+    eta = max((x + root) / 2, (x - root) / 2, key=abs)  # no cancellation
+    ieta = 1 / eta
+    # tr C = c and tr AC = z give s = c - p and q = z - ap + r; then
+    # tr BC = y and tr ABC = d are e11 p + e12 r = f1, -e12 p + e22 r = f2
+    e11, e12, e22 = a * ieta - b, eta - ieta, a * eta - b
+    f1, f2 = y - b * c + z * ieta, d - eta * c
+    p = (f1 * e22 - e12 * f2) / crit
+    r = (e11 * f2 + e12 * f1) / crit
+    mc = ((p, z - a * p + r), (r, c - p))
+    scale = max(abs(v) for row in mc for v in row)
+    if abs(det(mc) - 1) > 1e-6 * (1 + scale ** 2):
         raise ValueError("no determinant-1 solution: traces do not "
                          "satisfy the defining relation")
-    return ma, mb, mc
+    return ((a, -1), (1, 0)), ((0, eta), (-ieta, b)), mc
 
 
 def induced_character_map(f: Automorphism,
