@@ -6,6 +6,9 @@ the attracting arc of each face.  A finite closed-up tree certifies
 membership; a face value on the real band [-2,2], a vanishing sigma, or
 an arc that cannot terminate certifies non-membership; exhausted budgets
 and values saturated past the overflow cap yield an honest Undecided.
+
+Every value is carried from the root, one elementary move per edge, and
+none is looked up by word, so the map's memo stays at the root quad.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .markoff import HUGE, MarkoffMap, Quad, Value, face_value_capped, modulus
 from .neighbors import WitnessKind, face_obstruction, h_star
 from .tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, VertexWord,
-                   boundary_face, face_edge_at, faces_at)
+                   boundary_face, canonical_face, face_edge_at)
 
 
 @dataclass(frozen=True)
@@ -73,27 +76,21 @@ class BqVerdict:
     steps_used: int = 0
 
 
-def face_in_level(m: MarkoffMap, f: FaceKey, K: float) -> bool:
-    """|psi(face)| < K^2 + M and at least one bounding region below K."""
-    ai, aj = m.region_values_at(f)
-    return values_in_level(ai, aj, m.boundary.lam(*f.colors), K, m.boundary.M)
-
-
 def values_in_level(ai: Value, aj: Value, lam_ij: complex, K: float,
                     M: float) -> bool:
-    """The level test on a face's two region values and lambda_ij, for
-    callers that carry quads instead of keys."""
+    """The level test on a face's two region values and lambda_ij:
+    |psi(face)| < K^2 + M and at least one bounding region below K."""
     if min(modulus(ai), modulus(aj)) >= K:
         return False
     return modulus(face_value_capped(ai, aj, lam_ij)) < K * K + M
 
 
-def face_witness(m: MarkoffMap, f: FaceKey,
-                 params: BqParams) -> Optional[Witness]:
-    """Band or sigma witness at f, if any (``face_obstruction``); a band
-    witness carries the face value."""
+def face_witness(m: MarkoffMap, f: FaceKey, quad: Quad) -> Optional[Witness]:
+    """Band or sigma witness at f, if any (``face_obstruction``), from the
+    quad at a vertex on f's boundary; a band witness carries the face
+    value."""
     i, j = f.colors
-    psi, kind = face_obstruction(m.boundary, i, j, *m.region_values_at(f))
+    psi, kind = face_obstruction(m.boundary, i, j, quad[i - 1], quad[j - 1])
     if kind is None:
         return None
     return Witness(kind, f, psi if kind is WitnessKind.BQ1_VIOLATION
@@ -103,6 +100,7 @@ def face_witness(m: MarkoffMap, f: FaceKey,
 @dataclass
 class DescentResult:
     vertex: Optional[VertexWord] = None
+    quad: Optional[Quad] = None           # the quad at vertex
     witness: Optional[Witness] = None
     budget_hit: Optional[str] = None
     steps: int = 0
@@ -114,30 +112,34 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
 
     Stops at a vertex with no strictly outgoing edge, or at one already
     touching a face below the level threshold; every face seen on the
-    way is screened for band and sigma witnesses.
+    way is screened for band and sigma witnesses.  The quad is carried,
+    one move per child edge tried; the edge back, crossed because it made
+    its value strictly smaller, is not outgoing, so it is never tried.
     """
-    K = params.level(m)
+    K, M, lam = params.level(m), m.boundary.M, m.boundary.lam
     v: VertexWord = ""
+    quad = m.root
+    back = 0                       # the colour of the edge back; 0 at root
     trace = [v]
     for step in range(params.max_descent_steps + 1):
-        faces = faces_at(v)
-        for f in faces:
-            w = face_witness(m, f, params)
+        for i, j in FACE_PAIRS:
+            w = face_witness(m, canonical_face(v, i, j), quad)
             if w is not None:
                 return DescentResult(witness=w, steps=step, trace=trace)
-        if any(face_in_level(m, f, K) for f in faces):
-            return DescentResult(vertex=v, steps=step, trace=trace)
-        quad = m.quad_at(v)
-        best: Optional[Tuple[float, VertexWord]] = None
+        if any(values_in_level(quad[i - 1], quad[j - 1], lam(i, j), K, M)
+               for i, j in FACE_PAIRS):
+            return DescentResult(vertex=v, quad=quad, steps=step, trace=trace)
+        down = []
         for c in COLORS:
-            far = v[:-1] if v and v[-1] == str(c) else v + str(c)
-            far_mod = modulus(m.quad_at(far)[c - 1])
-            if far_mod < modulus(quad[c - 1]):
-                if best is None or far_mod < best[0]:
-                    best = (far_mod, far)
-        if best is None:
-            return DescentResult(vertex=v, steps=step, trace=trace)
-        v = best[1]
+            if c != back:
+                far = m._move(quad, c)
+                far_mod = modulus(far[c - 1])
+                if far_mod < modulus(quad[c - 1]):
+                    down.append((far_mod, c, far))
+        if not down:
+            return DescentResult(vertex=v, quad=quad, steps=step, trace=trace)
+        _, back, quad = min(down)      # steepest; ties to the smaller colour
+        v += str(back)
         trace.append(v)
     return DescentResult(budget_hit="max_descent_steps",
                          steps=params.max_descent_steps, trace=trace)
@@ -161,21 +163,21 @@ class ArcResult:
                               compare=False)
 
 
-def attracting_arc(m: MarkoffMap, f: FaceKey, params: BqParams) -> ArcResult:
+def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
+                   params: BqParams) -> ArcResult:
     """Bound the window of boundary edges whose side regions dip below
     the face's threshold.
 
-    Walks both rays from the anchor by position, carrying the vertex
-    quad one elementary move per step (no words are built and nothing
-    is memoized).  With (k, l) = f.edge_colors, the positive ray's
-    letters run k, l, k, ... and the negative ray's l, k, l, ...  Edge t
-    of a ray (t = 0, 1, ...; boundary edge t or -t-1) has the ray's t-th
-    letter as its color, and its side region has the other edge color,
-    read from the quad t steps out along the ray.  A ray may stop once,
-    for both side colors, the latest value exceeds the threshold and
-    exceeds its predecessor of the same color (beyond that point the
-    sequences are strictly monotone).  A finite result carries the quads
-    of the window's vertices.
+    Walks both rays by position from quad, the quad at f's anchor,
+    carrying it one elementary move per step.  With (k, l) =
+    f.edge_colors, the positive ray's letters run k, l, k, ... and the
+    negative ray's l, k, l, ...  Edge t of a ray (t = 0, 1, ...; boundary
+    edge t or -t-1) has the ray's t-th letter as its color, and its side
+    region has the other edge color, read from the quad t steps out along
+    the ray.  A ray may stop once, for both side colors, the latest value
+    exceeds the threshold and exceeds its predecessor of the same color
+    (beyond that point the sequences are strictly monotone).  A finite
+    result carries the quads of the window's vertices.
 
     Saturated values end the walk with OVERFLOW: a HUGE in the anchor
     quad leaves no threshold, and a ray whose latest two values of one
@@ -183,10 +185,9 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, params: BqParams) -> ArcResult:
     because every later move is HUGE as well.
     """
     K = params.level(m)
-    anchor_quad = m.quad_at(f.anchor)
-    if HUGE in anchor_quad:
+    if HUGE in quad:
         return ArcResult(ArcOutcome.OVERFLOW)
-    h = h_star(m, f, K)
+    h = h_star(m.boundary, f, quad, K)
     if math.isinf(h):
         return ArcResult(ArcOutcome.INFINITE)
     k, l = f.edge_colors
@@ -195,7 +196,7 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, params: BqParams) -> ArcResult:
     for letters in ((k, l), (l, k)):
         # Quads at ray positions 0, 1, ..., and the number of leading
         # edges that reach the window.
-        quads = [anchor_quad]
+        quads = [quad]
         prev: List[Optional[float]] = [None, None]   # parity -> modulus
         escaped = [False, False]
         window = 0
@@ -231,6 +232,13 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     a value the arc walk needs saturated to HUGE.  Each popped face runs
     the band and sigma test once: in ``h_star`` when its arc is finite,
     and through ``face_witness`` when the closure stops at it.
+
+    Each queued face carries the quad at its anchor, by two invariants.
+    Every seed is anchored at the sink: one anchored higher is in level
+    at a vertex the descent passed, and the descent would have stopped
+    there.  A new face is anchored t >= 0 pattern letters past the
+    anchor of the face whose window met it: one anchored higher is in
+    level at the vertex before that anchor, so it is already seen.
     """
     K = params.level(m)
     descent = find_sink(m, params)
@@ -242,32 +250,35 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         return BqVerdict(Status.UNDECIDED, budget_hit=descent.budget_hit,
                          steps_used=steps)
 
-    v0 = descent.vertex
-    seeds = [f for f in faces_at(v0) if face_in_level(m, f, K)]
+    M = m.boundary.M
+    pairs = [(i, j, m.boundary.lam(i, j)) for i, j in FACE_PAIRS]
+    v0, q0 = descent.vertex, descent.quad
+    seeds = [FaceKey(v0, (i, j)) for i, j, lam_ij in pairs
+             if values_in_level(q0[i - 1], q0[j - 1], lam_ij, K, M)]
     if not seeds:
         return BqVerdict(Status.UNDECIDED, budget_hit="no_seed_face",
                          steps_used=steps)
 
-    M = m.boundary.M
-    pairs = [(i, j, m.boundary.lam(i, j)) for i, j in FACE_PAIRS]
     # The pairs screened at a face's first window vertex (all but its
     # own), and after crossing an edge of color c (the pairs holding c).
     first = {p: [t for t in pairs if t[:2] != p] for p in FACE_PAIRS}
     crossed = {c: [t for t in pairs if c in t[:2]] for c in COLORS}
     tree = AttractingTree()
     seen: Set[FaceKey] = set(seeds)
-    queue: List[FaceKey] = sorted(seeds)
+    # (face, quad at its anchor), the seeds in sorted order.
+    queue: List[Tuple[FaceKey, Quad]] = [(f, q0) for f in seeds]
     total_edges = 0
     while queue:
-        f = queue.pop()
+        f, anchor_quad = queue.pop()
         steps += 1
         # A band or sigma face has an infinite H*, so its walk ends at
         # once, with INFINITE (or OVERFLOW when its anchor quad holds
         # HUGE): a face whose arc is finite needs no witness test.
         over_budget = len(seen) > params.max_faces
-        arc = None if over_budget else attracting_arc(m, f, params)
+        arc = None if over_budget else \
+            attracting_arc(m, f, anchor_quad, params)
         if over_budget or arc.outcome is not ArcOutcome.FINITE:
-            w = face_witness(m, f, params)
+            w = face_witness(m, f, anchor_quad)
             if w is not None:
                 return BqVerdict(Status.NOT_BQ, witness=w, steps_used=steps)
             if over_budget:
@@ -291,7 +302,11 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         # edge of color c keeps every face whose pair lacks c, with both
         # region values bitwise unchanged, so past the first vertex only
         # the three pairs holding the crossed color can be new.  A face
-        # that passes is keyed from its position on f's boundary.
+        # that passes is keyed from its position on f's boundary.  A new
+        # face's quad is in the window at position +-t, t >= 0 the letters
+        # its anchor adds to f's: a key that strips f's anchor is in level
+        # at the vertex before it, which the descent or the screen that
+        # queued f has covered, so it is already seen.
         k, l = f.edge_colors
         screen = first[f.colors]
         for n, quad in enumerate(arc.quads, arc.n1):
@@ -300,7 +315,9 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                     g = boundary_face(f, n, i, j)
                     if g not in seen:
                         seen.add(g)
-                        queue.append(g)
+                        t = len(g.anchor) - len(f.anchor)
+                        queue.append(
+                            (g, arc.quads[(t if n > 0 else -t) - arc.n1]))
             screen = crossed[(k, l)[n & 1]]    # edge n joins n and n+1
     # Edge keys are built once, for the certificate that is returned.
     tree.edges = {face_edge_at(f, n) for f, (n1, n2) in tree.arc_bounds.items()

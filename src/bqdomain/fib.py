@@ -39,17 +39,12 @@ Key = Union[RegionKey, FaceKey]
 
 @dataclass
 class FibTable:
-    """Memoized region/face growth values relative to the base edge,
-    computed key by key: the reference for the values ``ball_walk``
-    carries."""
+    """Memoized region/face growth values relative to the root's colour-4
+    base edge ``BASE_EDGE``, computed key by key: the reference for the
+    values ``ball_walk`` carries."""
 
-    base_edge: EdgeKey = BASE_EDGE
     _regions: Dict[RegionKey, int] = field(default_factory=dict)
     _faces: Dict[FaceKey, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.base_edge != BASE_EDGE:
-            raise ValueError("only the root color-4 base edge is supported")
 
     def region(self, r: RegionKey) -> int:
         got = self._regions.get(r)
@@ -131,7 +126,7 @@ def ball_walk(m: MarkoffMap, table: FibTable, depth: int) -> Iterator[
     entries.
     """
     seeds = tuple(table.region(RegionKey(ROOT, c)) for c in COLORS)
-    stack = [(ROOT, 0, m.quad_at(ROOT), seeds)]
+    stack = [(ROOT, 0, m.root, seeds)]
     while stack:
         w, last, quad, grow = stack.pop()
         yield w, last, quad, grow

@@ -5,15 +5,17 @@ region is obtained by replaying one elementary move per letter of its
 anchor word.  ``quad_at`` memoizes the quad of every vertex it reaches,
 so the memo is closed under prefixes: a lookup finds the longest
 memoized prefix of the word and replays the remaining letters forward,
-iteratively, so words of any length are safe.  Callers that walk a long
-path one letter at a time (the attracting-arc scan in ``bq``) carry the
-quad themselves with ``_move`` instead; a move of color c rewrites only
-entry c and copies the other three, so carried and memoized quads agree
-bit for bit.  The arithmetic itself (the move, the face value, sigma) is
-``algebra``'s; this module adds only saturation and the memo.  Values
-whose modulus exceeds an overflow cap, the root quad's included, are
-replaced by a symbolic Huge marker that compares larger than every
-finite modulus, so deep descent never degrades into NaN arithmetic.
+iteratively, so words of any length are safe.  The memo serves keyed
+lookups: edge orientation and vertex classification here, and the
+tests.  The walks of ``bq.decide_bq`` and ``fib`` start from ``root``
+and carry the quad themselves with ``_move``, so they leave the memo at
+the root quad; a move of color c rewrites only entry c and copies the
+other three, so carried and memoized quads agree bit for bit.  The
+arithmetic itself (the move, the face value, sigma) is ``algebra``'s;
+this module adds only saturation and the memo.  Values whose modulus
+exceeds an overflow cap, the root quad's included, are replaced by a
+symbolic Huge marker that compares larger than every finite modulus, so
+deep descent never degrades into NaN arithmetic.
 """
 
 from __future__ import annotations
@@ -103,9 +105,9 @@ class MarkoffMap:
     def __init__(self, root_quad: MarkoffQuad):
         self.boundary: BoundaryData = root_quad.boundary
         self.root_quad = root_quad
-        self._quads: Dict[VertexWord, Quad] = {
-            "": tuple(_cap(v) for v in root_quad.values),
-        }
+        # The capped root quad, where every carried walk starts.
+        self.root: Quad = tuple(_cap(v) for v in root_quad.values)
+        self._quads: Dict[VertexWord, Quad] = {"": self.root}
         self._move_terms = self.boundary.move_terms
 
     def quad_at(self, v: VertexWord) -> Quad:

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import List, Optional, Tuple
 
 from .algebra import BoundaryData, face_value
-from .markoff import (HUGE, MarkoffMap, Value, face_value_capped, modulus,
+from .markoff import (HUGE, Quad, Value, face_value_capped, modulus,
                       sigma_capped)
 from .tree import COLORS, FaceKey
 
@@ -155,12 +155,6 @@ def simulate_neighbors(seq: NeighborSeq, n_min: int,
     return backward + forward
 
 
-class Surface(Enum):
-    TORUS = "torus"
-    FOUR_HOLED_SPHERE = "four_holed_sphere"
-    N13 = "n13"
-
-
 def specialize_torus(mu: complex, x: complex) -> HInputs:
     return HInputs(0, 0, mu - x * x, x)
 
@@ -178,16 +172,6 @@ def specialize_n13(a: complex, b: complex,
     s = (4 - a * a - b * b - x * x - y * y - z * z
          - x * y * z - x * a * b)
     return HInputs(y * b + a * z, y * a + z * b, s, a * b - x)
-
-
-def specialize(kind: Surface, params) -> HInputs:
-    if kind is Surface.TORUS:
-        return specialize_torus(*params)
-    if kind is Surface.FOUR_HOLED_SPHERE:
-        return specialize_four_holed_sphere(*params)
-    if kind is Surface.N13:
-        return specialize_n13(*params)
-    raise ValueError("unknown specialization kind %r" % (kind,))
 
 
 def face_h_inputs(boundary: BoundaryData, quad, i: int, j: int) -> HInputs:
@@ -210,8 +194,10 @@ def face_h_inputs(boundary: BoundaryData, quad, i: int, j: int) -> HInputs:
     return HInputs(q, r, s, x)
 
 
-def h_star(m: MarkoffMap, f: FaceKey, K: float) -> float:
-    """Arc-gluing threshold for face f at level K.
+def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
+           K: float) -> float:
+    """Arc-gluing threshold for face f at level K, from the quad at f's
+    anchor.
 
     Infinite when the face shows a ``face_obstruction`` (its value sits
     on the forbidden band, or sigma vanishes), or when a bounding region
@@ -219,14 +205,13 @@ def h_star(m: MarkoffMap, f: FaceKey, K: float) -> float:
     attracting and no finite arc exists.
     """
     i, j = f.colors
-    quad = m.quad_at(f.anchor)
     ai, aj = quad[i - 1], quad[j - 1]
-    psi, obstruction = face_obstruction(m.boundary, i, j, ai, aj)
+    psi, obstruction = face_obstruction(boundary, i, j, ai, aj)
     if psi is HUGE or HUGE in quad:
         raise ValueError("h_star called on a face with overflowed values")
     lo = min(abs(ai), abs(aj))
     if obstruction is not None or lo == 0:
         return math.inf
-    h_psi = h_value_sym(face_h_inputs(m.boundary, quad, i, j))
-    M = m.boundary.M
+    h_psi = h_value_sym(face_h_inputs(boundary, quad, i, j))
+    M = boundary.M
     return max(h_psi, (K * K + 2 * M) / lo)

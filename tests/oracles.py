@@ -1,4 +1,5 @@
-"""Independent slow oracles used only by the test suite.
+"""Independent slow oracles and keyed references used only by the test
+suite.
 
 The membership oracle enumerates every vertex of the tree to a fixed
 depth with vectorized arithmetic, evaluating all six face values at each
@@ -29,10 +30,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from bqdomain.bq import (ArcOutcome, AttractingTree, BqParams, BqVerdict,
+                         Status, Witness, attracting_arc, face_witness,
+                         values_in_level)
 from bqdomain.fib import (FibTable, GrowthReport, base_keys, keys_to_depth,
                           log_plus)
 from bqdomain.markoff import OVERFLOW_CAP, MarkoffMap, modulus
-from bqdomain.tree import RegionKey
+from bqdomain.neighbors import WitnessKind
+from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, RegionKey,
+                           boundary_face, face_edge_at, faces_at)
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
@@ -268,3 +274,92 @@ def growth_report_reference(m: MarkoffMap, table: FibTable,
             lo, argmin = ratio, key
         hi = max(hi, ratio)
     return GrowthReport(lo, hi, argmin)
+
+
+def face_in_level(m: MarkoffMap, f: FaceKey, K: float) -> bool:
+    """The level test on a face key, its values read through the memo."""
+    ai, aj = m.region_values_at(f)
+    return values_in_level(ai, aj, m.boundary.lam(*f.colors), K, m.boundary.M)
+
+
+def decide_bq_reference(m: MarkoffMap,
+                        params: BqParams = BqParams()) -> BqVerdict:
+    """``bq.decide_bq`` by keys: the descent moves between vertex words,
+    the seeds are every in-level face at the sink, each popped face reads
+    its anchor quad through the memo (``quad_at``) instead of carrying
+    it, and every window vertex is screened on all five other pairs."""
+    K = params.level(m)
+    v, steps = "", None
+    for step in range(params.max_descent_steps + 1):
+        faces = faces_at(v)
+        for f in faces:
+            w = face_witness(m, f, m.quad_at(f.anchor))
+            if w is not None:
+                return BqVerdict(Status.NOT_BQ, witness=w, steps_used=step)
+        if any(face_in_level(m, f, K) for f in faces):
+            steps = step
+            break
+        quad = m.quad_at(v)
+        best = None
+        for c in COLORS:
+            far = v[:-1] if v and v[-1] == str(c) else v + str(c)
+            far_mod = modulus(m.quad_at(far)[c - 1])
+            if far_mod < modulus(quad[c - 1]):
+                if best is None or far_mod < best[0]:
+                    best = (far_mod, far)
+        if best is None:
+            steps = step
+            break
+        v = best[1]
+    if steps is None:
+        return BqVerdict(Status.UNDECIDED, budget_hit="max_descent_steps",
+                         steps_used=params.max_descent_steps)
+
+    seeds = [f for f in faces_at(v) if face_in_level(m, f, K)]
+    if not seeds:
+        return BqVerdict(Status.UNDECIDED, budget_hit="no_seed_face",
+                         steps_used=steps)
+    tree = AttractingTree()
+    seen = set(seeds)
+    queue = sorted(seeds)
+    total_edges = 0
+    while queue:
+        f = queue.pop()
+        steps += 1
+        anchor_quad = m.quad_at(f.anchor)
+        over_budget = len(seen) > params.max_faces
+        arc = None if over_budget else \
+            attracting_arc(m, f, anchor_quad, params)
+        if over_budget or arc.outcome is not ArcOutcome.FINITE:
+            w = face_witness(m, f, anchor_quad)
+            if w is not None:
+                return BqVerdict(Status.NOT_BQ, witness=w, steps_used=steps)
+            if over_budget:
+                return BqVerdict(Status.UNDECIDED, budget_hit="max_faces",
+                                 steps_used=steps)
+            if arc.outcome is ArcOutcome.INFINITE:
+                return BqVerdict(
+                    Status.NOT_BQ,
+                    witness=Witness(WitnessKind.INFINITE_ARC, f),
+                    steps_used=steps)
+            budget = "max_arc_steps" if arc.outcome is ArcOutcome.BUDGET \
+                else "overflow"
+            return BqVerdict(Status.UNDECIDED, budget_hit=budget,
+                             steps_used=steps)
+        tree.arc_bounds[f] = (arc.n1, arc.n2)
+        total_edges += max(0, arc.n2 - arc.n1 + 1)
+        if total_edges > params.max_total_edges:
+            return BqVerdict(Status.UNDECIDED, budget_hit="max_total_edges",
+                             steps_used=steps)
+        for n, quad in enumerate(arc.quads, arc.n1):
+            for i, j in FACE_PAIRS:
+                if (i, j) != f.colors and values_in_level(
+                        quad[i - 1], quad[j - 1], m.boundary.lam(i, j), K,
+                        m.boundary.M):
+                    g = boundary_face(f, n, i, j)
+                    if g not in seen:
+                        seen.add(g)
+                        queue.append(g)
+    tree.edges = {face_edge_at(f, n) for f, (n1, n2) in tree.arc_bounds.items()
+                  for n in range(n1, n2 + 1)}
+    return BqVerdict(Status.IN_BQ, tree=tree, steps_used=steps)

@@ -15,7 +15,7 @@ import pytest
 from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice, Theta,
                               involution_theta, quad_residual, solve_fourth,
                               vertex_residual)
-from bqdomain.bq import BqParams, Status, decide_bq, face_in_level
+from bqdomain.bq import BqParams, Status, decide_bq
 from bqdomain.fib import FibTable, growth_report, keys_to_depth
 from bqdomain.markoff import Huge, MarkoffMap, VertexClass
 from bqdomain.neighbors import (HInputs, NeighborSeq, face_h_inputs, h_value,
@@ -30,7 +30,7 @@ from bqdomain.words import WordTable
 from conftest import (NOT_BQ_FIXTURES, in_bq_fixtures, make_map,
                       not_bq_fixtures, random_markoff_map,
                       random_on_variety_point)
-from oracles import brute_force_bq, fork_scan
+from oracles import brute_force_bq, face_in_level, fork_scan
 
 COORD_NAMES = ("a", "b", "c", "d", "x", "y", "z")
 

@@ -7,12 +7,12 @@ import pytest
 
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import (ArcOutcome, BqParams, Status, WitnessKind,
-                         attracting_arc, decide_bq, face_in_level,
-                         face_witness, find_sink)
+                         attracting_arc, decide_bq, face_witness, find_sink)
 from bqdomain.markoff import MarkoffMap, modulus
 from bqdomain.tree import EdgeKey, canonical_face, faces_at, neighbors
 from conftest import (in_bq_fixtures, in_bq_quad, make_map, not_bq_fixtures,
                       random_markoff_map)
+from oracles import face_in_level
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
 
@@ -60,13 +60,13 @@ class TestLevelPredicates:
 class TestWitness:
     def test_band_witness(self):
         m = make_map(not_bq_fixtures()[0])
-        w = face_witness(m, canonical_face("", 1, 2), BqParams())
+        w = face_witness(m, canonical_face("", 1, 2), m.quad_at(""))
         assert w is not None and w.kind is WitnessKind.BQ1_VIOLATION
 
     def test_no_witness_on_member(self):
         m = make_map(in_bq_quad(4.0))
         for f in faces_at(""):
-            assert face_witness(m, f, BqParams()) is None
+            assert face_witness(m, f, m.quad_at(f.anchor)) is None
 
     def test_sigma_witness(self):
         # a^2 + b^2 = 4 zeroes the first sigma factor while the face
@@ -74,7 +74,7 @@ class TestWitness:
         import cmath
         b = cmath.sqrt(4 - 9)
         m = make_map(MarkoffQuad((3.0, b, 0, 0), ZERO, on_variety=False))
-        w = face_witness(m, canonical_face("", 1, 2), BqParams())
+        w = face_witness(m, canonical_face("", 1, 2), m.quad_at(""))
         assert w is not None and w.kind is WitnessKind.SIGMA_ZERO
 
 
@@ -95,20 +95,22 @@ class TestArc:
         m = make_map(in_bq_quad(4.0))
         verdict = decide_bq(m)
         f = next(iter(verdict.tree.arc_bounds))
-        arc = attracting_arc(m, f, BqParams())
+        arc = attracting_arc(m, f, m.quad_at(f.anchor), BqParams())
         assert arc.outcome is ArcOutcome.FINITE
         assert arc.n1 <= arc.n2
 
     def test_infinite_on_band_face(self):
         m = make_map(MarkoffQuad((1.0, 1.5, 0, 0), ZERO, on_variety=False))
-        arc = attracting_arc(m, canonical_face("", 1, 2), BqParams())
+        arc = attracting_arc(m, canonical_face("", 1, 2), m.quad_at(""),
+                             BqParams())
         assert arc.outcome is ArcOutcome.INFINITE
 
     def test_budget_outcome(self):
         m = make_map(in_bq_quad(4.0))
         verdict = decide_bq(m)
         f = next(iter(verdict.tree.arc_bounds))
-        arc = attracting_arc(m, f, BqParams(max_arc_steps=1))
+        arc = attracting_arc(m, f, m.quad_at(f.anchor),
+                             BqParams(max_arc_steps=1))
         assert arc.outcome is ArcOutcome.BUDGET
 
 

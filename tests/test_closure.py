@@ -6,7 +6,7 @@ the colour of the edge just crossed, and keys a face that passes from
 its position on the boundary (``tree.boundary_face``).  These tests pin
 that the keys and the first-met order equal the five-pair screen with
 word-built keys, that the exploration order on the budget-bound points
-does not move, that a popped face is evaluated from one quad, and that
+does not move, that a decision reads no quad by word, and that
 saturated values end a decision as Undecided instead of crashing or
 spending the arc budget.
 """
@@ -16,14 +16,14 @@ import pytest
 from bqdomain import cli
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
-                         decide_bq, face_in_level, face_witness,
-                         values_in_level)
+                         decide_bq, values_in_level)
 from bqdomain.markoff import HUGE, MarkoffMap, sigma_capped
 from bqdomain.neighbors import h_star
 from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, boundary_face,
                            canonical_face, face_vertex_at)
 
 from conftest import shallow_faces, slice_map
+from oracles import face_in_level
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
 POSITIONS = range(-40, 41)
@@ -94,7 +94,7 @@ class TestScreen:
         for f in shallow_faces():
             if not face_in_level(m, f, K):
                 continue
-            arc = attracting_arc(m, f, params)
+            arc = attracting_arc(m, f, m.quad_at(f.anchor), params)
             if arc.outcome is not ArcOutcome.FINITE:
                 continue
             want = first_met(five_pair_screen(m, f, arc, K))
@@ -129,20 +129,12 @@ def counted_quad_reads(m):
 
 
 class TestOneQuadPerFace:
-    def test_witness_and_h_star_read_the_anchor_once(self):
-        m = slice_map(-2.25 - 2.25j)
-        params = BqParams()
-        K = params.level(m)
-        for f in shallow_faces()[::5]:
-            m.quad_at(f.anchor)
+    def test_decide_reads_no_quad_by_word(self):
+        for a in (-2.25 - 2.25j, 3.75 + 3.75j):
+            m = slice_map(a)
             reads = counted_quad_reads(m)
-            face_witness(m, f, params)
-            assert reads == [f.anchor]
-            if face_in_level(m, f, K):
-                del reads[:]
-                h_star(m, f, K)
-                assert reads == [f.anchor]
-            del m.quad_at
+            assert decide_bq(m).status is Status.IN_BQ
+            assert reads == []
 
     def test_sigma_capped_is_eval_sigma(self):
         m = slice_map(3.75 + 3.75j)
@@ -165,13 +157,14 @@ class TestOverflow:
         m = raw_map((complex(1.5e308, 1.5e308), 1.9, 1.9, 3))
         f = canonical_face("", 2, 3)
         with pytest.raises(ValueError):
-            h_star(m, f, BqParams().level(m))
-        assert attracting_arc(m, f, BqParams()).outcome \
+            h_star(m.boundary, f, m.quad_at(f.anchor), BqParams().level(m))
+        assert attracting_arc(m, f, m.quad_at(f.anchor), BqParams()).outcome \
             is ArcOutcome.OVERFLOW
 
     def test_saturated_ray_is_undecided_at_once(self):
         m = raw_map((1.9, 1.9, 5e149, 5e149))
-        arc = attracting_arc(m, canonical_face("", 1, 2), BqParams())
+        arc = attracting_arc(m, canonical_face("", 1, 2), m.quad_at(""),
+                             BqParams())
         assert arc.outcome is ArcOutcome.OVERFLOW
         assert arc.steps < 10
         v = decide_bq(raw_map((1.9, 1.9, 5e149, 5e149)))

@@ -46,11 +46,6 @@ class TestTable:
                              + t.region(canonical_region(f.anchor, j)))
                         assert t.face(f) == s
 
-    def test_rejects_other_base_edges(self):
-        from bqdomain.tree import EdgeKey
-        with pytest.raises(ValueError):
-            FibTable(base_edge=EdgeKey("12"))
-
     def test_base_keys_and_depth_enumeration(self):
         regions, faces = base_keys(FibTable())
         assert len(regions) == 3 and len(faces) == 3

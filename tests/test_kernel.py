@@ -14,11 +14,12 @@ import pytest
 from bqdomain import cli
 from bqdomain.algebra import (MarkoffQuad, Theta, elementary_move,
                               face_value, involution_theta, sigma)
-from bqdomain.bq import Status, decide_bq, face_in_level, values_in_level
+from bqdomain.bq import Status, decide_bq, values_in_level
 from bqdomain.markoff import HUGE, OVERFLOW_CAP, MarkoffMap, _cap
 from bqdomain.tree import COLORS, ball_vertices, faces_at
 
 from conftest import random_on_variety_point
+from oracles import face_in_level
 
 QUAD_THETAS = (Theta.A, Theta.B, Theta.C, Theta.D)
 

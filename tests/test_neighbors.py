@@ -9,11 +9,11 @@ import pytest
 from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice,
                               solve_fourth)
 from bqdomain.markoff import MarkoffMap
-from bqdomain.neighbors import (HInputs, NeighborSeq, Surface,
-                                dist_to_interval, face_h_inputs, h_star,
-                                h_value, h_value_sym, simulate_neighbors,
-                                specialize, specialize_four_holed_sphere,
-                                specialize_n13, specialize_torus)
+from bqdomain.neighbors import (HInputs, NeighborSeq, dist_to_interval,
+                                face_h_inputs, h_star, h_value, h_value_sym,
+                                simulate_neighbors,
+                                specialize_four_holed_sphere, specialize_n13,
+                                specialize_torus)
 from bqdomain.tree import canonical_face, face_side_region
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
@@ -118,11 +118,6 @@ class TestSpecializations:
         got = specialize_four_holed_sphere(1, 1, 1, 1, 0)
         assert got == HInputs(2, 2, 4 - 4 - 1, 0)
 
-    def test_dispatcher(self):
-        assert specialize(Surface.TORUS, (0, 3)) == specialize_torus(0, 3)
-        with pytest.raises(ValueError):
-            specialize("nope", ())
-
 
 def sample_map(omega, abc, which=RootChoice.PLUS) -> MarkoffMap:
     bd = BoundaryData(omega)
@@ -199,14 +194,15 @@ class TestHStar:
         m = self.make((2.0, 2.0, 0.5))
         f = canonical_face("", 1, 2)
         K = 3.0
-        got = h_star(m, f, K)
+        got = h_star(m.boundary, f, m.quad_at(f.anchor), K)
         M = m.boundary.M
         assert math.isfinite(got)
         assert got >= (K * K + 2 * M) / 2.0
 
     def test_infinite_on_band(self):
         m = MarkoffMap(MarkoffQuad((1.0, 1.5, 0, 0), ZERO, on_variety=False))
-        assert h_star(m, canonical_face("", 1, 2), 2.0) == math.inf
+        assert h_star(m.boundary, canonical_face("", 1, 2), m.quad_at(""),
+                      2.0) == math.inf
 
     def test_infinite_when_sigma_vanishes(self):
         # a^2 + b^2 = 4 kills the first factor while ab stays far from
@@ -216,7 +212,7 @@ class TestHStar:
         f = canonical_face("", 1, 2)
         assert dist_to_interval(complex(m.eval_face(f))) > 1
         assert abs(m.eval_sigma(f)) < 1e-9
-        assert h_star(m, f, 2.0) == math.inf
+        assert h_star(m.boundary, f, m.quad_at(f.anchor), 2.0) == math.inf
 
     def test_infinite_on_zero_region(self):
         bd = BoundaryData((5.0, 0.0, 0.0))
@@ -224,10 +220,10 @@ class TestHStar:
         f = canonical_face("", 1, 2)
         assert dist_to_interval(complex(m.eval_face(f))) > 1
         assert abs(m.eval_sigma(f)) > 1
-        assert h_star(m, f, 7.0) == math.inf
+        assert h_star(m.boundary, f, m.quad_at(f.anchor), 7.0) == math.inf
 
     def test_raises_on_overflowed_values(self):
         m = MarkoffMap(MarkoffQuad((1e120, 1e120, 1e120, 1e120), ZERO,
                                    on_variety=False))
         with pytest.raises(ValueError):
-            h_star(m, canonical_face("1", 1, 2), 2.0)
+            h_star(m.boundary, canonical_face("1", 1, 2), m.quad_at("1"), 2.0)

@@ -15,12 +15,13 @@ import pytest
 
 from bqdomain.algebra import BoundaryData
 from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
-                         decide_bq, face_in_level, values_in_level)
+                         decide_bq, values_in_level)
 from bqdomain.markoff import MarkoffMap
 from bqdomain.tree import (FACE_PAIRS, EdgeKey, canonical_face, face_edge_at,
                            face_side_region, face_vertex_at)
 
 from conftest import shallow_faces, slice_map
+from oracles import face_in_level
 
 POSITIONS = range(-40, 41)
 
@@ -105,7 +106,7 @@ class TestCarriedQuads:
         for f in shallow_faces():
             if not face_in_level(m, f, K):
                 continue
-            arc = attracting_arc(m, f, params)
+            arc = attracting_arc(m, f, m.quad_at(f.anchor), params)
             if arc.outcome is not ArcOutcome.FINITE:
                 continue
             positions = range(arc.n1, arc.n2 + 2)
