@@ -56,13 +56,6 @@ class CharacterPoint:
                                     self.x, self.y, self.z))
 
 
-# _PAIRING[i-1][j-1] is the index into omega of lambda_ij (None: i == j).
-_PAIRING = ((None, 0, 2, 1),
-            (0, None, 1, 2),
-            (2, 1, None, 0),
-            (1, 2, 0, None))
-
-
 @dataclass(frozen=True)
 class BoundaryData:
     """Boundary traces omega = (x,y,z) and their max modulus M."""
@@ -83,8 +76,16 @@ class BoundaryData:
         {2,3}~{1,4} -> y, {1,3}~{2,4} -> z.
         """
         if 1 <= i <= 4 and 1 <= j <= 4 and i != j:
-            return self.omega[_PAIRING[i - 1][j - 1]]
+            return self.lam_table[i - 1][j - 1]
         raise ValueError("bad color pair %r" % ((i, j),))
+
+    @cached_property
+    def lam_table(self):
+        """lam_table[i-1][j-1] is lambda_ij (None when i == j), for hot
+        loops that would call ``lam``."""
+        x, y, z = self.omega
+        return ((None, x, z, y), (x, None, y, z), (z, y, None, x),
+                (y, z, x, None))
 
     @cached_property
     def move_terms(self):

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
-from .markoff import HUGE, MarkoffMap, Quad, Value, face_value_capped, modulus
+from .algebra import moved_value
+from .markoff import (HUGE, MarkoffMap, Quad, Value, _cap,
+                      face_value_capped, modulus)
 from .neighbors import WitnessKind, face_obstruction, h_star
 from .tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, VertexWord,
                    boundary_face, canonical_face, face_edge_at)
@@ -77,12 +79,14 @@ class BqVerdict:
 
 
 def values_in_level(ai: Value, aj: Value, lam_ij: complex, K: float,
-                    M: float) -> bool:
+                    M: float, mi=None, mj=None) -> bool:
     """The level test on a face's two region values and lambda_ij:
-    |psi(face)| < K^2 + M and at least one bounding region below K."""
-    if min(modulus(ai), modulus(aj)) >= K:
-        return False
-    return modulus(face_value_capped(ai, aj, lam_ij)) < K * K + M
+    |psi(face)| < K^2 + M and at least one bounding region below K.  A
+    caller that carries the moduli mi, mj of ai, aj passes them."""
+    if mi is None:
+        mi, mj = modulus(ai), modulus(aj)
+    return (mi < K or mj < K) \
+        and modulus(face_value_capped(ai, aj, lam_ij)) < K * K + M
 
 
 def face_witness(m: MarkoffMap, f: FaceKey, quad: Quad) -> Optional[Witness]:
@@ -182,7 +186,10 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
     Saturated values end the walk with OVERFLOW: a HUGE in the anchor
     quad leaves no threshold, and a ray whose latest two values of one
     side color are both HUGE can never pass the strict escape test,
-    because every later move is HUGE as well.
+    because every later move is HUGE as well.  Each step is one
+    ``moved_value`` on the latest quad, saturated by ``_cap``; as in
+    ``MarkoffMap._move``, a HUGE anywhere in the quad makes every later
+    move HUGE.
     """
     K = params.level(m)
     if HUGE in quad:
@@ -190,33 +197,39 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
     h = h_star(m.boundary, f, quad, K)
     if math.isinf(h):
         return ArcResult(ArcOutcome.INFINITE)
+    terms, max_steps = m.boundary.move_terms, params.max_arc_steps
     k, l = f.edge_colors
-    steps = 0
-    rays = []
-    for letters in ((k, l), (l, k)):
-        # Quads at ray positions 0, 1, ..., and the number of leading
-        # edges that reach the window.
-        quads = [quad]
-        prev: List[Optional[float]] = [None, None]   # parity -> modulus
-        escaped = [False, False]
-        window = 0
-        t = 0
-        while not (escaped[0] and escaped[1]):
-            if steps >= params.max_arc_steps:
+    steps, rays = 0, []
+    for side, other in ((l, k), (k, l)):
+        # Quads at ray positions 0, 1, ..., the leading edges that reach
+        # the window, and the latest quad.  side is edge t's side color,
+        # moved at step t > 0, with its latest modulus and escape flag;
+        # the _o pair is the other color's (NaN: no value yet).
+        quads, cur, window, t = [quad], list(quad), 0, 0
+        prev = prev_o = math.nan
+        escaped = escaped_o = huge = False
+        u = modulus(quad[side - 1])
+        while not (escaped and escaped_o):
+            if steps >= max_steps:
                 return ArcResult(ArcOutcome.BUDGET, steps=steps)
             steps += 1
-            p = t & 1
             if t:
-                quads.append(m._move(quads[-1], letters[1 - p]))
-            u = modulus(quads[t][letters[1 - p] - 1])
+                v = HUGE if huge else \
+                    _cap(moved_value(quads[-1], side, terms[side]))
+                huge = v is HUGE
+                u = modulus(v)
+                cur[side - 1] = v
+                quads.append(tuple(cur))
             if u < h:
                 window = t + 1
-                escaped = [False, False]
-            elif u == prev[p] == math.inf:
+                escaped = escaped_o = False
+            elif u == prev == math.inf:
                 return ArcResult(ArcOutcome.OVERFLOW, steps=steps)
             else:
-                escaped[p] = prev[p] is not None and u > prev[p]
-            prev[p] = u
+                escaped = u > prev
+            side, other = other, side
+            prev, prev_o = prev_o, u
+            escaped, escaped_o = escaped_o, escaped
             t += 1
         rays.append((quads, window))
     (pos_quads, hi), (neg_quads, lo) = rays
@@ -298,27 +311,31 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         if total_edges > params.max_total_edges:
             return BqVerdict(Status.UNDECIDED, budget_hit="max_total_edges",
                              steps_used=steps)
-        # Screen the faces at each window vertex on the carried quad.  An
-        # edge of color c keeps every face whose pair lacks c, with both
-        # region values bitwise unchanged, so past the first vertex only
-        # the three pairs holding the crossed color can be new.  A face
-        # that passes is keyed from its position on f's boundary.  A new
-        # face's quad is in the window at position +-t, t >= 0 the letters
-        # its anchor adds to f's: a key that strips f's anchor is in level
-        # at the vertex before it, which the descent or the screen that
-        # queued f has covered, so it is already seen.
+        # Screen each window vertex on the carried quad and moduli.  An edge
+        # of color c keeps every face whose pair lacks c, with both region
+        # values bitwise unchanged, so past the first vertex only the three
+        # pairs holding c can be new, and only c's modulus changes.  A passing
+        # face is keyed from its position on f's boundary.  A new face's quad
+        # is in the window at position +-t, t >= 0 the letters its anchor adds
+        # to f's: a key that strips f's anchor is in level at the vertex
+        # before it, which the descent or the screen that queued f has
+        # covered, so it is already seen.
         k, l = f.edge_colors
         screen = first[f.colors]
+        mods, c = list(map(modulus, arc.quads[0])), k
         for n, quad in enumerate(arc.quads, arc.n1):
+            mods[c - 1] = modulus(quad[c - 1])
             for i, j, lam_ij in screen:
-                if values_in_level(quad[i - 1], quad[j - 1], lam_ij, K, M):
+                if values_in_level(quad[i - 1], quad[j - 1], lam_ij, K, M,
+                                   mods[i - 1], mods[j - 1]):
                     g = boundary_face(f, n, i, j)
                     if g not in seen:
                         seen.add(g)
                         t = len(g.anchor) - len(f.anchor)
                         queue.append(
                             (g, arc.quads[(t if n > 0 else -t) - arc.n1]))
-            screen = crossed[(k, l)[n & 1]]    # edge n joins n and n+1
+            c = (k, l)[n & 1]                  # edge n joins n and n+1
+            screen = crossed[c]
     # Edge keys are built once, for the certificate that is returned.
     tree.edges = {face_edge_at(f, n) for f, (n1, n2) in tree.arc_bounds.items()
                   for n in range(n1, n2 + 1)}

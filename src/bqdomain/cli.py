@@ -8,7 +8,7 @@ import math
 import sys
 from typing import List, Optional
 
-from .algebra import BoundaryData, CharacterPoint, MarkoffQuad, vertex_residual
+from .algebra import CharacterPoint, MarkoffQuad, vertex_residual
 from .bq import BqParams, Status, decide_bq
 from .fib import FibTable, growth_report
 from .markoff import MarkoffMap
@@ -36,9 +36,7 @@ def _point(values: List[complex]) -> CharacterPoint:
 
 
 def _map_for(pt: CharacterPoint) -> MarkoffMap:
-    quad = MarkoffQuad((pt.a, pt.b, pt.c, pt.d),
-                       BoundaryData((pt.x, pt.y, pt.z)), on_variety=False)
-    return MarkoffMap(quad)
+    return MarkoffMap(MarkoffQuad(pt.quad, pt.omega, on_variety=False))
 
 
 def cmd_check(args) -> int:
@@ -79,8 +77,7 @@ def cmd_render(args) -> int:
 
 def cmd_fib(args) -> int:
     pt = _point(args.coords)
-    table = FibTable()
-    report = growth_report(_map_for(pt), table, args.depth)
+    report = growth_report(_map_for(pt), FibTable(), args.depth)
     print("base region values: 1 1 1, end regions: 3 3, base faces: 2 2 2")
     print("kappa_lower: %.6f" % report.kappa_lower)
     print("kappa_upper: %.6f" % report.kappa_upper)

@@ -84,7 +84,7 @@ class FibTable:
         return self.face(key)
 
 
-def base_keys(table: FibTable) -> Tuple[List[RegionKey], List[FaceKey]]:
+def base_keys() -> Tuple[List[RegionKey], List[FaceKey]]:
     """The simplices carrying the seed values 1 (regions) and 2 (faces)."""
     regions = [RegionKey("", c) for c in (1, 2, 3)]
     faces = [FaceKey("", (i, j)) for i in (1, 2, 3) for j in (1, 2, 3)

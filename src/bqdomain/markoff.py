@@ -1,21 +1,22 @@
 """Lazy evaluation of region and face values over the colored tree.
 
-A map is determined by boundary data and a root quadruple; the value of a
-region is obtained by replaying one elementary move per letter of its
+A map is determined by boundary data and a root quadruple; the value of
+a region is obtained by replaying one elementary move per letter of its
 anchor word.  ``quad_at`` memoizes the quad of every vertex it reaches,
 so the memo is closed under prefixes: a lookup finds the longest
 memoized prefix of the word and replays the remaining letters forward,
 iteratively, so words of any length are safe.  The memo serves keyed
-lookups: edge orientation and vertex classification here, and the
-tests.  The walks of ``bq.decide_bq`` and ``fib`` start from ``root``
-and carry the quad themselves with ``_move``, so they leave the memo at
-the root quad; a move of color c rewrites only entry c and copies the
-other three, so carried and memoized quads agree bit for bit.  The
-arithmetic itself (the move, the face value, sigma) is ``algebra``'s;
-this module adds only saturation and the memo.  Values whose modulus
-exceeds an overflow cap, the root quad's included, are replaced by a
-symbolic Huge marker that compares larger than every finite modulus, so
-deep descent never degrades into NaN arithmetic.
+lookups: edge orientation and vertex classification here, and tests.
+The walks of ``bq.decide_bq`` and ``fib`` start from ``root`` and carry
+the quad themselves, with ``_move`` or (the arc walk) its rule inlined:
+one ``moved_value`` saturated by ``_cap``, HUGE after any HUGE.  A move
+of color c rewrites only entry c, so carried and memoized quads agree
+bit for bit.  The arithmetic (the move, the face value, sigma, with
+lambdas from ``lam_table``) is ``algebra``'s; this module adds only
+saturation and the memo.  Values whose modulus exceeds an overflow cap,
+the root quad's included, are replaced by a symbolic Huge marker that
+compares larger than every finite modulus, so deep descent never
+degrades into NaN arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from enum import Enum
 from typing import Dict, Tuple, Union
 
 from .algebra import BoundaryData, MarkoffQuad, face_value, moved_value, sigma
-from .tree import (COLORS, EdgeKey, FaceKey, RegionKey, VertexWord,
+from .tree import (EdgeKey, FaceKey, RegionKey, VertexWord,
                    edge_surrounding, neighbors)
 
 OVERFLOW_CAP = 1e150
@@ -79,12 +80,13 @@ def face_value_capped(ai: Value, aj: Value, lam_ij: complex) -> Value:
 def sigma_capped(boundary: BoundaryData, i: int, j: int, ai: Value,
                  aj: Value, psi: Value) -> Value:
     """sigma of face {i,j} from its region values and its face value psi,
-    saturated to HUGE on overflow."""
+    saturated to HUGE on overflow.  The third color k is the smallest
+    one outside {i,j}; the lambdas come from ``lam_table``."""
     if HUGE in (ai, aj, psi):
         return HUGE
-    k = next(c for c in COLORS if c not in (i, j))
-    lam = boundary.lam
-    return _cap(sigma(ai, aj, psi, lam(i, j), lam(i, k), lam(j, k)))
+    k = 1 if 1 not in (i, j) else 2 if 2 not in (i, j) else 3
+    li, lj = boundary.lam_table[i - 1], boundary.lam_table[j - 1]
+    return _cap(sigma(ai, aj, psi, li[j - 1], li[k - 1], lj[k - 1]))
 
 
 class Orientation(Enum):

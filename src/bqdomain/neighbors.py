@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .algebra import BoundaryData, face_value
 from .markoff import (HUGE, Quad, Value, face_value_capped, modulus,
                       sigma_capped)
-from .tree import COLORS, FaceKey
+from .tree import EDGE_COLORS, FaceKey
 
 
 def dist_to_interval(v: complex) -> float:
@@ -42,7 +41,7 @@ def face_obstruction(boundary: BoundaryData, i: int, j: int, ai: Value,
     """Face value psi of face {i,j} and its obstruction: BQ1_VIOLATION
     when psi is on the band [-2,2], SIGMA_ZERO when sigma vanishes, else
     None.  Either obstruction makes H* infinite; HUGE values show none."""
-    psi = face_value_capped(ai, aj, boundary.lam(i, j))
+    psi = face_value_capped(ai, aj, boundary.lam_table[i - 1][j - 1])
     if modulus(psi) <= 2.0 + TOL_REAL and dist_to_interval(psi) <= TOL_REAL:
         return psi, WitnessKind.BQ1_VIOLATION
     if modulus(sigma_capped(boundary, i, j, ai, aj, psi)) <= TOL_SIGMA:
@@ -50,16 +49,14 @@ def face_obstruction(boundary: BoundaryData, i: int, j: int, ai: Value,
     return psi, None
 
 
-@dataclass(frozen=True)
-class HInputs:
+class HInputs(NamedTuple):
     Q: complex
     R: complex
     S: complex
     X: complex
 
 
-@dataclass(frozen=True)
-class HOutputs:
+class HOutputs(NamedTuple):
     lam: complex       # |lam| >= 1 root of lam + 1/lam = X^2 - 2
     T: complex         # product of the two geometric modes when S is the
                        # conserved quadratic of the orbit
@@ -67,6 +64,32 @@ class HOutputs:
     zeta: complex      # (-eta, -zeta); only |eta| enters H
     W: float
     H: float           # math.inf when the threshold does not exist
+
+
+def _multiplier(X: complex) -> Tuple[complex, complex, bool]:
+    """lam, X^2 - 4, and whether H is infinite (X on the band, |lam| 1)."""
+    mu = X * X - 2
+    root = cmath.sqrt(mu * mu - 4)
+    lam = (mu + root) / 2
+    if abs(lam) < 1:
+        lam = (mu - root) / 2
+    return lam, X * X - 4, dist_to_interval(X) <= 1e-12 \
+        or abs(lam) <= 1 + 1e-12
+
+
+def _threshold(Q: complex, R: complex, S: complex, X: complex, al: float,
+               denom: complex) -> Tuple[complex, complex, float, float]:
+    """(T, eta, W, H) for the ordering (Q, R), given |lam| = al and
+    denom = X^2 - 4 from ``_multiplier``."""
+    num = Q * Q + R * R - X * R * Q + S * denom
+    T = num / (denom * denom)
+    eta = (2 * Q - X * R) / denom
+    if num == 0:
+        return T, eta, math.inf, math.inf
+    radicand = abs(eta) ** 2 - al * (al * al - 1)
+    w = (abs(eta) + math.sqrt(max(radicand, 0.0))) \
+        / (math.sqrt(abs(T)) * al * (al - 1))
+    return T, eta, w, math.sqrt(abs(T)) * al * (w + 1) + abs(eta)
 
 
 def h_value(inp: HInputs) -> HOutputs:
@@ -77,40 +100,28 @@ def h_value(inp: HInputs) -> HOutputs:
     zero from below: the clamp only shrinks W, and a smaller W keeps H a
     valid (indeed tighter) threshold.
     """
-    Q, R, S, X = inp.Q, inp.R, inp.S, inp.X
-    mu = X * X - 2
-    root = cmath.sqrt(mu * mu - 4)
-    lam = (mu + root) / 2
-    if abs(lam) < 1:
-        lam = (mu - root) / 2
-    denom = X * X - 4
-    num = Q * Q + R * R - X * R * Q + S * denom
-    if dist_to_interval(X) <= 1e-12 or abs(lam) <= 1 + 1e-12:
+    Q, R, S, X = inp
+    lam, denom, infinite = _multiplier(X)
+    if infinite:
         return HOutputs(lam, complex("nan"), complex("nan"),
                         complex("nan"), math.inf, math.inf)
-    T = num / (denom * denom)
-    eta = (2 * Q - X * R) / denom
-    zeta = (2 * R - X * Q) / denom
-    if num == 0:
-        return HOutputs(lam, T, eta, zeta, math.inf, math.inf)
-    al = abs(lam)
-    radicand = abs(eta) ** 2 - al * (al * al - 1)
-    w = (abs(eta) + math.sqrt(max(radicand, 0.0))) \
-        / (math.sqrt(abs(T)) * al * (al - 1))
-    h = math.sqrt(abs(T)) * al * (w + 1) + abs(eta)
-    return HOutputs(lam, T, eta, zeta, w, h)
+    T, eta, w, h = _threshold(Q, R, S, X, abs(lam), denom)
+    return HOutputs(lam, T, eta, (2 * R - X * Q) / denom, w, h)
 
 
-def h_value_sym(inp: HInputs) -> float:
+def h_value_sym(inp: Tuple[complex, complex, complex, complex]) -> float:
     """max of H over the two orderings of (Q,R) — covers both of the two
-    interleaved side-region sequences along a face."""
-    h1 = h_value(inp).H
-    h2 = h_value(HInputs(inp.R, inp.Q, inp.S, inp.X)).H
-    return max(h1, h2)
+    interleaved side-region sequences along a face.  inp is an HInputs or
+    a plain (Q, R, S, X); the multiplier is computed once for both."""
+    Q, R, S, X = inp
+    lam, denom, infinite = _multiplier(X)
+    if infinite:
+        return math.inf
+    return max(_threshold(Q, R, S, X, abs(lam), denom)[3],
+               _threshold(R, Q, S, X, abs(lam), denom)[3])
 
 
-@dataclass(frozen=True)
-class NeighborSeq:
+class NeighborSeq(NamedTuple):
     X: complex
     Q: complex
     R: complex
@@ -174,8 +185,10 @@ def specialize_n13(a: complex, b: complex,
     return HInputs(y * b + a * z, y * a + z * b, s, a * b - x)
 
 
-def face_h_inputs(boundary: BoundaryData, quad, i: int, j: int) -> HInputs:
-    """Recurrence parameters for the side-region sequence of face {i,j}.
+def _face_h_params(boundary: BoundaryData, quad, i: int, j: int,
+                   x: complex) -> Tuple[complex, complex, complex, complex]:
+    """Recurrence parameters (Q, R, S, X) for the side-region sequence of
+    face {i,j}, whose face value x is X.
 
     `quad` is the four region values at a vertex on the face's boundary
     geodesic.  The sequence regions carry the complementary colors k,l,
@@ -184,14 +197,19 @@ def face_h_inputs(boundary: BoundaryData, quad, i: int, j: int) -> HInputs:
     that makes T equal the product AB of the two geometric modes (and
     hence sigma/(X^2-4)^2).
     """
-    k, l = [c for c in COLORS if c not in (i, j)]
-    lam = boundary.lam
+    k, l = EDGE_COLORS[i, j]
+    li, lj = boundary.lam_table[i - 1], boundary.lam_table[j - 1]
     ai, aj, ak, al = (quad[i - 1], quad[j - 1], quad[k - 1], quad[l - 1])
-    q = lam(i, k) * ai + lam(j, k) * aj
-    r = lam(j, k) * ai + lam(i, k) * aj
-    x = face_value(ai, aj, lam(i, j))
+    q = li[k - 1] * ai + lj[k - 1] * aj
+    r = lj[k - 1] * ai + li[k - 1] * aj
     s = q * ak + r * al - ak * ak - al * al - x * ak * al
-    return HInputs(q, r, s, x)
+    return q, r, s, x
+
+
+def face_h_inputs(boundary: BoundaryData, quad, i: int, j: int) -> HInputs:
+    """``_face_h_params`` with X the face value at quad, as HInputs."""
+    x = face_value(quad[i - 1], quad[j - 1], boundary.lam_table[i - 1][j - 1])
+    return HInputs(*_face_h_params(boundary, quad, i, j, x))
 
 
 def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
@@ -202,7 +220,8 @@ def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
     Infinite when the face shows a ``face_obstruction`` (its value sits
     on the forbidden band, or sigma vanishes), or when a bounding region
     value is zero — in each case the whole boundary geodesic stays
-    attracting and no finite arc exists.
+    attracting and no finite arc exists.  H is computed from plain
+    values (no HInputs), with the lambdas from ``lam_table`` and psi as X.
     """
     i, j = f.colors
     ai, aj = quad[i - 1], quad[j - 1]
@@ -212,6 +231,5 @@ def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
     lo = min(abs(ai), abs(aj))
     if obstruction is not None or lo == 0:
         return math.inf
-    h_psi = h_value_sym(face_h_inputs(boundary, quad, i, j))
-    M = boundary.M
-    return max(h_psi, (K * K + 2 * M) / lo)
+    h_psi = h_value_sym(_face_h_params(boundary, quad, i, j, psi))
+    return max(h_psi, (K * K + 2 * boundary.M) / lo)

@@ -90,8 +90,11 @@ class RegionKey(NamedTuple):
 
 
 # The two complementary colors (k < l) of each ordered pair of colors.
-_EDGE_COLORS = {(i, j): tuple(c for c in COLORS if c not in (i, j))
-                for i in COLORS for j in COLORS if i != j}
+EDGE_COLORS = {(i, j): tuple(c for c in COLORS if c not in (i, j))
+               for i in COLORS for j in COLORS if i != j}
+
+# The letters a canonical face key strips from the end of its word.
+_FACE_STRIP = {p: "%d%d" % ks for p, ks in EDGE_COLORS.items()}
 
 
 class FaceKey(NamedTuple):
@@ -101,16 +104,12 @@ class FaceKey(NamedTuple):
     @property
     def edge_colors(self) -> Tuple[int, int]:
         """Colors of the edges along this face's boundary geodesic."""
-        return _EDGE_COLORS[self.colors]
+        return EDGE_COLORS[self.colors]
 
 
 def canonical_region(v: VertexWord, c: int) -> RegionKey:
     """Strip the maximal trailing run of letters != c."""
-    s = str(c)
-    n = len(v)
-    while n > 0 and v[n - 1] != s:
-        n -= 1
-    return RegionKey(v[:n], c)
+    return RegionKey(v.rstrip("1234".replace(str(c), "")), c)
 
 
 def canonical_face(v: VertexWord, i: int, j: int) -> FaceKey:
@@ -123,11 +122,7 @@ def canonical_face(v: VertexWord, i: int, j: int) -> FaceKey:
     if i == j:
         raise ValueError("face colors must differ")
     i, j = sorted((i, j))
-    keep = (str(i), str(j))
-    n = len(v)
-    while n > 0 and v[n - 1] not in keep:
-        n -= 1
-    return FaceKey(v[:n], (i, j))
+    return FaceKey(v.rstrip(_FACE_STRIP[i, j]), (i, j))
 
 
 def regions_at(v: VertexWord) -> List[RegionKey]:

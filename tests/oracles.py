@@ -24,19 +24,23 @@ a NaN entry are counted and reported for transparency.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from bqdomain.bq import (ArcOutcome, AttractingTree, BqParams, BqVerdict,
-                         Status, Witness, attracting_arc, face_witness,
+from bqdomain.algebra import BoundaryData, face_value, sigma
+from bqdomain.bq import (ArcOutcome, ArcResult, AttractingTree, BqParams,
+                         BqVerdict, Status, Witness, face_witness,
                          values_in_level)
 from bqdomain.fib import (FibTable, GrowthReport, base_keys, keys_to_depth,
                           log_plus)
-from bqdomain.markoff import OVERFLOW_CAP, MarkoffMap, modulus
-from bqdomain.neighbors import WitnessKind
+from bqdomain.markoff import (HUGE, OVERFLOW_CAP, MarkoffMap, _cap,
+                              face_value_capped, modulus)
+from bqdomain.neighbors import (TOL_REAL, TOL_SIGMA, HInputs, WitnessKind,
+                                dist_to_interval)
 from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, RegionKey,
                            boundary_face, face_edge_at, faces_at)
 
@@ -259,7 +263,7 @@ def growth_report_reference(m: MarkoffMap, table: FibTable,
     if depth < 2:
         raise ValueError("depth must be at least 2")
     regions, faces = keys_to_depth(depth)
-    base_r, base_f = base_keys(table)
+    base_r, base_f = base_keys()
     skip = set(base_r) | set(base_f) | {RegionKey("", 4), RegionKey("4", 4)}
     lo, hi, argmin = math.inf, -math.inf, None
     for key in list(regions) + list(faces):
@@ -276,6 +280,128 @@ def growth_report_reference(m: MarkoffMap, table: FibTable,
     return GrowthReport(lo, hi, argmin)
 
 
+def canonical_region_reference(v: str, c: int) -> RegionKey:
+    """``tree.canonical_region`` as a loop over the trailing letters."""
+    s = str(c)
+    n = len(v)
+    while n > 0 and v[n - 1] != s:
+        n -= 1
+    return RegionKey(v[:n], c)
+
+
+def canonical_face_reference(v: str, i: int, j: int) -> FaceKey:
+    """``tree.canonical_face`` as a loop over the trailing letters."""
+    i, j = sorted((i, j))
+    keep = (str(i), str(j))
+    n = len(v)
+    while n > 0 and v[n - 1] not in keep:
+        n -= 1
+    return FaceKey(v[:n], (i, j))
+
+
+def h_value_reference(inp: HInputs) -> float:
+    """H of ``neighbors.h_value`` for one ordering, the multiplier
+    computed afresh."""
+    Q, R, S, X = inp.Q, inp.R, inp.S, inp.X
+    mu = X * X - 2
+    root = cmath.sqrt(mu * mu - 4)
+    lam = (mu + root) / 2
+    if abs(lam) < 1:
+        lam = (mu - root) / 2
+    denom = X * X - 4
+    num = Q * Q + R * R - X * R * Q + S * denom
+    if dist_to_interval(X) <= 1e-12 or abs(lam) <= 1 + 1e-12:
+        return math.inf
+    T = num / (denom * denom)
+    eta = (2 * Q - X * R) / denom
+    if num == 0:
+        return math.inf
+    al = abs(lam)
+    radicand = abs(eta) ** 2 - al * (al * al - 1)
+    w = (abs(eta) + math.sqrt(max(radicand, 0.0))) \
+        / (math.sqrt(abs(T)) * al * (al - 1))
+    return math.sqrt(abs(T)) * al * (w + 1) + abs(eta)
+
+
+def face_h_inputs_reference(boundary: BoundaryData, quad, i: int,
+                            j: int) -> HInputs:
+    """``neighbors.face_h_inputs`` with every lambda read by ``lam``."""
+    k, l = [c for c in COLORS if c not in (i, j)]
+    lam = boundary.lam
+    ai, aj, ak, al = (quad[i - 1], quad[j - 1], quad[k - 1], quad[l - 1])
+    q = lam(i, k) * ai + lam(j, k) * aj
+    r = lam(j, k) * ai + lam(i, k) * aj
+    x = face_value(ai, aj, lam(i, j))
+    s = q * ak + r * al - ak * ak - al * al - x * ak * al
+    return HInputs(q, r, s, x)
+
+
+def h_star_reference(boundary: BoundaryData, f: FaceKey, quad,
+                     K: float) -> float:
+    """``neighbors.h_star`` from ``lam`` calls, HInputs and one
+    ``h_value_reference`` per ordering of (Q, R)."""
+    i, j = f.colors
+    ai, aj = quad[i - 1], quad[j - 1]
+    lam = boundary.lam
+    psi = face_value_capped(ai, aj, lam(i, j))
+    k = next(c for c in COLORS if c not in (i, j))
+    sig = HUGE if HUGE in (ai, aj, psi) else \
+        _cap(sigma(ai, aj, psi, lam(i, j), lam(i, k), lam(j, k)))
+    band = modulus(psi) <= 2.0 + TOL_REAL \
+        and dist_to_interval(psi) <= TOL_REAL
+    if psi is HUGE or HUGE in quad:
+        raise ValueError("h_star called on a face with overflowed values")
+    lo = min(abs(ai), abs(aj))
+    if band or modulus(sig) <= TOL_SIGMA or lo == 0:
+        return math.inf
+    inp = face_h_inputs_reference(boundary, quad, i, j)
+    h_psi = max(h_value_reference(inp),
+                h_value_reference(HInputs(inp.R, inp.Q, inp.S, inp.X)))
+    return max(h_psi, (K * K + 2 * boundary.M) / lo)
+
+
+def attracting_arc_reference(m: MarkoffMap, f: FaceKey, quad,
+                             params: BqParams) -> ArcResult:
+    """``bq.attracting_arc`` with one ``MarkoffMap._move`` per step, the
+    escape state in per-parity lists and ``h_star_reference``."""
+    K = params.level(m)
+    if HUGE in quad:
+        return ArcResult(ArcOutcome.OVERFLOW)
+    h = h_star_reference(m.boundary, f, quad, K)
+    if math.isinf(h):
+        return ArcResult(ArcOutcome.INFINITE)
+    k, l = f.edge_colors
+    steps = 0
+    rays = []
+    for letters in ((k, l), (l, k)):
+        quads = [quad]
+        prev: List[Optional[float]] = [None, None]   # parity -> modulus
+        escaped = [False, False]
+        window = 0
+        t = 0
+        while not (escaped[0] and escaped[1]):
+            if steps >= params.max_arc_steps:
+                return ArcResult(ArcOutcome.BUDGET, steps=steps)
+            steps += 1
+            p = t & 1
+            if t:
+                quads.append(m._move(quads[-1], letters[1 - p]))
+            u = modulus(quads[t][letters[1 - p] - 1])
+            if u < h:
+                window = t + 1
+                escaped = [False, False]
+            elif u == prev[p] == math.inf:
+                return ArcResult(ArcOutcome.OVERFLOW, steps=steps)
+            else:
+                escaped[p] = prev[p] is not None and u > prev[p]
+            prev[p] = u
+            t += 1
+        rays.append((quads, window))
+    (pos_quads, hi), (neg_quads, lo) = rays
+    return ArcResult(ArcOutcome.FINITE, n1=-lo, n2=hi - 1, steps=steps,
+                     quads=neg_quads[lo:0:-1] + pos_quads[:hi + 1])
+
+
 def face_in_level(m: MarkoffMap, f: FaceKey, K: float) -> bool:
     """The level test on a face key, its values read through the memo."""
     ai, aj = m.region_values_at(f)
@@ -287,7 +413,8 @@ def decide_bq_reference(m: MarkoffMap,
     """``bq.decide_bq`` by keys: the descent moves between vertex words,
     the seeds are every in-level face at the sink, each popped face reads
     its anchor quad through the memo (``quad_at``) instead of carrying
-    it, and every window vertex is screened on all five other pairs."""
+    it, its arc is ``attracting_arc_reference``, and every window vertex
+    is screened on all five other pairs."""
     K = params.level(m)
     v, steps = "", None
     for step in range(params.max_descent_steps + 1):
@@ -329,7 +456,7 @@ def decide_bq_reference(m: MarkoffMap,
         anchor_quad = m.quad_at(f.anchor)
         over_budget = len(seen) > params.max_faces
         arc = None if over_budget else \
-            attracting_arc(m, f, anchor_quad, params)
+            attracting_arc_reference(m, f, anchor_quad, params)
         if over_budget or arc.outcome is not ArcOutcome.FINITE:
             w = face_witness(m, f, anchor_quad)
             if w is not None:

@@ -47,7 +47,7 @@ class TestTable:
                         assert t.face(f) == s
 
     def test_base_keys_and_depth_enumeration(self):
-        regions, faces = base_keys(FibTable())
+        regions, faces = base_keys()
         assert len(regions) == 3 and len(faces) == 3
         r2, f2 = keys_to_depth(2)
         assert RegionKey("", 4) in r2

@@ -1,0 +1,225 @@
+"""The closure's per-face step on plain values.
+
+``attracting_arc`` steps with one ``moved_value`` per edge, ``h_star``
+reads the lambdas from ``lam_table`` and evaluates H on plain values,
+and the canonical keys strip their trailing letters with ``str.rstrip``.
+These tests hold each of them bitwise to the keyed references in
+``oracles``: one ``MarkoffMap._move`` per arc step, ``lam`` calls and
+``HInputs``, and per-letter loops.
+"""
+
+import cmath
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from bqdomain.algebra import BoundaryData, MarkoffQuad
+from bqdomain.bq import ArcOutcome, BqParams, attracting_arc
+from bqdomain.markoff import HUGE, MarkoffMap
+from bqdomain.neighbors import (HInputs, WitnessKind, face_obstruction,
+                                h_star, h_value, h_value_sym)
+from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, canonical_face,
+                           canonical_region)
+
+from conftest import random_on_variety_point
+from oracles import (attracting_arc_reference, canonical_face_reference,
+                     canonical_region_reference, h_star_reference)
+
+
+def same(x, y) -> bool:
+    """Bitwise equality by repr, which tells -0.0 from 0.0 and matches NaN
+    with NaN."""
+    return repr(x) == repr(y)
+
+
+def random_complex(rng, scale):
+    return complex(*rng.uniform(-scale, scale, 2))
+
+
+def kernel_cases(seed: int = 31):
+    """(name, omega, quad) triples: random on-variety and raw quads, and
+    quads built to hit each special branch of the step: a face value on
+    the band, a vanishing sigma, a zero region value, entries near the
+    overflow cap (5e149, 1e149), and a HUGE slot."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(40):
+        pt = random_on_variety_point(rng)
+        cases.append(("variety", pt.omega.omega, pt.quad))
+    for _ in range(10):
+        omega = tuple(random_complex(rng, 2.0) for _ in range(3))
+        cases.append(("raw", omega,
+                      tuple(random_complex(rng, 6.0) for _ in range(4))))
+    zero = (0j, 0j, 0j)
+    for t in (0.5, 1.0, 1.5, -1.9, 0.0):
+        cases.append(("band", zero, (1 + 0j, complex(t), 7 + 1j, 5 - 2j)))
+    for c in (0j, 1 + 1j, 4 - 3j):
+        cases.append(("sigma_zero", zero, (3 + 0j, cmath.sqrt(-5), c, 2j)))
+    for slot in range(4):
+        quad = [5 + 1j, -4 + 2j, 6 - 1j, 3 + 3j]
+        quad[slot] = 0j
+        cases.append(("zero_region", (5 + 0j, 5 + 0j, 5 + 0j), tuple(quad)))
+    for big in (5e149, 1e149):
+        for slot in range(4):
+            quad = [1 + 0.5j, 0.3 - 1j, 2 + 0j, 0.7j]
+            quad[slot] = complex(big, big / 3)
+            cases.append(("near_cap", zero, tuple(quad)))
+        cases.append(("near_cap", (1 + 0j, 2 + 0j, 0.5j),
+                      tuple(complex(big * rng.uniform(0.1, 1), 1.0)
+                            for _ in range(4))))
+    for slot in range(4):
+        quad = [3 + 1j, 4 - 1j, -5 + 2j, 6 + 0j]
+        quad[slot] = HUGE
+        cases.append(("huge_slot", zero, tuple(quad)))
+    return cases
+
+
+def kernel_map(omega, quad) -> MarkoffMap:
+    finite = tuple(0j if v is HUGE else v for v in quad)
+    return MarkoffMap(MarkoffQuad(finite, BoundaryData(omega),
+                                  on_variety=False))
+
+
+def call(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def arc_record(arc):
+    return arc.outcome, arc.n1, arc.n2, arc.steps, arc.quads
+
+
+@pytest.mark.parametrize("params", [
+    BqParams(),
+    BqParams(K=9.0, max_arc_steps=40),
+], ids=["default", "short_budget"])
+def test_arc_and_h_star_match_the_references(params):
+    faces = 0
+    seen = {}         # case name -> arc outcomes, and "raised" for h_star
+    for name, omega, quad in kernel_cases():
+        m = kernel_map(omega, quad)
+        K = params.level(m)
+        for i, j in FACE_PAIRS:
+            f = FaceKey("", (i, j))
+            got = call(h_star, m.boundary, f, quad, K)
+            want = call(h_star_reference, m.boundary, f, quad, K)
+            assert same(got, want), (name, f, got, want)
+            # A face value past the cap raises in h_star, under the arc.
+            arc = call(attracting_arc, m, f, quad, params)
+            ref = call(attracting_arc_reference, m, f, quad, params)
+            if not isinstance(arc, tuple):
+                arc, ref = arc_record(arc), arc_record(ref)
+            assert same(arc, ref), (name, f)
+            faces += 1
+            seen.setdefault(name, set()).add(arc[0])
+            if isinstance(got, tuple):
+                seen[name].add("raised")
+            if arc[0] is ArcOutcome.FINITE and any(HUGE in q for q in arc[4]):
+                seen[name].add("huge_in_window")
+    assert faces >= 300
+    infinite = ArcOutcome.INFINITE
+    for name in ("band", "sigma_zero", "zero_region"):
+        assert infinite in seen[name], name
+    assert {ArcOutcome.OVERFLOW, ArcOutcome.FINITE, "raised",
+            "huge_in_window"} <= seen["near_cap"]
+    assert seen["huge_slot"] == {ArcOutcome.OVERFLOW, "raised"}
+    assert ArcOutcome.FINITE in seen["variety"]
+    if params.max_arc_steps < 100:
+        assert ArcOutcome.BUDGET in seen["variety"] | seen["raw"]
+
+
+def test_the_band_and_sigma_cases_are_obstructed():
+    kinds = {}
+    for name, omega, quad in kernel_cases():
+        bd = BoundaryData(omega)
+        for i, j in FACE_PAIRS:
+            if HUGE not in (quad[i - 1], quad[j - 1]):
+                _, kind = face_obstruction(bd, i, j, quad[i - 1], quad[j - 1])
+                kinds.setdefault(name, set()).add(kind)
+    assert WitnessKind.BQ1_VIOLATION in kinds["band"]
+    assert WitnessKind.SIGMA_ZERO in kinds["sigma_zero"]
+
+
+def h_inputs(seed: int = 5):
+    """500 inputs: random complex and real ones, X on or next to the band
+    (where |lam| is one), and inputs whose mode product num vanishes."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(380):
+        out.append(HInputs(*(random_complex(rng, 5.0) for _ in range(4))))
+    for _ in range(40):
+        out.append(HInputs(*rng.uniform(-6, 6, 4)))
+    for _ in range(30):
+        x = complex(rng.uniform(-2, 2), 0.0)
+        out.append(HInputs(random_complex(rng, 3.0),
+                           random_complex(rng, 3.0), random_complex(rng, 3.0),
+                           x))
+    for x in (2.0, -2.0, 0.0, 2 + 1e-13j, 1.0000001e-12j, 2.0000000000001):
+        out.append(HInputs(1.0, -2.0, 0.5, x))
+    for _ in range(44):
+        x = random_complex(rng, 5.0)
+        out.append(HInputs(0.0, 0.0, 0.0, x))
+    return out
+
+
+def test_h_value_sym_is_the_max_over_both_orderings():
+    inputs = h_inputs()
+    assert len(inputs) == 500
+    infinite = 0
+    for inp in inputs:
+        swapped = HInputs(inp.R, inp.Q, inp.S, inp.X)
+        want = max(h_value(inp).H, h_value(swapped).H)
+        got = h_value_sym(inp)
+        assert same(got, want), inp
+        assert same(h_value_sym(tuple(inp)), want)
+        infinite += math.isinf(got)
+    assert infinite >= 80
+
+
+def reduced_words_up_to(n):
+    yield ""
+    level = [""]
+    for _ in range(n):
+        level = [w + c for w in level for c in "1234"
+                 if not w or c != w[-1]]
+        yield from level
+
+
+def seeded_words(seed: int = 17, count: int = 200):
+    """Reduced words of 50 to 5000 letters, half of them ending in a long
+    two-letter alternation, so that a face key strips a long run."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(count):
+        length = int(rng.integers(50, 5001))
+        letters = [int(rng.integers(1, 5))]
+        while len(letters) < length:
+            c = int(rng.integers(1, 5))
+            if c != letters[-1]:
+                letters.append(c)
+        if n % 2:
+            a = letters[-1]
+            b = next(c for c in COLORS if c != a)
+            tail = int(rng.integers(1, length))
+            letters[-tail:] = [(a, b)[t & 1] for t in range(tail)]
+        out.append("".join(map(str, letters)))
+    return out
+
+
+def test_rstrip_keys_match_the_loops():
+    words = list(reduced_words_up_to(6)) + seeded_words()
+    assert len(words) == 1457 + 200
+    long_strips = 0
+    for v in words:
+        for c in COLORS:
+            assert canonical_region(v, c) == canonical_region_reference(v, c)
+        for i, j in itertools.permutations(COLORS, 2):
+            got = canonical_face(v, i, j)
+            assert got == canonical_face_reference(v, i, j)
+            long_strips += len(v) - len(got.anchor) >= 50
+    assert long_strips > 0
