@@ -5,7 +5,7 @@ whose values sit below the level threshold, and closes it up by walking
 the attracting arc of each face.  A finite closed-up tree certifies
 membership; a face value on the real band [-2,2], a vanishing sigma, or
 an arc that cannot terminate certifies non-membership; exhausted budgets
-and values saturated past the overflow cap yield an honest Undecided.
+and overflow yield an honest Undecided.
 
 Every value is carried from the root, one elementary move per edge, and
 none is looked up by word, so the map's memo stays at the root quad.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
@@ -36,12 +37,12 @@ class BqParams:
     max_total_edges: int = 100000
 
     def __post_init__(self):
-        # abs(K) < inf is false for NaN and the infinities; bool is an int.
+        # bool is an int; K*K <= max fails for NaN, inf and |K| > 1.34e154.
         K = self.K
         if K is not None and (isinstance(K, bool)
                               or not isinstance(K, numbers.Real)
-                              or not abs(K) < math.inf):
-            raise ValueError("K must be a finite real number, got %r" % (K,))
+                              or not K * K <= sys.float_info.max):
+            raise ValueError("K must be real with K*K finite, got %r" % (K,))
 
     def level(self, m: MarkoffMap) -> float:
         k = 2.0 + m.boundary.M if self.K is None else self.K
@@ -153,7 +154,7 @@ class ArcOutcome(Enum):
     FINITE = "finite"
     INFINITE = "infinite"
     BUDGET = "budget"
-    OVERFLOW = "overflow"     # a value on the walk saturated to HUGE
+    OVERFLOW = "overflow"     # a value or the threshold overflowed
 
 
 @dataclass
@@ -183,18 +184,19 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
     (beyond that point the sequences are strictly monotone).  A finite
     result carries the quads of the window's vertices.
 
-    Saturated values end the walk with OVERFLOW: a HUGE in the anchor
-    quad leaves no threshold, and a ray whose latest two values of one
-    side color are both HUGE can never pass the strict escape test,
-    because every later move is HUGE as well.  Each step is one
-    ``moved_value`` on the latest quad, saturated by ``_cap``; as in
-    ``MarkoffMap._move``, a HUGE anywhere in the quad makes every later
-    move HUGE.
+    Each step is one capped ``moved_value``, as in ``MarkoffMap._move``.
+    Overflow ends the walk with OVERFLOW, here and nowhere else: a HUGE
+    in the anchor quad or an ``h_star`` that raises an ArithmeticError
+    leaves no threshold, and a ray with two HUGE values in a row of one
+    side color never escapes, because HUGE absorbs every later move.
     """
     K = params.level(m)
     if HUGE in quad:
         return ArcResult(ArcOutcome.OVERFLOW)
-    h = h_star(m.boundary, f, quad, K)
+    try:
+        h = h_star(m.boundary, f, quad, K)
+    except ArithmeticError:
+        return ArcResult(ArcOutcome.OVERFLOW)
     if math.isinf(h):
         return ArcResult(ArcOutcome.INFINITE)
     terms, max_steps = m.boundary.move_terms, params.max_arc_steps
@@ -207,16 +209,14 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
         # the _o pair is the other color's (NaN: no value yet).
         quads, cur, window, t = [quad], list(quad), 0, 0
         prev = prev_o = math.nan
-        escaped = escaped_o = huge = False
+        escaped = escaped_o = False
         u = modulus(quad[side - 1])
         while not (escaped and escaped_o):
             if steps >= max_steps:
                 return ArcResult(ArcOutcome.BUDGET, steps=steps)
             steps += 1
             if t:
-                v = HUGE if huge else \
-                    _cap(moved_value(quads[-1], side, terms[side]))
-                huge = v is HUGE
+                v = _cap(moved_value(quads[-1], side, terms[side]))
                 u = modulus(v)
                 cur[side - 1] = v
                 quads.append(tuple(cur))
@@ -242,9 +242,9 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
 
     InBQ carries the closed-up attracting tree; NotBQ carries a face
     witness; Undecided reports which budget ran out, or "overflow" when
-    a value the arc walk needs saturated to HUGE.  Each popped face runs
-    the band and sigma test once: in ``h_star`` when its arc is finite,
-    and through ``face_witness`` when the closure stops at it.
+    the arc walk overflows.  Each popped face runs the band and sigma
+    test once: in ``h_star`` when its arc is finite, and through
+    ``face_witness`` when the closure stops at it.
 
     Each queued face carries the quad at its anchor, by two invariants.
     Every seed is anchored at the sink: one anchored higher is in level
@@ -284,9 +284,8 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     while queue:
         f, anchor_quad = queue.pop()
         steps += 1
-        # A band or sigma face has an infinite H*, so its walk ends at
-        # once, with INFINITE (or OVERFLOW when its anchor quad holds
-        # HUGE): a face whose arc is finite needs no witness test.
+        # A band or sigma face's walk ends at once, INFINITE or (on a HUGE
+        # anchor quad) OVERFLOW, so a face with a finite arc needs no witness.
         over_budget = len(seen) > params.max_faces
         arc = None if over_budget else \
             attracting_arc(m, f, anchor_quad, params)

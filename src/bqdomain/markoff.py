@@ -7,16 +7,15 @@ so the memo is closed under prefixes: a lookup finds the longest
 memoized prefix of the word and replays the remaining letters forward,
 iteratively, so words of any length are safe.  The memo serves keyed
 lookups: edge orientation and vertex classification here, and tests.
-The walks of ``bq.decide_bq`` and ``fib`` start from ``root`` and carry
-the quad themselves, with ``_move`` or (the arc walk) its rule inlined:
-one ``moved_value`` saturated by ``_cap``, HUGE after any HUGE.  A move
-of color c rewrites only entry c, so carried and memoized quads agree
-bit for bit.  The arithmetic (the move, the face value, sigma, with
-lambdas from ``lam_table``) is ``algebra``'s; this module adds only
-saturation and the memo.  Values whose modulus exceeds an overflow cap,
-the root quad's included, are replaced by a symbolic Huge marker that
-compares larger than every finite modulus, so deep descent never
-degrades into NaN arithmetic.
+The walks of ``bq.decide_bq`` and ``fib`` carry the quad from ``root``
+themselves, one capped ``moved_value`` per move.  A move of color c
+rewrites only entry c, so carried and memoized quads agree bit for bit.
+The arithmetic (the move, the face value, sigma, with lambdas from
+``lam_table``) is ``algebra``'s; this module adds saturation and a memo.
+Values whose modulus exceeds an overflow cap, the root quad's included,
+are replaced by a symbolic Huge marker that compares larger than every
+finite modulus and absorbs + - and *, so deep descent never degrades
+into NaN; ``_cap`` alone makes HUGE and ``modulus`` alone reads it.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ OVERFLOW_CAP = 1e150
 
 
 class Huge:
-    """Marker for a value that overflowed the cap; modulus is +inf."""
+    """Marker for an overflowed value: modulus +inf, absorbs + - and *."""
 
     _instance = None
 
@@ -44,6 +43,12 @@ class Huge:
 
     def __abs__(self) -> float:
         return math.inf
+
+    def _absorb(self, other=None) -> "Huge":
+        return self
+
+    __add__ = __radd__ = __sub__ = __rsub__ = _absorb
+    __mul__ = __rmul__ = __neg__ = _absorb
 
     def __repr__(self) -> str:
         return "HUGE"
@@ -59,9 +64,9 @@ Quad = Tuple[Value, Value, Value, Value]
 modulus = abs
 
 
-def _cap(v: complex) -> Value:
+def _cap(v: Value) -> Value:
     """v, or HUGE when |v| exceeds the cap, is not finite (the comparison
-    is false for NaN and inf parts) or is too large for abs."""
+    is false for NaN and inf parts and HUGE) or is too large for abs."""
     try:
         if abs(v) <= OVERFLOW_CAP:
             return v
@@ -72,8 +77,6 @@ def _cap(v: complex) -> Value:
 
 def face_value_capped(ai: Value, aj: Value, lam_ij: complex) -> Value:
     """Face value a_i*a_j - lambda_ij, saturated to HUGE on overflow."""
-    if ai is HUGE or aj is HUGE:
-        return HUGE
     return _cap(face_value(ai, aj, lam_ij))
 
 
@@ -82,8 +85,6 @@ def sigma_capped(boundary: BoundaryData, i: int, j: int, ai: Value,
     """sigma of face {i,j} from its region values and its face value psi,
     saturated to HUGE on overflow.  The third color k is the smallest
     one outside {i,j}; the lambdas come from ``lam_table``."""
-    if HUGE in (ai, aj, psi):
-        return HUGE
     k = 1 if 1 not in (i, j) else 2 if 2 not in (i, j) else 3
     li, lj = boundary.lam_table[i - 1], boundary.lam_table[j - 1]
     return _cap(sigma(ai, aj, psi, li[j - 1], li[k - 1], lj[k - 1]))
@@ -130,8 +131,7 @@ class MarkoffMap:
 
     def _move(self, vals, i: int):
         out = list(vals)
-        out[i - 1] = HUGE if HUGE in vals \
-            else _cap(moved_value(vals, i, self._move_terms[i]))
+        out[i - 1] = _cap(moved_value(vals, i, self._move_terms[i]))
         return tuple(out)
 
     def eval_region(self, r: RegionKey) -> Value:

@@ -80,7 +80,7 @@ def _multiplier(X: complex) -> Tuple[complex, complex, bool]:
 def _threshold(Q: complex, R: complex, S: complex, X: complex, al: float,
                denom: complex) -> Tuple[complex, complex, float, float]:
     """(T, eta, W, H) for the ordering (Q, R), given |lam| = al and
-    denom = X^2 - 4 from ``_multiplier``."""
+    denom = X^2 - 4.  H is inf when num is 0; past float range it raises."""
     num = Q * Q + R * R - X * R * Q + S * denom
     T = num / (denom * denom)
     eta = (2 * Q - X * R) / denom
@@ -89,7 +89,10 @@ def _threshold(Q: complex, R: complex, S: complex, X: complex, al: float,
     radicand = abs(eta) ** 2 - al * (al * al - 1)
     w = (abs(eta) + math.sqrt(max(radicand, 0.0))) \
         / (math.sqrt(abs(T)) * al * (al - 1))
-    return T, eta, w, math.sqrt(abs(T)) * al * (w + 1) + abs(eta)
+    h = math.sqrt(abs(T)) * al * (w + 1) + abs(eta)
+    if not h < math.inf:                     # inf or NaN
+        raise OverflowError("the threshold H overflowed")
+    return T, eta, w, h
 
 
 def h_value(inp: HInputs) -> HOutputs:
@@ -110,15 +113,20 @@ def h_value(inp: HInputs) -> HOutputs:
 
 
 def h_value_sym(inp: Tuple[complex, complex, complex, complex]) -> float:
-    """max of H over the two orderings of (Q,R) — covers both of the two
-    interleaved side-region sequences along a face.  inp is an HInputs or
-    a plain (Q, R, S, X); the multiplier is computed once for both."""
+    """max of H over both orderings of (Q,R), the face's two interleaved
+    side sequences; an infinite H in either wins over the other's overflow."""
     Q, R, S, X = inp
     lam, denom, infinite = _multiplier(X)
     if infinite:
         return math.inf
-    return max(_threshold(Q, R, S, X, abs(lam), denom)[3],
-               _threshold(R, Q, S, X, abs(lam), denom)[3])
+    try:
+        h = _threshold(Q, R, S, X, abs(lam), denom)[3]
+    except ArithmeticError:
+        if _threshold(R, Q, S, X, abs(lam), denom)[3] < math.inf:
+            raise
+        return math.inf
+    return h if h == math.inf else \
+        max(h, _threshold(R, Q, S, X, abs(lam), denom)[3])
 
 
 class NeighborSeq(NamedTuple):
@@ -220,8 +228,8 @@ def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
     Infinite when the face shows a ``face_obstruction`` (its value sits
     on the forbidden band, or sigma vanishes), or when a bounding region
     value is zero — in each case the whole boundary geodesic stays
-    attracting and no finite arc exists.  H is computed from plain
-    values (no HInputs), with the lambdas from ``lam_table`` and psi as X.
+    attracting and no finite arc exists.  H is computed from plain values
+    with psi as X; a finite H* past float range raises an ArithmeticError.
     """
     i, j = f.colors
     ai, aj = quad[i - 1], quad[j - 1]
@@ -232,4 +240,7 @@ def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
     if obstruction is not None or lo == 0:
         return math.inf
     h_psi = h_value_sym(_face_h_params(boundary, quad, i, j, psi))
-    return max(h_psi, (K * K + 2 * boundary.M) / lo)
+    level = (K * K + 2 * boundary.M) / lo
+    if level == math.inf > h_psi:
+        raise OverflowError("the level term of H* overflowed")
+    return max(h_psi, level)

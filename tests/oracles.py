@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from bqdomain.algebra import BoundaryData, face_value, sigma
+from bqdomain.algebra import BoundaryData, face_value, moved_value, sigma
 from bqdomain.bq import (ArcOutcome, ArcResult, AttractingTree, BqParams,
                          BqVerdict, Status, Witness, face_witness,
                          values_in_level)
@@ -360,9 +360,18 @@ def h_star_reference(boundary: BoundaryData, f: FaceKey, quad,
     return max(h_psi, (K * K + 2 * boundary.M) / lo)
 
 
+def move_reference(m: MarkoffMap, vals, i: int):
+    """``MarkoffMap._move`` with the saturation rule written out: HUGE
+    when the quad holds a HUGE, else the capped ``moved_value``."""
+    out = list(vals)
+    out[i - 1] = HUGE if HUGE in vals \
+        else _cap(moved_value(vals, i, m.boundary.move_terms[i]))
+    return tuple(out)
+
+
 def attracting_arc_reference(m: MarkoffMap, f: FaceKey, quad,
                              params: BqParams) -> ArcResult:
-    """``bq.attracting_arc`` with one ``MarkoffMap._move`` per step, the
+    """``bq.attracting_arc`` with one ``move_reference`` per step, the
     escape state in per-parity lists and ``h_star_reference``."""
     K = params.level(m)
     if HUGE in quad:
@@ -385,7 +394,7 @@ def attracting_arc_reference(m: MarkoffMap, f: FaceKey, quad,
             steps += 1
             p = t & 1
             if t:
-                quads.append(m._move(quads[-1], letters[1 - p]))
+                quads.append(move_reference(m, quads[-1], letters[1 - p]))
             u = modulus(quads[t][letters[1 - p] - 1])
             if u < h:
                 window = t + 1

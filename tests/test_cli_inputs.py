@@ -1,7 +1,8 @@
 """Outside input that the command line must report instead of crashing
 on or silently using: overflowing coordinates in ``check``, render
 budgets that are not the four ``max_*`` integers, and a level threshold
-K (``--k``, ``k_override``) that is not a finite real number."""
+K (``--k``, ``k_override``) that is not a real number with a finite
+square."""
 
 import json
 import math
@@ -48,7 +49,7 @@ def test_render_accepts_the_four_budgets():
     assert {k: getattr(params, k) for k in budgets} == budgets
 
 
-@pytest.mark.parametrize("k", ["9", math.nan])
+@pytest.mark.parametrize("k", ["9", math.nan, 1e155])
 def test_render_rejects_bad_k_override(k, tmp_path, capsys):
     doc = dict(SLICE, k_override=k)
     cfg = tmp_path / "cfg.json"
@@ -60,7 +61,7 @@ def test_render_rejects_bad_k_override(k, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("k", ["inf", "nan"])
+@pytest.mark.parametrize("k", ["inf", "nan", "1e155"])
 def test_check_rejects_non_finite_k(k, capsys):
     argv = ["check", "--k", k, "4.0", "4.0", "4.0", "-63.30495168499706",
             "0", "0", "0"]

@@ -4,8 +4,9 @@
 reads the lambdas from ``lam_table`` and evaluates H on plain values,
 and the canonical keys strip their trailing letters with ``str.rstrip``.
 These tests hold each of them bitwise to the keyed references in
-``oracles``: one ``MarkoffMap._move`` per arc step, ``lam`` calls and
-``HInputs``, and per-letter loops.
+``oracles``: one ``move_reference`` per arc step, ``lam`` calls and
+``HInputs``, and per-letter loops.  Where the references' H* is NaN
+from overflow, the threshold now raises and the arc ends with OVERFLOW.
 """
 
 import cmath
@@ -86,7 +87,7 @@ def call(fn, *args):
     """fn(*args), or the type and message of what it raised."""
     try:
         return fn(*args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         return ("raised", type(exc), str(exc))
 
 
@@ -99,7 +100,7 @@ def arc_record(arc):
     BqParams(K=9.0, max_arc_steps=40),
 ], ids=["default", "short_budget"])
 def test_arc_and_h_star_match_the_references(params):
-    faces = 0
+    faces = overflowed = 0
     seen = {}         # case name -> arc outcomes, and "raised" for h_star
     for name, omega, quad in kernel_cases():
         m = kernel_map(omega, quad)
@@ -108,20 +109,30 @@ def test_arc_and_h_star_match_the_references(params):
             f = FaceKey("", (i, j))
             got = call(h_star, m.boundary, f, quad, K)
             want = call(h_star_reference, m.boundary, f, quad, K)
-            assert same(got, want), (name, f, got, want)
             # A face value past the cap raises in h_star, under the arc.
             arc = call(attracting_arc, m, f, quad, params)
             ref = call(attracting_arc_reference, m, f, quad, params)
             if not isinstance(arc, tuple):
                 arc, ref = arc_record(arc), arc_record(ref)
-            assert same(arc, ref), (name, f)
             faces += 1
+            if same(want, math.nan):
+                # The reference's H* left float range as NaN and walked
+                # an arc on it; the threshold now raises OverflowError
+                # and the arc ends at once with OVERFLOW.
+                assert got[:2] == ("raised", OverflowError), (name, f)
+                assert arc == (ArcOutcome.OVERFLOW, 0, -1, 0, []), (name, f)
+                assert name == "near_cap"
+                overflowed += 1
+            else:
+                assert same(got, want), (name, f, got, want)
+                assert same(arc, ref), (name, f)
             seen.setdefault(name, set()).add(arc[0])
             if isinstance(got, tuple):
                 seen[name].add("raised")
             if arc[0] is ArcOutcome.FINITE and any(HUGE in q for q in arc[4]):
                 seen[name].add("huge_in_window")
     assert faces >= 300
+    assert overflowed == 21
     infinite = ArcOutcome.INFINITE
     for name in ("band", "sigma_zero", "zero_region"):
         assert infinite in seen[name], name

@@ -1,0 +1,231 @@
+"""Overflow: one saturation rule and one exit.
+
+HUGE absorbs + - and *, so every formula with a HUGE operand yields
+HUGE without a check of its own; these tests hold ``MarkoffMap._move``,
+``face_value_capped`` and ``sigma_capped`` to the rule written out.  A
+threshold that leaves float range raises in ``h_star`` and ends the arc
+walk with OVERFLOW, so a decision never rests on an overflowed H*: the
+reproducers below, and a seeded sweep of extreme raw inputs, end as
+Undecided/``overflow`` or with a verdict whose certificate holds.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from bqdomain import bq, cli, neighbors
+from bqdomain.algebra import BoundaryData, MarkoffQuad, face_value, sigma
+from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
+                         decide_bq)
+from bqdomain.markoff import (HUGE, MarkoffMap, _cap, face_value_capped,
+                              sigma_capped)
+from bqdomain.neighbors import (WitnessKind, face_obstruction, h_star,
+                                h_value_sym)
+from bqdomain.tree import COLORS, FACE_PAIRS, FaceKey
+
+from conftest import random_on_variety_point
+from oracles import move_reference
+
+
+def same(x, y) -> bool:
+    """Bitwise equality by repr, which tells -0.0 from 0.0."""
+    return repr(x) == repr(y)
+
+
+def test_huge_absorbs_plus_minus_times():
+    for v in (HUGE + 1, 1 - HUGE, 0 * HUGE, -HUGE, HUGE * HUGE,
+              HUGE - HUGE, 2j + HUGE, HUGE * 0.5, (1 + 1j) - HUGE):
+        assert v is HUGE
+    assert _cap(HUGE) is HUGE
+
+
+def quads(seed: int = 3):
+    """Random on-variety quads and raw ones, with their boundary data."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(6):
+        pt = random_on_variety_point(rng)
+        out.append((pt.omega, pt.quad))
+    for _ in range(4):
+        omega = BoundaryData(tuple(complex(*rng.uniform(-3, 3, 2))
+                                   for _ in range(3)))
+        out.append((omega, tuple(complex(*rng.uniform(-6, 6, 2))
+                                 for _ in range(4))))
+    out.append((BoundaryData((1.0, 2.0, 0.5j)),
+                (3e149 + 0j, 2e149 + 0j, 1.5, -0.5j)))
+    return out
+
+
+def with_huge(quad, slots):
+    return tuple(HUGE if n in slots else v for n, v in enumerate(quad))
+
+
+def subsets(n):
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(n), r) for r in range(n + 1))
+
+
+def test_move_is_the_explicit_rule():
+    for omega, quad in quads():
+        m = MarkoffMap(MarkoffQuad(quad, omega, on_variety=False))
+        for slots in subsets(4):
+            vals = with_huge(quad, slots)
+            for c in COLORS:
+                got = m._move(vals, c)
+                assert same(got, move_reference(m, vals, c)), (slots, c)
+                assert got[c - 1] is HUGE or not slots
+
+
+def test_face_value_and_sigma_are_the_explicit_rule():
+    for omega, quad in quads():
+        for i, j in FACE_PAIRS:
+            k = next(c for c in COLORS if c not in (i, j))
+            lam = omega.lam(i, j), omega.lam(i, k), omega.lam(j, k)
+            for slots in subsets(3):
+                ai, aj, psi = with_huge(
+                    (quad[i - 1], quad[j - 1],
+                     face_value(quad[i - 1], quad[j - 1], lam[0])), slots)
+                want = HUGE if HUGE in (ai, aj) \
+                    else _cap(face_value(ai, aj, lam[0]))
+                got = face_value_capped(ai, aj, lam[0])
+                assert same(got, want), (i, j, slots)
+                assert got is HUGE or not {0, 1} & set(slots)
+                want = HUGE if HUGE in (ai, aj, psi) \
+                    else _cap(sigma(ai, aj, psi, *lam))
+                got = sigma_capped(omega, i, j, ai, aj, psi)
+                assert same(got, want), (i, j, slots)
+                assert got is HUGE or not slots
+
+
+def fake_threshold(raising):
+    """A ``_threshold`` whose ordering with Q in ``raising`` overflows
+    and whose other ordering has no threshold (num == 0)."""
+    def threshold(Q, R, S, X, al, denom):
+        if Q in raising:
+            raise OverflowError("the threshold H overflowed")
+        return 0j, 0j, math.inf, math.inf
+    return threshold
+
+
+@pytest.mark.parametrize("raising", [{1.0}, {2.0}])
+def test_an_infinite_ordering_wins_over_an_overflowed_one(raising,
+                                                          monkeypatch):
+    monkeypatch.setattr(neighbors, "_threshold", fake_threshold(raising))
+    assert h_value_sym((1.0, 2.0, 0.5, 3.0)) == math.inf
+
+
+def test_overflow_in_both_orderings_raises(monkeypatch):
+    monkeypatch.setattr(neighbors, "_threshold",
+                        fake_threshold({1.0, 2.0}))
+    with pytest.raises(OverflowError):
+        h_value_sym((1.0, 2.0, 0.5, 3.0))
+
+
+def test_an_overflowed_level_term_ends_the_arc_with_overflow():
+    # |a_1| = 1e-308 puts (K^2 + 2M)/|a_1| past float range, while the
+    # face value 5 is off the band and H of the recurrence is finite.
+    omega = BoundaryData((-5.0, 0.0, 0.0))
+    quad = (1e-308 + 0j, 3 + 0j, 5 + 1j, 7 - 2j)
+    f = FaceKey("", (1, 2))
+    assert face_obstruction(omega, 1, 2, quad[0], quad[1])[1] is None
+    with pytest.raises(OverflowError):
+        h_star(omega, f, quad, 2 + omega.M)
+    m = MarkoffMap(MarkoffQuad(quad, omega, on_variety=False))
+    assert attracting_arc(m, f, m.root, BqParams()).outcome \
+        is ArcOutcome.OVERFLOW
+
+
+# Inputs whose threshold leaves float range.  Without the overflow exit
+# (a) read NotBQ/infinite_arc from an H* of inf (S*(X^2-4) overflows),
+# (b) raised ZeroDivisionError (T underflows to 0), and (c) read InBQ
+# over seven faces whose H* was NaN, each closed with an empty arc.
+REPRODUCERS = {
+    "a": ["100", "100", "9e149", "9e149", "0", "0", "0", "--k", "200"],
+    "b": ["--", "-1.6346444102376137e+19,1.3378881481550449e+19",
+          "64496963235.79626,-24224752878.960495",
+          "-1.8276001829109488e+52,-2.696569189657723e+52",
+          "-13.625640618982365,0",
+          "-5.564727521093168e+49,-1.6540955749279314e+48",
+          "7.827725727027003e+46,0",
+          "-9.988835006633946e+26,1.5028028365278678e+27"],
+    "c": ["--k", "3.515694518814286e+43", "--", "2.042363991723379e+18",
+          "-5.4931315956666874e+17,-6.484179432276773e+17",
+          "-1.4798825683635046e+17", "-2.300700199923313e+24",
+          "-0.12573963983276884,0.013337441480221724",
+          "31.84977942920596,83.65630782301045", "-0.02296287117279045"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPRODUCERS))
+def test_an_overflowed_threshold_decides_nothing(name, capsys):
+    argv = ["check"] + REPRODUCERS[name]
+    args = cli.build_parser().parse_args(argv)
+    m = cli._map_for(cli._point(args.coords))
+    verdict = decide_bq(m, BqParams(K=args.k))
+    assert (verdict.status, verdict.budget_hit) \
+        == (Status.UNDECIDED, "overflow")
+    assert cli.main(argv) == cli.EXIT_UNDECIDED
+    assert "verdict: Undecided (budget: overflow)" in capsys.readouterr().out
+
+
+def log_uniform(rng) -> complex:
+    """A value of modulus 10^u, u uniform on [-150, 150]: real for about
+    a third of the draws, else at a uniform angle."""
+    r = 10.0 ** rng.uniform(-150, 150)
+    if rng.random() < 0.3:
+        return complex(r * rng.choice((-1.0, 1.0)))
+    t = rng.uniform(0, 2 * math.pi)
+    return complex(r * math.cos(t), r * math.sin(t))
+
+
+def extreme_inputs(seed: int = 1509, count: int = 2000):
+    """(quad, K) pairs: coordinates and omega log-uniform up to 1e150,
+    and every other input with K = 2 + M plus a log-uniform term up to
+    1e150."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(count):
+        omega = BoundaryData(tuple(log_uniform(rng) for _ in range(3)))
+        quad = tuple(log_uniform(rng) for _ in range(4))
+        K = 2.0 + omega.M + 10.0 ** rng.uniform(0, 150) if n % 2 else None
+        out.append((MarkoffQuad(quad, omega, on_variety=False), K))
+    return out
+
+
+def test_extreme_inputs_decide_only_on_a_certificate(monkeypatch):
+    values = []
+
+    def recorded_h_star(*args):
+        h = h_star(*args)
+        values.append(h)
+        return h
+
+    monkeypatch.setattr(bq, "h_star", recorded_h_star)
+    statuses = set()
+    inputs = extreme_inputs()
+    assert len(inputs) >= 2000
+    for quad, K in inputs:
+        values.clear()
+        m = MarkoffMap(quad)
+        v = decide_bq(m, BqParams(K=K, max_faces=200, max_arc_steps=300))
+        statuses.add((v.status, v.witness and v.witness.kind))
+        if v.status is not Status.UNDECIDED:
+            assert not any(math.isnan(h) for h in values), quad
+        if v.witness is not None \
+                and v.witness.kind is WitnessKind.INFINITE_ARC:
+            i, j = v.witness.face.colors
+            q = m.quad_at(v.witness.face.anchor)
+            obstructed = face_obstruction(m.boundary, i, j, q[i - 1],
+                                          q[j - 1])[1] is not None
+            assert obstructed or 0 in (abs(q[i - 1]), abs(q[j - 1])), quad
+    assert {(Status.IN_BQ, None), (Status.UNDECIDED, None),
+            (Status.NOT_BQ, WitnessKind.BQ1_VIOLATION)} <= statuses
+
+
+def test_k_whose_square_overflows_is_rejected():
+    for K in (1e155, -1e155, 10 ** 155, 1.35e154):
+        with pytest.raises(ValueError):
+            BqParams(K=K)
+    assert BqParams(K=1.34e154).K == 1.34e154
