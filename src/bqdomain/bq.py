@@ -24,8 +24,8 @@ from .algebra import moved_value
 from .markoff import (HUGE, MarkoffMap, Quad, Value, _cap,
                       face_value_capped, modulus)
 from .neighbors import WitnessKind, face_obstruction, h_star
-from .tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, VertexWord,
-                   boundary_face, canonical_face, face_edge_at)
+from .tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, Trie, TrieFace,
+                   VertexWord, canonical_face, face_edge_at)
 
 
 @dataclass(frozen=True)
@@ -117,19 +117,22 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
 
     Stops at a vertex with no strictly outgoing edge, or at one already
     touching a face below the level threshold; every face seen on the
-    way is screened for band and sigma witnesses.  The quad is carried,
-    one move per child edge tried; the edge back, crossed because it made
-    its value strictly smaller, is not outgoing, so it is never tried.
+    way is screened for band and sigma witnesses, and keyed only if it
+    shows one.  The quad is carried, one move per child edge tried; the
+    edge back, crossed because it made its value strictly smaller, is
+    not outgoing, so it is never tried.
     """
-    K, M, lam = params.level(m), m.boundary.M, m.boundary.lam
+    b = m.boundary
+    K, M, lam = params.level(m), b.M, b.lam
     v: VertexWord = ""
     quad = m.root
     back = 0                       # the colour of the edge back; 0 at root
     trace = [v]
     for step in range(params.max_descent_steps + 1):
         for i, j in FACE_PAIRS:
-            w = face_witness(m, canonical_face(v, i, j), quad)
-            if w is not None:
+            _, kind = face_obstruction(b, i, j, quad[i - 1], quad[j - 1])
+            if kind is not None:
+                w = face_witness(m, canonical_face(v, i, j), quad)
                 return DescentResult(witness=w, steps=step, trace=trace)
         if any(values_in_level(quad[i - 1], quad[j - 1], lam(i, j), K, M)
                for i, j in FACE_PAIRS):
@@ -171,7 +174,8 @@ class ArcResult:
 def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
                    params: BqParams) -> ArcResult:
     """Bound the window of boundary edges whose side regions dip below
-    the face's threshold.
+    the face's threshold.  Only f's colors are read, so f may be a
+    ``FaceKey`` or the closure's ``TrieFace``.
 
     Walks both rays by position from quad, the quad at f's anchor,
     carrying it one elementary move per step.  With (k, l) =
@@ -246,6 +250,11 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     test once: in ``h_star`` when its arc is finite, and through
     ``face_witness`` when the closure stops at it.
 
+    A closure face is its anchor's node in a ``tree.Trie`` and its color
+    pair; the queue passes it on as a ``tree.TrieFace``, whose string
+    anchor is built only when read.  Keys are built only for the verdict
+    returned: the witness face, or the arc bounds and then the edges.
+
     Each queued face carries the quad at its anchor, by two invariants.
     Every seed is anchored at the sink: one anchored higher is in level
     at a vertex the descent passed, and the descent would have stopped
@@ -264,9 +273,11 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                          steps_used=steps)
 
     M = m.boundary.M
-    pairs = [(i, j, m.boundary.lam(i, j)) for i, j in FACE_PAIRS]
+    pairs = [(*p, m.boundary.lam(*p), p) for p in FACE_PAIRS]
     v0, q0 = descent.vertex, descent.quad
-    seeds = [FaceKey(v0, (i, j)) for i, j, lam_ij in pairs
+    trie = Trie()
+    sink = trie.node(v0)
+    seeds = [p for i, j, lam_ij, p in pairs
              if values_in_level(q0[i - 1], q0[j - 1], lam_ij, K, M)]
     if not seeds:
         return BqVerdict(Status.UNDECIDED, budget_hit="no_seed_face",
@@ -274,12 +285,14 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
 
     # The pairs screened at a face's first window vertex (all but its
     # own), and after crossing an edge of color c (the pairs holding c).
-    first = {p: [t for t in pairs if t[:2] != p] for p in FACE_PAIRS}
-    crossed = {c: [t for t in pairs if c in t[:2]] for c in COLORS}
-    tree = AttractingTree()
-    seen: Set[FaceKey] = set(seeds)
+    first = {p: [t for t in pairs if t[3] != p] for p in FACE_PAIRS}
+    crossed = {c: [t for t in pairs if c in t[3]] for c in COLORS}
+    depth, letter = trie.depth, trie.letter
+    seen: Set[Tuple[int, Tuple[int, int]]] = {(sink, p) for p in seeds}
     # (face, quad at its anchor), the seeds in sorted order.
-    queue: List[Tuple[FaceKey, Quad]] = [(f, q0) for f in seeds]
+    queue: List[Tuple[TrieFace, Quad]] = \
+        [(TrieFace(sink, p, anchor=v0), q0) for p in seeds]
+    arcs: List[Tuple[TrieFace, int, int]] = []     # in pop order
     total_edges = 0
     while queue:
         f, anchor_quad = queue.pop()
@@ -290,7 +303,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         arc = None if over_budget else \
             attracting_arc(m, f, anchor_quad, params)
         if over_budget or arc.outcome is not ArcOutcome.FINITE:
-            w = face_witness(m, f, anchor_quad)
+            w = face_witness(m, f.key(), anchor_quad)
             if w is not None:
                 return BqVerdict(Status.NOT_BQ, witness=w, steps_used=steps)
             if over_budget:
@@ -299,43 +312,51 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
             if arc.outcome is ArcOutcome.INFINITE:
                 return BqVerdict(
                     Status.NOT_BQ,
-                    witness=Witness(WitnessKind.INFINITE_ARC, f),
+                    witness=Witness(WitnessKind.INFINITE_ARC, f.key()),
                     steps_used=steps)
             budget = "max_arc_steps" if arc.outcome is ArcOutcome.BUDGET \
                 else "overflow"
             return BqVerdict(Status.UNDECIDED, budget_hit=budget,
                              steps_used=steps)
-        tree.arc_bounds[f] = (arc.n1, arc.n2)
-        total_edges += max(0, arc.n2 - arc.n1 + 1)
+        n1 = arc.n1
+        arcs.append((f, n1, arc.n2))
+        total_edges += max(0, arc.n2 - n1 + 1)
         if total_edges > params.max_total_edges:
             return BqVerdict(Status.UNDECIDED, budget_hit="max_total_edges",
                              steps_used=steps)
         # Screen each window vertex on the carried quad and moduli.  An edge
         # of color c keeps every face whose pair lacks c, with both region
         # values bitwise unchanged, so past the first vertex only the three
-        # pairs holding c can be new, and only c's modulus changes.  A passing
-        # face is keyed from its position on f's boundary.  A new face's quad
-        # is in the window at position +-t, t >= 0 the letters its anchor adds
-        # to f's: a key that strips f's anchor is in level at the vertex
+        # pairs holding c can be new, and only c's modulus changes.  A
+        # passing face is anchored at the window vertex's node, stripped
+        # when its last letter is outside the pair.  A new face's quad is
+        # in the window at position +-t, t >= 0 the letters its anchor adds
+        # to f's: one that strips f's anchor is in level at the vertex
         # before it, which the descent or the screen that queued f has
         # covered, so it is already seen.
         k, l = f.edge_colors
+        x0 = f.node
+        nodes = trie.ray(x0, l, k, -n1)[:0:-1] + \
+            trie.ray(x0, k, l, arc.n2 + 1)
         screen = first[f.colors]
         mods, c = list(map(modulus, arc.quads[0])), k
-        for n, quad in enumerate(arc.quads, arc.n1):
+        for n, quad, x in zip(range(n1, arc.n2 + 2), arc.quads, nodes):
             mods[c - 1] = modulus(quad[c - 1])
-            for i, j, lam_ij in screen:
+            for i, j, lam_ij, p in screen:
                 if values_in_level(quad[i - 1], quad[j - 1], lam_ij, K, M,
                                    mods[i - 1], mods[j - 1]):
-                    g = boundary_face(f, n, i, j)
+                    y = x if letter[x] in p else trie.strip(x, p)
+                    g = (y, p)
                     if g not in seen:
                         seen.add(g)
-                        t = len(g.anchor) - len(f.anchor)
-                        queue.append(
-                            (g, arc.quads[(t if n > 0 else -t) - arc.n1]))
+                        t = depth[y] - depth[x0]
+                        queue.append((TrieFace(y, p, f, n),
+                                      arc.quads[(t if n > 0 else -t) - n1]))
             c = (k, l)[n & 1]                  # edge n joins n and n+1
             screen = crossed[c]
-    # Edge keys are built once, for the certificate that is returned.
-    tree.edges = {face_edge_at(f, n) for f, (n1, n2) in tree.arc_bounds.items()
-                  for n in range(n1, n2 + 1)}
-    return BqVerdict(Status.IN_BQ, tree=tree, steps_used=steps)
+    # Keys are built once, for the certificate that is returned.
+    bounds = {f.key(): (n1, n2) for f, n1, n2 in arcs}
+    edges = {face_edge_at(f, n) for f, (n1, n2) in bounds.items()
+             for n in range(n1, n2 + 1)}
+    return BqVerdict(Status.IN_BQ, tree=AttractingTree(edges, bounds),
+                     steps_used=steps)

@@ -16,16 +16,20 @@ is the face's anchor, and the word at position p appends the first |p|
 letters of the alternating pattern k,l,k,... (p > 0) or l,k,l,... (p < 0)
 of its two edge colors k < l, so boundary edge t has color
 (k, l)[t & 1].  Hot loops walk a geodesic by position and carry vertex
-values along it (see ``bq.attracting_arc``).  A face met on f's
-boundary is keyed from its position by ``boundary_face``: its anchor is
-f's anchor plus a prefix of the pattern, less at most one letter, so no
-word is scanned.  The other key builders here are for the few vertices
-and faces that need a name.
+values along it (see ``bq.attracting_arc``).
+
+The closure in ``bq.decide_bq`` meets faces whose anchors run to
+thousands of letters, so it names vertices by int nodes of a ``Trie``
+instead of by word: a node is one child step from its parent, and a
+face is the pair (anchor node, colors), O(1) to build and to hash.  A
+``TrieFace`` carries that pair and builds its string ``anchor`` only
+when read, from the anchor of the face whose boundary met it.  The key
+builders here are for the few vertices and faces that need a name.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 COLORS = (1, 2, 3, 4)
 
@@ -187,25 +191,97 @@ def face_vertex_at(f: FaceKey, pos: int) -> VertexWord:
     return _walk(f.anchor, *f.edge_colors, pos)
 
 
-def boundary_face(f: FaceKey, n: int, i: int, j: int) -> FaceKey:
-    """The {i,j} face at position n of f's boundary geodesic, for a sorted
-    pair (i, j) other than f.colors: canonical_face(face_vertex_at(f, n),
-    i, j), built from the position instead of scanning the word.
+class Trie:
+    """Reduced words interned as int nodes, grown one letter at a time.
 
-    Boundary edge t has color (k, l)[t & 1], and the last letter of the
-    word at n != 0 is the color of the edge toward the anchor.  A pair
-    that lacks that letter holds the other edge color, the letter before
-    it, so the anchor drops exactly one letter; only when that empties
-    the walked prefix does the anchor's own word need a scan.
+    Node 0 is the root, and node x is the word of ``parent[x]`` followed
+    by ``letter[x]``, ``depth[x]`` letters long.  A child is one dict
+    lookup, and no node holds its word.
     """
-    k, l = f.edge_colors
-    if n > 0 and (k, l)[(n - 1) & 1] not in (i, j):
-        n -= 1
-    elif n < 0 and (k, l)[n & 1] not in (i, j):
-        n += 1
-    if n == 0:
-        return canonical_face(f.anchor, i, j)
-    return FaceKey(_walk(f.anchor, k, l, n), (i, j))
+
+    def __init__(self):
+        self.parent, self.depth, self.letter = [0], [0], [0]
+        self._kids = {}
+        self._strips = {}
+
+    def walk(self, x: int, letters) -> List[int]:
+        """The nodes 0, 1, ... letters past x, one child step each."""
+        kids, parent, depth, letter = \
+            self._kids, self.parent, self.depth, self.letter
+        out = [x]
+        for c in letters:
+            key = 5 * x + c
+            y = kids.get(key)
+            if y is None:
+                y = kids[key] = len(parent)
+                parent.append(x)
+                depth.append(depth[x] + 1)
+                letter.append(c)
+            out.append(y)
+            x = y
+        return out
+
+    def node(self, word: VertexWord) -> int:
+        return self.walk(0, map(int, word))[-1]
+
+    def ray(self, x: int, a: int, b: int, n: int) -> List[int]:
+        """The nodes 0, 1, ..., n letters past x along a, b, a, ..."""
+        return self.walk(x, ((a, b) * ((n + 1) // 2))[:n]) if n else [x]
+
+    def strip(self, x: int, pair: Tuple[int, int]) -> int:
+        """The anchor node of the face of sorted colors pair at x: the
+        trailing letters outside pair stripped, as ``canonical_face``
+        does, by parent pointers and memoized per (x, pair)."""
+        y = self._strips.get((x, pair))
+        if y is None:
+            drop, parent, letter = EDGE_COLORS[pair], self.parent, self.letter
+            y = x
+            while letter[y] in drop:
+                y = parent[y]
+            self._strips[x, pair] = y
+        return y
+
+
+class TrieFace:
+    """A face of the closure: its anchor's trie node and its colors.
+
+    A face met at signed position pos of a source face's boundary is
+    anchored at canonical_face(face_vertex_at(src, pos), *colors).  The
+    string ``anchor`` is built from the source's only when read, and
+    kept; a seed is given its anchor.
+    """
+
+    __slots__ = ("node", "colors", "_src", "_pos", "_anchor")
+
+    def __init__(self, node: int, colors: Tuple[int, int],
+                 src: Optional["TrieFace"] = None, pos: int = 0,
+                 anchor: Optional[VertexWord] = None):
+        self.node, self.colors = node, colors
+        self._src, self._pos, self._anchor = src, pos, anchor
+
+    @property
+    def edge_colors(self) -> Tuple[int, int]:
+        return EDGE_COLORS[self.colors]
+
+    @property
+    def anchor(self) -> VertexWord:
+        if self._anchor is None:
+            # Up the chain of sources to one with a known anchor, then back
+            # down, one walk per link; only this face keeps its anchor.
+            chain, src = [self], self._src
+            while src._anchor is None:
+                chain.append(src)
+                src = src._src
+            a = src._anchor
+            for f in reversed(chain):
+                a = _walk(a, *EDGE_COLORS[src.colors], f._pos) \
+                    .rstrip(_FACE_STRIP[f.colors])
+                src = f
+            self._anchor, self._src = a, None
+        return self._anchor
+
+    def key(self) -> FaceKey:
+        return FaceKey(self.anchor, self.colors)
 
 
 def face_boundary_walk(f: FaceKey, start: VertexWord, steps: int) -> VertexWord:

@@ -42,7 +42,8 @@ from bqdomain.markoff import (HUGE, OVERFLOW_CAP, MarkoffMap, _cap,
 from bqdomain.neighbors import (TOL_REAL, TOL_SIGMA, HInputs, WitnessKind,
                                 dist_to_interval)
 from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, RegionKey,
-                           boundary_face, face_edge_at, faces_at)
+                           canonical_face, face_edge_at, face_vertex_at,
+                           faces_at)
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
@@ -409,6 +410,27 @@ def attracting_arc_reference(m: MarkoffMap, f: FaceKey, quad,
     (pos_quads, hi), (neg_quads, lo) = rays
     return ArcResult(ArcOutcome.FINITE, n1=-lo, n2=hi - 1, steps=steps,
                      quads=neg_quads[lo:0:-1] + pos_quads[:hi + 1])
+
+
+def boundary_face(f: FaceKey, n: int, i: int, j: int) -> FaceKey:
+    """The {i,j} face at position n of f's boundary geodesic, for a sorted
+    pair (i, j) other than f.colors: canonical_face(face_vertex_at(f, n),
+    i, j), built from the position instead of scanning the word.
+
+    Boundary edge t has color (k, l)[t & 1], and the last letter of the
+    word at n != 0 is the color of the edge toward the anchor.  A pair
+    that lacks that letter holds the other edge color, the letter before
+    it, so the anchor drops exactly one letter; only when that empties
+    the walked prefix does the anchor's own word need a scan.
+    """
+    k, l = f.edge_colors
+    if n > 0 and (k, l)[(n - 1) & 1] not in (i, j):
+        n -= 1
+    elif n < 0 and (k, l)[n & 1] not in (i, j):
+        n += 1
+    if n == 0:
+        return canonical_face(f.anchor, i, j)
+    return FaceKey(face_vertex_at(f, n), (i, j))
 
 
 def face_in_level(m: MarkoffMap, f: FaceKey, K: float) -> bool:
