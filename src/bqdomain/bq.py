@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
 from .algebra import moved_value
-from .markoff import (HUGE, MarkoffMap, Quad, Value, _cap,
+from .markoff import (HUGE, OVERFLOW_CAP, MarkoffMap, Quad, Value,
                       face_value_capped, modulus)
 from .neighbors import WitnessKind, face_obstruction, h_star
 from .tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, Trie, TrieFace,
@@ -80,13 +80,10 @@ class BqVerdict:
 
 
 def values_in_level(ai: Value, aj: Value, lam_ij: complex, K: float,
-                    M: float, mi=None, mj=None) -> bool:
+                    M: float) -> bool:
     """The level test on a face's two region values and lambda_ij:
-    |psi(face)| < K^2 + M and at least one bounding region below K.  A
-    caller that carries the moduli mi, mj of ai, aj passes them."""
-    if mi is None:
-        mi, mj = modulus(ai), modulus(aj)
-    return (mi < K or mj < K) \
+    |psi(face)| < K^2 + M and at least one bounding region below K."""
+    return (modulus(ai) < K or modulus(aj) < K) \
         and modulus(face_value_capped(ai, aj, lam_ij)) < K * K + M
 
 
@@ -188,7 +185,9 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
     (beyond that point the sequences are strictly monotone).  A finite
     result carries the quads of the window's vertices.
 
-    Each step is one capped ``moved_value``, as in ``MarkoffMap._move``.
+    Each step is one ``moved_value``, capped as ``markoff._cap`` caps it
+    but on the modulus the walk reads anyway, so each moved value's
+    modulus is taken once; the values are those of ``MarkoffMap._move``.
     Overflow ends the walk with OVERFLOW, here and nowhere else: a HUGE
     in the anchor quad or an ``h_star`` that raises an ArithmeticError
     leaves no threshold, and a ray with two HUGE values in a row of one
@@ -220,8 +219,13 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
                 return ArcResult(ArcOutcome.BUDGET, steps=steps)
             steps += 1
             if t:
-                v = _cap(moved_value(quads[-1], side, terms[side]))
-                u = modulus(v)
+                v = moved_value(quads[-1], side, terms[side])
+                try:
+                    u = modulus(v)
+                except OverflowError:
+                    u = math.inf
+                if not u <= OVERFLOW_CAP:       # _cap, on the modulus
+                    v, u = HUGE, math.inf
                 cur[side - 1] = v
                 quads.append(tuple(cur))
             if u < h:
@@ -254,6 +258,9 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     pair; the queue passes it on as a ``tree.TrieFace``, whose string
     anchor is built only when read.  Keys are built only for the verdict
     returned: the witness face, or the arc bounds and then the edges.
+    The window screen is ``values_in_level`` written out on the carried
+    moduli, and a passing face's node is the window vertex's, stripped
+    by one parent step, or by ``Trie.strip`` next to f's anchor.
 
     Each queued face carries the quad at its anchor, by two invariants.
     Every seed is anchored at the sink: one anchored higher is in level
@@ -287,7 +294,8 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     # own), and after crossing an edge of color c (the pairs holding c).
     first = {p: [t for t in pairs if t[3] != p] for p in FACE_PAIRS}
     crossed = {c: [t for t in pairs if c in t[3]] for c in COLORS}
-    depth, letter = trie.depth, trie.letter
+    parent, depth, letter = trie.parent, trie.depth, trie.letter
+    KKM = K * K + M
     seen: Set[Tuple[int, Tuple[int, int]]] = {(sink, p) for p in seeds}
     # (face, quad at its anchor), the seeds in sorted order.
     queue: List[Tuple[TrieFace, Quad]] = \
@@ -324,15 +332,19 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         if total_edges > params.max_total_edges:
             return BqVerdict(Status.UNDECIDED, budget_hit="max_total_edges",
                              steps_used=steps)
-        # Screen each window vertex on the carried quad and moduli.  An edge
-        # of color c keeps every face whose pair lacks c, with both region
-        # values bitwise unchanged, so past the first vertex only the three
-        # pairs holding c can be new, and only c's modulus changes.  A
-        # passing face is anchored at the window vertex's node, stripped
-        # when its last letter is outside the pair.  A new face's quad is
-        # in the window at position +-t, t >= 0 the letters its anchor adds
-        # to f's: one that strips f's anchor is in level at the vertex
-        # before it, which the descent or the screen that queued f has
+        # Screen each window vertex on the carried quad and moduli.  An edge of
+        # color c keeps every face whose pair lacks c, with both region values
+        # bitwise unchanged, so past the first vertex only the three pairs
+        # holding c can be new, and only c's modulus changes.  The test is
+        # values_in_level written out, K*K + M taken once: a face value past
+        # the cap is HUGE there, never in level, even below K*K + M.  A passing
+        # face is anchored at the vertex's node with its trailing letters
+        # outside the pair stripped.  The window's letters alternate k, l and
+        # the pair holds one of them or both, so a parent step strips all but
+        # next to f's anchor, the one place where Trie.strip is called.  A new
+        # face's quad is in the window at position +-t, t >= 0 the letters its
+        # anchor adds to f's: one that strips f's anchor is in level at the
+        # vertex before it, which the descent or the screen that queued f has
         # covered, so it is already seen.
         k, l = f.edge_colors
         x0 = f.node
@@ -343,9 +355,18 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         for n, quad, x in zip(range(n1, arc.n2 + 2), arc.quads, nodes):
             mods[c - 1] = modulus(quad[c - 1])
             for i, j, lam_ij, p in screen:
-                if values_in_level(quad[i - 1], quad[j - 1], lam_ij, K, M,
-                                   mods[i - 1], mods[j - 1]):
-                    y = x if letter[x] in p else trie.strip(x, p)
+                if not (mods[i - 1] < K or mods[j - 1] < K):
+                    continue
+                try:
+                    v = modulus(quad[i - 1] * quad[j - 1] - lam_ij)
+                except OverflowError:           # HUGE under _cap
+                    continue
+                if v < KKM and v <= OVERFLOW_CAP:
+                    y = x
+                    if letter[y] not in p:
+                        y = parent[y]
+                        if letter[y] not in p:
+                            y = trie.strip(y, p)
                     g = (y, p)
                     if g not in seen:
                         seen.add(g)

@@ -15,7 +15,8 @@ The arithmetic (the move, the face value, sigma, with lambdas from
 Values whose modulus exceeds an overflow cap, the root quad's included,
 are replaced by a symbolic Huge marker that compares larger than every
 finite modulus and absorbs + - and *, so deep descent never degrades
-into NaN; ``_cap`` alone makes HUGE and ``modulus`` alone reads it.
+into NaN; ``_cap`` makes HUGE (``bq.attracting_arc`` applies its rule to
+the modulus it reads anyway) and ``modulus`` alone reads it.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .algebra import CharacterPoint
 

@@ -202,7 +202,6 @@ class Trie:
     def __init__(self):
         self.parent, self.depth, self.letter = [0], [0], [0]
         self._kids = {}
-        self._strips = {}
 
     def walk(self, x: int, letters) -> List[int]:
         """The nodes 0, 1, ... letters past x, one child step each."""
@@ -231,15 +230,11 @@ class Trie:
     def strip(self, x: int, pair: Tuple[int, int]) -> int:
         """The anchor node of the face of sorted colors pair at x: the
         trailing letters outside pair stripped, as ``canonical_face``
-        does, by parent pointers and memoized per (x, pair)."""
-        y = self._strips.get((x, pair))
-        if y is None:
-            drop, parent, letter = EDGE_COLORS[pair], self.parent, self.letter
-            y = x
-            while letter[y] in drop:
-                y = parent[y]
-            self._strips[x, pair] = y
-        return y
+        does, by parent pointers."""
+        drop, parent, letter = EDGE_COLORS[pair], self.parent, self.letter
+        while letter[x] in drop:
+            x = parent[x]
+        return x
 
 
 class TrieFace:

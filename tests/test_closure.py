@@ -2,11 +2,12 @@
 
 The closure in ``decide_bq`` screens each window vertex on the carried
 quad, but past the first vertex only the three colour pairs that hold
-the colour of the edge just crossed, and keys a face that passes from
-its position on the boundary (``tree.boundary_face``).  These tests pin
-that the keys and the first-met order equal the five-pair screen with
-word-built keys, that the exploration order on the budget-bound points
-does not move, that a decision reads no quad by word, and that
+the colour of the edge just crossed, and names a face that passes by
+its anchor's trie node and its colour pair.  These tests key such a
+face from its position on the boundary (``oracles.boundary_face``) and
+pin that the keys and the first-met order equal the five-pair screen
+with word-built keys, that the exploration order on the budget-bound
+points does not move, that a decision reads no quad by word, and that
 saturated values end a decision as Undecided instead of crashing or
 spending the arc budget.
 """

@@ -102,6 +102,5 @@ def test_strip_is_canonical_face():
         for p in FACE_PAIRS:
             want = canonical_face(word, *p).anchor
             assert trie_word(trie, trie.strip(x, p)) == want
-            assert trie_word(trie, trie.strip(x, p)) == want   # memoized
             long_strips += len(word) - len(want) >= 10
     assert long_strips > 50
