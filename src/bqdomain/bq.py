@@ -256,8 +256,10 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
 
     A closure face is its anchor's node in a ``tree.Trie`` and its color
     pair; the queue passes it on as a ``tree.TrieFace``, whose string
-    anchor is built only when read.  Keys are built only for the verdict
-    returned: the witness face, or the arc bounds and then the edges.
+    anchor is the node's word, built by ``Trie.word`` only when read.
+    Keys are built only for the verdict returned: the witness face, or
+    the arc bounds, in pop order so that each anchor read walks only the
+    letters past its source's, and then the edges.
     The window screen is ``values_in_level`` written out on the carried
     moduli, and a passing face's node is the window vertex's, stripped
     by one parent step, or by ``Trie.strip`` next to f's anchor.
@@ -299,7 +301,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     seen: Set[Tuple[int, Tuple[int, int]]] = {(sink, p) for p in seeds}
     # (face, quad at its anchor), the seeds in sorted order.
     queue: List[Tuple[TrieFace, Quad]] = \
-        [(TrieFace(sink, p, anchor=v0), q0) for p in seeds]
+        [(TrieFace(trie, sink, p), q0) for p in seeds]
     arcs: List[Tuple[TrieFace, int, int]] = []     # in pop order
     total_edges = 0
     while queue:
@@ -371,7 +373,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                     if g not in seen:
                         seen.add(g)
                         t = depth[y] - depth[x0]
-                        queue.append((TrieFace(y, p, f, n),
+                        queue.append((TrieFace(trie, y, p),
                                       arc.quads[(t if n > 0 else -t) - n1]))
             c = (k, l)[n & 1]                  # edge n joins n and n+1
             screen = crossed[c]

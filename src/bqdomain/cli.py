@@ -31,16 +31,12 @@ def parse_complex(s: str) -> complex:
         raise argparse.ArgumentTypeError("bad complex value %r" % s) from exc
 
 
-def _point(values: List[complex]) -> CharacterPoint:
-    return CharacterPoint(*values)
-
-
 def _map_for(pt: CharacterPoint) -> MarkoffMap:
     return MarkoffMap(MarkoffQuad(pt.quad, pt.omega, on_variety=False))
 
 
 def cmd_check(args) -> int:
-    pt = _point(args.coords)
+    pt = CharacterPoint(*args.coords)
     verdict = decide_bq(_map_for(pt), BqParams(K=args.k))
     r = vertex_residual(pt)
     residual = math.hypot(r.real, r.imag)
@@ -76,7 +72,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_fib(args) -> int:
-    pt = _point(args.coords)
+    pt = CharacterPoint(*args.coords)
     report = growth_report(_map_for(pt), FibTable(), args.depth)
     print("base region values: 1 1 1, end regions: 3 3, base faces: 2 2 2")
     print("kappa_lower: %.6f" % report.kappa_lower)

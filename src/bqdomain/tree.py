@@ -22,14 +22,14 @@ The closure in ``bq.decide_bq`` meets faces whose anchors run to
 thousands of letters, so it names vertices by int nodes of a ``Trie``
 instead of by word: a node is one child step from its parent, and a
 face is the pair (anchor node, colors), O(1) to build and to hash.  A
-``TrieFace`` carries that pair and builds its string ``anchor`` only
-when read, from the anchor of the face whose boundary met it.  The key
-builders here are for the few vertices and faces that need a name.
+``TrieFace`` carries that pair; its string ``anchor`` is the node's
+word, which ``Trie.word`` builds only when read.  The key builders here
+are for the few vertices and faces that need a name.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 COLORS = (1, 2, 3, 4)
 
@@ -178,17 +178,16 @@ def face_position(f: FaceKey, v: VertexWord) -> int:
     return len(suffix) if suffix[0] == lo else -len(suffix)
 
 
-def _walk(anchor: VertexWord, k: int, l: int, pos: int) -> VertexWord:
-    """The word at signed position pos from anchor along edge colors
-    (k, l)."""
-    pair = "%d%d" % ((k, l) if pos > 0 else (l, k))
-    n = abs(pos)
-    return anchor + (pair * ((n + 1) // 2))[:n]
-
-
 def face_vertex_at(f: FaceKey, pos: int) -> VertexWord:
     """Vertex at signed position pos on f's boundary geodesic."""
-    return _walk(f.anchor, *f.edge_colors, pos)
+    k, l = f.edge_colors
+    pair = "%d%d" % ((k, l) if pos > 0 else (l, k))
+    n = abs(pos)
+    return f.anchor + (pair * ((n + 1) // 2))[:n]
+
+
+# Byte values 1..4 to the digits "1".."4", for joining letters into a word.
+_DIGITS = bytes.maketrans(b"\1\2\3\4", b"1234")
 
 
 class Trie:
@@ -196,12 +195,14 @@ class Trie:
 
     Node 0 is the root, and node x is the word of ``parent[x]`` followed
     by ``letter[x]``, ``depth[x]`` letters long.  A child is one dict
-    lookup, and no node holds its word.
+    lookup, and a node's word is built only when ``word`` reads it, and
+    kept.
     """
 
     def __init__(self):
         self.parent, self.depth, self.letter = [0], [0], [0]
         self._kids = {}
+        self._words = {0: ""}
 
     def walk(self, x: int, letters) -> List[int]:
         """The nodes 0, 1, ... letters past x, one child step each."""
@@ -223,6 +224,18 @@ class Trie:
     def node(self, word: VertexWord) -> int:
         return self.walk(0, map(int, word))[-1]
 
+    def word(self, x: int) -> VertexWord:
+        """The word of node x: its letters read up the parent pointers to
+        the nearest node whose word is known, joined onto that word, and
+        kept for later reads."""
+        words, parent, letter = self._words, self.parent, self.letter
+        tail, y = [], x
+        while y not in words:
+            tail.append(letter[y])
+            y = parent[y]
+        w = words[x] = words[y] + bytes(tail[::-1]).translate(_DIGITS).decode()
+        return w
+
     def ray(self, x: int, a: int, b: int, n: int) -> List[int]:
         """The nodes 0, 1, ..., n letters past x along a, b, a, ..."""
         return self.walk(x, ((a, b) * ((n + 1) // 2))[:n]) if n else [x]
@@ -238,21 +251,13 @@ class Trie:
 
 
 class TrieFace:
-    """A face of the closure: its anchor's trie node and its colors.
+    """A face of the closure: its anchor's trie node and its colors.  The
+    string ``anchor`` is the node's word, read from the trie."""
 
-    A face met at signed position pos of a source face's boundary is
-    anchored at canonical_face(face_vertex_at(src, pos), *colors).  The
-    string ``anchor`` is built from the source's only when read, and
-    kept; a seed is given its anchor.
-    """
+    __slots__ = ("trie", "node", "colors")
 
-    __slots__ = ("node", "colors", "_src", "_pos", "_anchor")
-
-    def __init__(self, node: int, colors: Tuple[int, int],
-                 src: Optional["TrieFace"] = None, pos: int = 0,
-                 anchor: Optional[VertexWord] = None):
-        self.node, self.colors = node, colors
-        self._src, self._pos, self._anchor = src, pos, anchor
+    def __init__(self, trie: Trie, node: int, colors: Tuple[int, int]):
+        self.trie, self.node, self.colors = trie, node, colors
 
     @property
     def edge_colors(self) -> Tuple[int, int]:
@@ -260,20 +265,7 @@ class TrieFace:
 
     @property
     def anchor(self) -> VertexWord:
-        if self._anchor is None:
-            # Up the chain of sources to one with a known anchor, then back
-            # down, one walk per link; only this face keeps its anchor.
-            chain, src = [self], self._src
-            while src._anchor is None:
-                chain.append(src)
-                src = src._src
-            a = src._anchor
-            for f in reversed(chain):
-                a = _walk(a, *EDGE_COLORS[src.colors], f._pos) \
-                    .rstrip(_FACE_STRIP[f.colors])
-                src = f
-            self._anchor, self._src = a, None
-        return self._anchor
+        return self.trie.word(self.node)
 
     def key(self) -> FaceKey:
         return FaceKey(self.anchor, self.colors)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from bqdomain import cli
-from bqdomain.algebra import (MarkoffQuad, Theta, elementary_move,
-                              face_value, involution_theta, sigma)
+from bqdomain.algebra import (CharacterPoint, MarkoffQuad, Theta,
+                              elementary_move, face_value, involution_theta,
+                              sigma)
 from bqdomain.bq import Status, decide_bq, values_in_level
 from bqdomain.markoff import HUGE, OVERFLOW_CAP, MarkoffMap, _cap
 from bqdomain.tree import COLORS, ball_vertices, faces_at
@@ -108,7 +109,7 @@ def test_cap_saturates_without_raising():
 
 def test_decide_bq_survives_overflowing_sigma():
     coords = [cli.parse_complex(s) for s in OVERFLOW_ARGS[0][2:]]
-    m = cli._map_for(cli._point(coords))
+    m = cli._map_for(CharacterPoint(*coords))
     assert isinstance(decide_bq(m).status, Status)
 
 

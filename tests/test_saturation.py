@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from bqdomain import bq, cli, neighbors
-from bqdomain.algebra import BoundaryData, MarkoffQuad, face_value, sigma
+from bqdomain.algebra import (BoundaryData, CharacterPoint, MarkoffQuad,
+                              face_value, sigma)
 from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
                          decide_bq)
 from bqdomain.markoff import (HUGE, MarkoffMap, _cap, face_value_capped,
@@ -162,7 +163,7 @@ REPRODUCERS = {
 def test_an_overflowed_threshold_decides_nothing(name, capsys):
     argv = ["check"] + REPRODUCERS[name]
     args = cli.build_parser().parse_args(argv)
-    m = cli._map_for(cli._point(args.coords))
+    m = cli._map_for(CharacterPoint(*args.coords))
     verdict = decide_bq(m, BqParams(K=args.k))
     assert (verdict.status, verdict.budget_hit) \
         == (Status.UNDECIDED, "overflow")

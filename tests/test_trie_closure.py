@@ -2,13 +2,16 @@
 
 ``decide_bq`` names each closure face by its anchor's node in a
 ``tree.Trie`` and its color pair, and builds key strings only for the
-verdict it returns.  These tests pin the verdict records against the
-string-keyed ``oracles.decide_bq_reference``, check that a queued face's
-lazily built ``anchor`` is the key the string-keyed closure gives it,
-and that the trie's strip is ``canonical_face``.
+verdict it returns, from the words ``Trie.word`` reads up the parent
+pointers.  These tests pin the verdict records against the string-keyed
+``oracles.decide_bq_reference``, check that a queued face's lazily read
+``anchor`` is the key the string-keyed closure gives it, and that the
+trie's strip is ``canonical_face`` and that ``Trie.word`` spells every
+node in any read order.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -46,34 +49,30 @@ def test_records_match_the_string_keyed_reference():
 
 @pytest.mark.parametrize("a", [-2.25 - 2.25j, 3.75 + 3.75j])
 def test_lazy_anchor_is_the_boundary_face_key(monkeypatch, a):
-    """Every queued face of a hard slice point has a twin whose sources
-    are twins too, which the closure never reads.  A twin's anchor, read
-    latest-queued first so that each read builds a chain of unread
-    sources, equals boundary_face of its source's key at the position
-    that met it, and spells the face's trie node."""
-    tries, queued, twins = [], [], {}
+    """Every queued face of a hard slice point, with the face f and the
+    position n of ``decide_bq``'s frame that queued it.  Each anchor, read
+    latest-queued first so that no ancestor's word is known yet, equals
+    boundary_face of its source's key at that position, and spells the
+    face's trie node."""
+    queued = []
 
-    def trie():
-        tries.append(Trie())
-        return tries[-1]
-
-    def face(node, colors, src=None, pos=0, anchor=None):
-        f = TrieFace(node, colors, src, pos, anchor)
-        twins[f] = TrieFace(node, colors, twins.get(src), pos, anchor)
-        queued.append((f, src, pos))
+    def face(trie, node, colors):
+        f = TrieFace(trie, node, colors)
+        caller = sys._getframe(1).f_locals
+        queued.append((f, caller.get("f"), caller.get("n")))
         return f
-    monkeypatch.setattr(bq, "Trie", trie)
     monkeypatch.setattr(bq, "TrieFace", face)
     v = decide_bq(slice_map(a))
     assert v.status is Status.IN_BQ
     assert len(queued) == len(v.tree.arc_bounds) > 10
-    anchors = [twins[f].anchor for f, _, _ in reversed(queued)][::-1]
+    assert queued[0][1] is None and queued[-1][1] is not None
+    anchors = [f.anchor for f, _, _ in reversed(queued)][::-1]
     assert max(map(len, anchors)) > 3
     for (f, src, pos), anchor in zip(queued, anchors):
         if src is not None:
             want = boundary_face(src.key(), pos, *f.colors)
             assert (anchor, f.colors) == want
-        assert trie_word(tries[0], f.node) == anchor
+        assert trie_word(f.trie, f.node) == anchor
     assert {f.key() for f, _, _ in queued} == set(v.tree.arc_bounds)
 
 
@@ -94,9 +93,9 @@ def random_word(rng: random.Random) -> str:
 def test_strip_is_canonical_face():
     rng = random.Random(5)
     trie = Trie()
+    words = [random_word(rng) for _ in range(500)]
     long_strips = 0
-    for _ in range(500):
-        word = random_word(rng)
+    for word in words:
         x = trie.node(word)
         assert trie_word(trie, x) == word
         for p in FACE_PAIRS:
@@ -104,3 +103,17 @@ def test_strip_is_canonical_face():
             assert trie_word(trie, trie.strip(x, p)) == want
             long_strips += len(word) - len(want) >= 10
     assert long_strips > 50
+    # A fresh trie reads every node's word in shuffled order, descendants
+    # both before and after their ancestors, so each read must keep its
+    # word under the node read, not under the known node where it stopped.
+    fresh = Trie()
+    for word in words:
+        fresh.node(word)
+    order = list(range(len(fresh.parent)))
+    rng.shuffle(order)
+    read, after_parent = set(), 0
+    for x in order:
+        assert fresh.word(x) == trie_word(fresh, x)
+        after_parent += fresh.parent[x] in read
+        read.add(x)
+    assert 1000 < after_parent < len(order) - 1000
