@@ -261,8 +261,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     the arc bounds, in pop order so that each anchor read walks only the
     letters past its source's, and then the edges.
     The window screen is ``values_in_level`` written out on the carried
-    moduli, and a passing face's node is the window vertex's, stripped
-    by one parent step, or by ``Trie.strip`` next to f's anchor.
+    moduli; it anchors a passing face at ``Trie.strip`` of the vertex.
 
     Each queued face carries the quad at its anchor, by two invariants.
     Every seed is anchored at the sink: one anchored higher is in level
@@ -296,7 +295,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     # own), and after crossing an edge of color c (the pairs holding c).
     first = {p: [t for t in pairs if t[3] != p] for p in FACE_PAIRS}
     crossed = {c: [t for t in pairs if c in t[3]] for c in COLORS}
-    parent, depth, letter = trie.parent, trie.depth, trie.letter
+    depth = trie.depth
     KKM = K * K + M
     seen: Set[Tuple[int, Tuple[int, int]]] = {(sink, p) for p in seeds}
     # (face, quad at its anchor), the seeds in sorted order.
@@ -340,14 +339,11 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         # holding c can be new, and only c's modulus changes.  The test is
         # values_in_level written out, K*K + M taken once: a face value past
         # the cap is HUGE there, never in level, even below K*K + M.  A passing
-        # face is anchored at the vertex's node with its trailing letters
-        # outside the pair stripped.  The window's letters alternate k, l and
-        # the pair holds one of them or both, so a parent step strips all but
-        # next to f's anchor, the one place where Trie.strip is called.  A new
-        # face's quad is in the window at position +-t, t >= 0 the letters its
-        # anchor adds to f's: one that strips f's anchor is in level at the
-        # vertex before it, which the descent or the screen that queued f has
-        # covered, so it is already seen.
+        # face is anchored at Trie.strip of the vertex's node.  Its quad is in
+        # the window at position +-t, t >= 0 the letters its anchor adds to
+        # f's: one that strips f's anchor is in level at the vertex before
+        # it, which the descent or the screen that queued f has covered, so
+        # it is already seen.
         k, l = f.edge_colors
         x0 = f.node
         nodes = trie.ray(x0, l, k, -n1)[:0:-1] + \
@@ -364,11 +360,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                 except OverflowError:           # HUGE under _cap
                     continue
                 if v < KKM and v <= OVERFLOW_CAP:
-                    y = x
-                    if letter[y] not in p:
-                        y = parent[y]
-                        if letter[y] not in p:
-                            y = trie.strip(y, p)
+                    y = trie.strip(x, p)
                     g = (y, p)
                     if g not in seen:
                         seen.add(g)

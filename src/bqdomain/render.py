@@ -56,9 +56,16 @@ class SliceConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SliceConfig":
-        def cx(v) -> complex:
-            return complex(v[0], v[1]) if isinstance(v, (list, tuple)) \
-                else complex(v)
+        def pair(v, kind=(int, float)) -> tuple:
+            # A list of exactly two numbers of kind; bool is an int, not one.
+            if isinstance(v, list) and len(v) == 2 and all(
+                    type(x) is not bool and isinstance(x, kind) for x in v):
+                return tuple(v)
+            raise ValueError("%r is not a pair of two %s" % (
+                v, "integers" if kind is int else "real numbers"))
+
+        def cx(v) -> complex:          # a real number v is the pair [v, 0]
+            return complex(*pair(v if isinstance(v, list) else [v, 0]))
         budgets = doc.get("budgets", {})
         if not isinstance(budgets, dict) or any(
                 k not in BUDGETS or type(v) is not int or v < 0
@@ -67,14 +74,13 @@ class SliceConfig:
                              % ", ".join(BUDGETS))
         params = BqParams(K=doc.get("k_override"), **budgets)
         px = doc["px"]
-        if isinstance(px, int):
-            px = (px, px)
+        px = pair(px if isinstance(px, list) else [px, px], int)
         return cls(fixed={k: cx(v) for k, v in doc["fixed"].items()},
                    varying=doc["varying"],
                    center=cx(doc["center"]),
                    width=float(doc["width"]),
                    height=float(doc["height"]),
-                   px=(int(px[0]), int(px[1])),
+                   px=px,
                    params=params,
                    mode=doc.get("mode", "raw"))
 

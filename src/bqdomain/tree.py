@@ -243,7 +243,8 @@ class Trie:
     def strip(self, x: int, pair: Tuple[int, int]) -> int:
         """The anchor node of the face of sorted colors pair at x: the
         trailing letters outside pair stripped, as ``canonical_face``
-        does, by parent pointers."""
+        does, by parent pointers.  The closure's only strip: on a face's
+        window it steps at most once before it reaches that face's anchor."""
         drop, parent, letter = EDGE_COLORS[pair], self.parent, self.letter
         while letter[x] in drop:
             x = parent[x]

@@ -3,19 +3,21 @@
 ``decide_bq`` carries every quad from the root: the descent its vertex
 quad, each queued face the quad at its anchor.  It looks no value up by
 word, so the map's memo keeps only the root quad.  These tests pin the
-verdict records against ``oracles.decide_bq_reference``, which reads
-every anchor quad through the memo, and check the two invariants that
-let the quads be carried: every seed is anchored at the sink, and every
-queued face's quad is the memoized quad at its anchor.
+closure pop by pop against ``oracles.decide_bq_reference``, which keys
+faces by string and reads every anchor quad through the memo: the same
+faces in the same order, with bitwise the same anchor quads, and the
+same verdict records.  They also check the invariant that lets the
+descent hand its quad to the seeds: every seed is anchored at the sink.
 """
 
 import numpy as np
 import pytest
 
+import oracles
 from bqdomain import bq
 from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice,
                               solve_fourth)
-from bqdomain.bq import BqParams, decide_bq, find_sink
+from bqdomain.bq import BqParams, Status, decide_bq, find_sink
 from bqdomain.markoff import MarkoffMap
 from bqdomain.tree import faces_at
 
@@ -100,29 +102,67 @@ def seeded_quads(seed: int = 2024):
     return out
 
 
+def recorder(monkeypatch, module, name: str):
+    """The pops of the closure whose arcs ``module.name`` walks: each
+    popped face's anchor, colors and anchor quad (by repr, so bitwise),
+    in pop order.  A face popped past max_faces walks no arc and is
+    left to the verdict record."""
+    walk, pops = getattr(module, name), []
+
+    def recording(m, f, quad, params):
+        pops.append((f.anchor, f.colors, repr(quad)))
+        return walk(m, f, quad, params)
+    monkeypatch.setattr(module, name, recording)
+    return pops
+
+
+def agree(monkeypatch, makes, params):
+    """Hold decide_bq on each make() to the reference: equal records, the
+    same pops one by one, and the memo kept at the root quad.  Returns
+    the verdicts and the number of pops compared."""
+    got_pops = recorder(monkeypatch, bq, "attracting_arc")
+    want_pops = recorder(monkeypatch, oracles, "attracting_arc_reference")
+    verdicts, pops = [], 0
+    for make in makes:
+        del got_pops[:], want_pops[:]
+        m = make()
+        root = m.quad_at("")
+        got = decide_bq(m, params)
+        want = decide_bq_reference(make(), params)
+        bad = next((n for n, (g, w) in enumerate(zip(got_pops, want_pops))
+                    if g != w), None)
+        assert bad is None, (bad, got_pops[bad], want_pops[bad])
+        assert len(got_pops) == len(want_pops)
+        assert record(got) == record(want)
+        assert m._quads == {"": root}
+        verdicts.append(got)
+        pops += len(got_pops)
+    return verdicts, pops
+
+
 @pytest.mark.parametrize("make", frozen_maps())
 def test_frozen_point_matches_the_reference_and_keeps_the_memo_at_root(
-        make):
-    m = make()
-    root = m.quad_at("")
-    reference = decide_bq_reference(make())
-    assert record(decide_bq(m)) == record(reference)
-    assert m._quads == {"": root}
+        monkeypatch, make):
+    agree(monkeypatch, [make], BqParams())
 
 
-def test_seeded_records_match_the_reference():
-    statuses, budgets = set(), set()
-    quads = seeded_quads()
-    assert len(quads) >= 400
-    for quad in quads:
-        m = MarkoffMap(quad)
-        got = record(decide_bq(m, SMALL))
-        assert got == record(decide_bq_reference(MarkoffMap(quad), SMALL))
-        assert len(m._quads) == 1
-        statuses.add(got[0])
-        budgets.add(got[1])
-    assert len(statuses) == 3
-    assert {"max_faces", "overflow"} <= budgets
+def test_seeded_pops_match_the_reference(monkeypatch):
+    """1,400 inputs at SMALL: seeded_quads() and seeds 7, 11 and 13 cut to
+    1000.  They reach every status, the max_faces and overflow budgets,
+    and witnesses that the closure finds past the sink's faces."""
+    quads = seeded_quads() + \
+        (seeded_quads(7) + seeded_quads(11) + seeded_quads(13))[:1000]
+    assert len(quads) == 1400
+    makes = [lambda q=q: MarkoffMap(q) for q in quads]
+    verdicts, pops = agree(monkeypatch, makes, SMALL)
+    assert pops >= 50000
+    assert {v.status for v in verdicts} == set(Status)
+    assert {"max_faces", "overflow"} <= {v.budget_hit for v in verdicts}
+    closure_witnesses = sum(
+        v.status is Status.NOT_BQ and len(v.witness.face.anchor) >= 2
+        and find_sink(MarkoffMap(q), SMALL).witness is None
+        for q, v in zip(quads, verdicts))
+    assert closure_witnesses >= 10
 
 
 def test_seeds_are_anchored_at_the_sink():
@@ -141,22 +181,3 @@ def test_seeds_are_anchored_at_the_sink():
                 assert f.anchor == d.vertex, f
                 below_root += len(d.vertex) > 1
     assert below_root > 0
-
-
-def test_queued_quads_are_the_memoized_anchor_quads(monkeypatch):
-    """Every popped face's arc starts from the memo's quad at its
-    anchor, bitwise."""
-    walk = bq.attracting_arc
-    checked = []
-
-    def checking(m, f, quad, params):
-        assert same(quad, ref.quad_at(f.anchor)), f
-        checked.append(f)
-        return walk(m, f, quad, params)
-    monkeypatch.setattr(bq, "attracting_arc", checking)
-    for a in (-2.25 - 2.25j, 3.75 + 3.75j):
-        ref = slice_map(a)
-        del checked[:]
-        decide_bq(slice_map(a))
-        assert len(checked) > 10
-        assert max(len(f.anchor) for f in checked) > 3

@@ -1,8 +1,8 @@
 """Outside input that the command line must report instead of crashing
 on or silently using: overflowing coordinates in ``check``, render
-budgets that are not the four ``max_*`` integers, and a level threshold
-K (``--k``, ``k_override``) that is not a real number with a finite
-square."""
+budgets that are not the four ``max_*`` integers, config pairs that are
+not two numbers, and a level threshold K (``--k``, ``k_override``) that
+is not a real number with a finite square."""
 
 import json
 import math
@@ -26,13 +26,9 @@ def test_check_reports_overflowing_residual(capsys):
     assert err == ""
 
 
-@pytest.mark.parametrize("budgets", [
-    {"max_faces": "500"}, {"tol_real": 3.0}, {"max_faces": -1},
-    {"max_faces": True}, {"max_faces": 1.5}, {"K": 9}, ["max_faces"]])
-def test_render_rejects_bad_budgets(budgets, tmp_path, capsys):
-    doc = dict(SLICE, budgets=budgets)
-    with pytest.raises(ValueError):
-        SliceConfig.from_json(doc)
+def render_exits_usage(doc, tmp_path, capsys):
+    """``bqdomain render`` on doc prints ``bad config``, exits 64 and
+    writes no image."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "o.ppm"
@@ -40,6 +36,16 @@ def test_render_rejects_bad_budgets(budgets, tmp_path, capsys):
                      "--out", str(out)]) == cli.EXIT_USAGE
     assert "bad config" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("budgets", [
+    {"max_faces": "500"}, {"tol_real": 3.0}, {"max_faces": -1},
+    {"max_faces": True}, {"max_faces": 1.5}, {"K": 9}, ["max_faces"]])
+def test_render_rejects_bad_budgets(budgets, tmp_path, capsys):
+    doc = dict(SLICE, budgets=budgets)
+    with pytest.raises(ValueError):
+        SliceConfig.from_json(doc)
+    render_exits_usage(doc, tmp_path, capsys)
 
 
 def test_render_accepts_the_four_budgets():
@@ -51,14 +57,21 @@ def test_render_accepts_the_four_budgets():
 
 @pytest.mark.parametrize("k", ["9", math.nan, 1e155])
 def test_render_rejects_bad_k_override(k, tmp_path, capsys):
-    doc = dict(SLICE, k_override=k)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    out = tmp_path / "o.ppm"
-    assert cli.main(["render", "--config", str(cfg),
-                     "--out", str(out)]) == cli.EXIT_USAGE
-    assert "bad config" in capsys.readouterr().err
-    assert not out.exists()
+    render_exits_usage(dict(SLICE, k_override=k), tmp_path, capsys)
+
+
+# A short pair must not crash render with exit 1, NotBQ's code, and a
+# long pair, a string, a bool or a fraction must not be read as a number.
+@pytest.mark.parametrize("change", [
+    {"center": [1]}, {"center": [0, 0, 9]}, {"center": [True, 0]},
+    {"center": "1"}, {"fixed": dict(SLICE["fixed"], b=[4])},
+    {"fixed": dict(SLICE["fixed"], b="4")}, {"px": [8]}, {"px": "88"},
+    {"px": True}, {"px": [8, 8, 8]}, {"px": [8, 8.5]}, {"px": 8.0}])
+def test_render_rejects_bad_pairs(change, tmp_path, capsys):
+    doc = dict(SLICE, **change)
+    with pytest.raises(ValueError):
+        SliceConfig.from_json(doc)
+    render_exits_usage(doc, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("k", ["inf", "nan", "1e155"])

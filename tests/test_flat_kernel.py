@@ -2,20 +2,20 @@
 
 ``attracting_arc`` steps with one ``moved_value`` per edge, ``h_star``
 reads the lambdas from ``lam_table`` and evaluates H on plain values,
-the window screen in ``decide_bq`` is ``values_in_level`` written out
-on the carried moduli, and the canonical keys strip their trailing
-letters with ``str.rstrip``.  These tests hold each of them bitwise to
-the references: one ``move_reference`` per arc step, ``lam`` calls and
-``HInputs``, a ``values_in_level`` call per screened pair, and
-per-letter loops.  Where the references' H* is NaN from overflow, the
-threshold now raises and the arc ends with OVERFLOW.
+and the canonical keys strip their trailing letters with
+``str.rstrip``.  These tests hold each of them bitwise to the
+references: one ``move_reference`` per arc step, ``lam`` calls and
+``HInputs``, and per-letter loops.  Where the references' H* is NaN
+from overflow, the threshold now raises and the arc ends with OVERFLOW.
+The window screen in ``decide_bq``, ``values_in_level`` written out on
+the carried moduli, is pinned by the faces the closure pops (see
+``test_carried_decide``); here one made-up window checks that a face
+value past the overflow cap is never in level.
 """
 
 import cmath
-import inspect
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -30,10 +30,9 @@ from bqdomain.neighbors import (HInputs, WitnessKind, face_obstruction,
 from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, canonical_face,
                            canonical_region)
 
-from conftest import random_on_variety_point, slice_map
+from conftest import random_on_variety_point
 from oracles import (attracting_arc_reference, canonical_face_reference,
                      canonical_region_reference, h_star_reference)
-from test_carried_decide import SMALL, seeded_quads
 
 
 def same(x, y) -> bool:
@@ -243,92 +242,32 @@ def test_rstrip_keys_match_the_loops():
     assert long_strips > 0
 
 
-def source_line(fn, text: str) -> int:
-    """The number of the one line of fn's source that reads text."""
-    lines, start = inspect.getsourcelines(fn)
-    hits = [start + n for n, line in enumerate(lines) if line.strip() == text]
-    assert len(hits) == 1, text
-    return hits[0]
-
-
-def screened(m, params):
-    """Each (quad, i, j, passed) the window screen of decide_bq(m,
-    params) tested, read from its frame by a line tracer: a pair is
-    tested at the line that reads its moduli, and passes when the line
-    that starts its anchor runs."""
-    code = bq.decide_bq.__code__
-    tested = source_line(bq.decide_bq,
-                         "if not (mods[i - 1] < K or mods[j - 1] < K):")
-    passed = source_line(bq.decide_bq, "y = x")
-    calls = []
-
-    def local(frame, event, arg):
-        if event == "line" and frame.f_lineno == tested:
-            loc = frame.f_locals
-            calls.append([loc["quad"], loc["i"], loc["j"], False])
-        elif event == "line" and frame.f_lineno == passed:
-            calls[-1][3] = True
-        return local
-
-    tracer = sys.gettrace()
-    sys.settrace(lambda frame, event, arg:
-                 local if frame.f_code is code else None)
-    try:
-        bq.decide_bq(m, params)
-    finally:
-        sys.settrace(tracer)
-    return calls
-
-
-def check_screen(m, params):
-    """Hold every screened (quad, pair) to values_in_level; count the
-    calls by how far the level test reads them, and return the counts
-    and the calls."""
-    K, b = params.level(m), m.boundary
-    calls = screened(m, params)
-    tally = {"in": 0, "face_value_out": 0, "moduli_out": 0}
-    for quad, i, j, got in calls:
-        ai, aj = quad[i - 1], quad[j - 1]
-        assert got == values_in_level(ai, aj, b.lam(i, j), K, b.M), \
-            (quad, i, j)
-        tally["in" if got else "moduli_out"
-              if min(abs(ai), abs(aj)) >= K else "face_value_out"] += 1
-    return tally, calls
-
-
-@pytest.mark.parametrize("a", [-2.25 - 2.25j, 3.75 + 3.75j])
-def test_window_screen_is_values_in_level_on_the_hard_points(a):
-    tally, _ = check_screen(slice_map(a), BqParams())
-    assert min(tally.values()) > 10, tally
-
-
-def test_window_screen_is_values_in_level_on_seeded_quads():
-    quads = seeded_quads()
-    quads = quads[::4] + quads[1::4]        # some of every kind
-    assert len(quads) == 200
-    total = {"in": 0, "face_value_out": 0, "moduli_out": 0}
-    for quad in quads:
-        for key, count in check_screen(MarkoffMap(quad), SMALL)[0].items():
-            total[key] += count
-    assert min(total.values()) > 1000, total
-
-
 def test_window_face_value_past_the_cap_is_not_in_level(monkeypatch):
     """At K = 1e100 the regions 1e85 and 1e85 are below K, and their face
     value, about 1e170, is below K*K + M but past the overflow cap: it
     is HUGE, never in level.  No arc is finite at so high a K, so the
-    first popped face gets a made-up window of two vertices."""
+    first popped face gets a made-up window of two vertices, and a
+    recorder on ``bq.TrieFace`` reads the colors of every face queued."""
     m = kernel_map((0j, 0j, 0j), (1e85 + 0j, 1e85 + 0j, 3 + 0j, 3 + 0j))
     params = BqParams(K=1e100)
+    K, b = params.level(m), m.boundary
     q0 = m.root
-    arcs = [ArcResult(ArcOutcome.FINITE, n1=0, n2=0, steps=2,
-                      quads=[q0, m._move(q0, 1)])]
+    window = [q0, m._move(q0, 1)]
+    for quad in window:
+        assert max(abs(quad[0]), abs(quad[1])) < K
+        assert OVERFLOW_CAP < abs(quad[0] * quad[1]) < K * K
+    arcs = [ArcResult(ArcOutcome.FINITE, n1=0, n2=0, steps=2, quads=window)]
     monkeypatch.setattr(bq, "attracting_arc", lambda *args: arcs.pop()
                         if arcs else ArcResult(ArcOutcome.BUDGET))
-    tally, calls = check_screen(m, params)
-    big = [(quad, got) for quad, i, j, got in calls if (i, j) == (1, 2)]
-    assert len(big) == 2
-    for quad, got in big:
-        assert OVERFLOW_CAP < abs(quad[0] * quad[1]) < params.K ** 2
-        assert not got
-    assert tally["in"] > 0
+    face, queued = bq.TrieFace, []
+
+    def recording(trie, node, colors):
+        queued.append(colors)
+        return face(trie, node, colors)
+    monkeypatch.setattr(bq, "TrieFace", recording)
+    bq.decide_bq(m, params)
+    seeds = [p for p in FACE_PAIRS if values_in_level(
+        q0[p[0] - 1], q0[p[1] - 1], b.lam(*p), K, b.M)]
+    assert queued[:len(seeds)] == seeds and (1, 2) not in seeds
+    assert queued[len(seeds):], "the window queued no face"
+    assert (1, 2) not in queued

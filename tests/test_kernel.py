@@ -3,9 +3,9 @@
 
 These tests tie every caller of a formula to the one function that
 writes it: the memoized move, the quad involutions and the elementary
-move; the capped sigma and face value; the two level tests.  They also
-pin saturation on every slot of a move and on values whose modulus
-overflows ``abs``.
+move; the capped sigma and face value; the two level tests, on
+memoized and on carried quads.  They also pin saturation on every slot
+of a move and on values whose modulus overflows ``abs``.
 """
 
 import numpy as np
@@ -15,12 +15,14 @@ from bqdomain import cli
 from bqdomain.algebra import (CharacterPoint, MarkoffQuad, Theta,
                               elementary_move, face_value, involution_theta,
                               sigma)
-from bqdomain.bq import Status, decide_bq, values_in_level
+from bqdomain.bq import BqParams, Status, decide_bq, values_in_level
 from bqdomain.markoff import HUGE, OVERFLOW_CAP, MarkoffMap, _cap
-from bqdomain.tree import COLORS, ball_vertices, faces_at
+from bqdomain.tree import (COLORS, FACE_PAIRS, ball_vertices, canonical_face,
+                           face_vertex_at, faces_at)
 
-from conftest import random_on_variety_point
+from conftest import random_on_variety_point, shallow_faces, slice_map
 from oracles import face_in_level
+from test_position_walk import HARD, POSITIONS, carried_quads
 
 QUAD_THETAS = (Theta.A, Theta.B, Theta.C, Theta.D)
 
@@ -68,22 +70,45 @@ def test_eval_sigma_is_algebra_sigma_on_root_faces():
             assert m.eval_sigma(f) == expect
 
 
-def test_face_in_level_agrees_with_values_in_level():
-    hits = 0
+def ball_level_cases():
+    """The ball-2 faces of four random points at three K, with their
+    region values read through the memo."""
     for pt in random_points(4):
         m = MarkoffMap(MarkoffQuad(pt.quad, pt.omega))
         M = m.boundary.M
         for K in (2.0 + M, 3.0 + M, 6.0 + M):
             for v in ball_vertices(2):
                 for f in faces_at(v):
-                    ai, aj = m.region_values_at(f)
-                    lam_ij = m.boundary.lam(*f.colors)
-                    got = face_in_level(m, f, K)
-                    assert got == values_in_level(ai, aj, lam_ij, K, M)
-                    assert got == (min(abs(ai), abs(aj)) < K
-                                   and abs(m.eval_face(f)) < K * K + M)
-                    hits += got
-    assert hits > 0
+                    yield m, K, f, m.region_values_at(f)
+
+
+def carried_level_cases():
+    """Every pair at positions -40..40 along the hard slice point's
+    shallow faces, with its region values read from the quad carried
+    there."""
+    m = slice_map(HARD)
+    K = BqParams().level(m)
+    for f in shallow_faces():
+        quads = carried_quads(m, f, 40)
+        for n in POSITIONS:
+            vert, quad = face_vertex_at(f, n), quads[n]
+            for i, j in FACE_PAIRS:
+                yield (m, K, canonical_face(vert, i, j),
+                       (quad[i - 1], quad[j - 1]))
+
+
+def test_face_in_level_agrees_with_values_in_level():
+    for cases in (ball_level_cases(), carried_level_cases()):
+        hits = 0
+        for m, K, f, (ai, aj) in cases:
+            M = m.boundary.M
+            got = face_in_level(m, f, K)
+            assert got == values_in_level(ai, aj, m.boundary.lam(*f.colors),
+                                          K, M), f
+            assert got == (min(abs(ai), abs(aj)) < K
+                           and abs(m.eval_face(f)) < K * K + M), f
+            hits += got
+        assert hits > 0
 
 
 @pytest.mark.parametrize("slot", range(4))

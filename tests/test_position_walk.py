@@ -3,8 +3,9 @@
 The arc scan and the closure in ``bq`` carry the vertex quad along a
 face's boundary geodesic one elementary move per step instead of
 looking values up by tree key.  These tests pin that the carried values
-are bitwise the memoized ones, that the quad pre-screen is exactly
-``face_in_level``, and that the non-trivial certificates do not move.
+are bitwise the memoized ones and that the non-trivial certificates
+do not move; ``test_kernel`` holds the level test on these carried
+quads to ``face_in_level``.
 """
 
 import os
@@ -15,10 +16,10 @@ import pytest
 
 from bqdomain.algebra import BoundaryData
 from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
-                         decide_bq, values_in_level)
+                         decide_bq)
 from bqdomain.markoff import MarkoffMap
-from bqdomain.tree import (FACE_PAIRS, EdgeKey, canonical_face, face_edge_at,
-                           face_side_region, face_vertex_at)
+from bqdomain.tree import (EdgeKey, face_edge_at, face_side_region,
+                           face_vertex_at)
 
 from conftest import shallow_faces, slice_map
 from oracles import face_in_level
@@ -79,24 +80,6 @@ class TestCarriedQuads:
             quads = carried_quads(m, f, 40)
             for n in POSITIONS:
                 assert same(quads[n], m.quad_at(face_vertex_at(f, n)))
-
-    def test_prescreen_is_face_in_level(self):
-        m = slice_map(HARD)
-        K = BqParams().level(m)
-        M = m.boundary.M
-        hits = 0
-        for f in shallow_faces():
-            quads = carried_quads(m, f, 40)
-            for n in POSITIONS:
-                vert = face_vertex_at(f, n)
-                for i, j in FACE_PAIRS:
-                    quad = quads[n]
-                    got = values_in_level(quad[i - 1], quad[j - 1],
-                                          m.boundary.lam(i, j), K, M)
-                    want = face_in_level(m, canonical_face(vert, i, j), K)
-                    assert got == want, (f, n, i, j)
-                    hits += got
-        assert hits > 0
 
     def test_arc_window_quads(self):
         m = slice_map(HARD)

@@ -51,6 +51,7 @@ class TestConfig:
         assert cfg.center == 1 + 2j
         assert cfg.px == (8, 8)
         assert cfg.params.max_faces == 17
+        assert SliceConfig.from_json(dict(doc, px=[8, 6])).px == (8, 6)
 
 
 class TestPixelMath:

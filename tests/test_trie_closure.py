@@ -1,28 +1,18 @@
 """Closing up by trie nodes.
 
 ``decide_bq`` names each closure face by its anchor's node in a
-``tree.Trie`` and its color pair, and builds key strings only for the
+``tree.Trie`` and its color pair, strips a window vertex's node to a
+face's anchor with ``Trie.strip``, and builds key strings only for the
 verdict it returns, from the words ``Trie.word`` reads up the parent
-pointers.  These tests pin the verdict records against the string-keyed
-``oracles.decide_bq_reference``, check that a queued face's lazily read
-``anchor`` is the key the string-keyed closure gives it, and that the
-trie's strip is ``canonical_face`` and that ``Trie.word`` spells every
-node in any read order.
+pointers.  The closure itself is pinned pop by pop against the
+string-keyed reference in ``test_carried_decide``; this test checks
+that ``Trie.strip`` is ``canonical_face`` and that ``Trie.word`` spells
+every node in any read order.
 """
 
 import random
-import sys
 
-import pytest
-
-from bqdomain import bq
-from bqdomain.bq import Status, decide_bq, find_sink
-from bqdomain.markoff import MarkoffMap
-from bqdomain.tree import FACE_PAIRS, Trie, TrieFace, canonical_face
-
-from conftest import slice_map
-from oracles import boundary_face, decide_bq_reference
-from test_carried_decide import SMALL, record, seeded_quads
+from bqdomain.tree import FACE_PAIRS, Trie, canonical_face
 
 
 def trie_word(trie: Trie, x: int) -> str:
@@ -31,49 +21,6 @@ def trie_word(trie: Trie, x: int) -> str:
         out.append(str(trie.letter[x]))
         x = trie.parent[x]
     return "".join(reversed(out))
-
-
-def test_records_match_the_string_keyed_reference():
-    quads = (seeded_quads(7) + seeded_quads(11) + seeded_quads(13))[:1000]
-    assert len(quads) == 1000
-    closure_witnesses = 0
-    for quad in quads:
-        got = decide_bq(MarkoffMap(quad), SMALL)
-        assert record(got) == record(decide_bq_reference(MarkoffMap(quad),
-                                                         SMALL))
-        if got.status is Status.NOT_BQ and \
-                find_sink(MarkoffMap(quad), SMALL).witness is None:
-            closure_witnesses += len(got.witness.face.anchor) >= 2
-    assert closure_witnesses >= 10
-
-
-@pytest.mark.parametrize("a", [-2.25 - 2.25j, 3.75 + 3.75j])
-def test_lazy_anchor_is_the_boundary_face_key(monkeypatch, a):
-    """Every queued face of a hard slice point, with the face f and the
-    position n of ``decide_bq``'s frame that queued it.  Each anchor, read
-    latest-queued first so that no ancestor's word is known yet, equals
-    boundary_face of its source's key at that position, and spells the
-    face's trie node."""
-    queued = []
-
-    def face(trie, node, colors):
-        f = TrieFace(trie, node, colors)
-        caller = sys._getframe(1).f_locals
-        queued.append((f, caller.get("f"), caller.get("n")))
-        return f
-    monkeypatch.setattr(bq, "TrieFace", face)
-    v = decide_bq(slice_map(a))
-    assert v.status is Status.IN_BQ
-    assert len(queued) == len(v.tree.arc_bounds) > 10
-    assert queued[0][1] is None and queued[-1][1] is not None
-    anchors = [f.anchor for f, _, _ in reversed(queued)][::-1]
-    assert max(map(len, anchors)) > 3
-    for (f, src, pos), anchor in zip(queued, anchors):
-        if src is not None:
-            want = boundary_face(src.key(), pos, *f.colors)
-            assert (anchor, f.colors) == want
-        assert trie_word(f.trie, f.node) == anchor
-    assert {f.key() for f, _, _ in queued} == set(v.tree.arc_bounds)
 
 
 def random_word(rng: random.Random) -> str:
