@@ -260,15 +260,19 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     Keys are built only for the verdict returned: the witness face, or
     the arc bounds, in pop order so that each anchor read walks only the
     letters past its source's, and then the edges.
-    The window screen is ``values_in_level`` written out on the carried
-    moduli; it anchors a passing face at ``Trie.strip`` of the vertex.
 
-    Each queued face carries the quad at its anchor, by two invariants.
-    Every seed is anchored at the sink: one anchored higher is in level
-    at a vertex the descent passed, and the descent would have stopped
-    there.  A new face is anchored t >= 0 pattern letters past the
-    anchor of the face whose window met it: one anchored higher is in
-    level at the vertex before that anchor, so it is already seen.
+    The window screen rests on one invariant: after a face's screen,
+    every in-level face at every vertex of its window is in ``seen``.  At
+    the first vertex the screen tests every pair but the face's own; past
+    it, a pair without the color just crossed names the previous vertex's
+    face.  The seeds are all the in-level faces at the sink (one anchored
+    higher is in level at a vertex the descent passed, and it would have
+    stopped there), and a queued face is anchored on its source's window
+    and pops after that window's screen.  So a face that f's window meets
+    at or above f's anchor is already seen: the screen skips f's anchor
+    and drops hits anchored there.  A hit at n > 0 holds the color just
+    crossed and is anchored at its vertex; one at n < 0 is anchored one
+    step in when its pair lacks the vertex's last letter.
     """
     K = params.level(m)
     descent = find_sink(m, params)
@@ -295,7 +299,6 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     # own), and after crossing an edge of color c (the pairs holding c).
     first = {p: [t for t in pairs if t[3] != p] for p in FACE_PAIRS}
     crossed = {c: [t for t in pairs if c in t[3]] for c in COLORS}
-    depth = trie.depth
     KKM = K * K + M
     seen: Set[Tuple[int, Tuple[int, int]]] = {(sink, p) for p in seeds}
     # (face, quad at its anchor), the seeds in sorted order.
@@ -333,25 +336,22 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         if total_edges > params.max_total_edges:
             return BqVerdict(Status.UNDECIDED, budget_hit="max_total_edges",
                              steps_used=steps)
-        # Screen each window vertex on the carried quad and moduli.  An edge of
-        # color c keeps every face whose pair lacks c, with both region values
-        # bitwise unchanged, so past the first vertex only the three pairs
-        # holding c can be new, and only c's modulus changes.  The test is
-        # values_in_level written out, K*K + M taken once: a face value past
-        # the cap is HUGE there, never in level, even below K*K + M.  A passing
-        # face is anchored at Trie.strip of the vertex's node.  Its quad is in
-        # the window at position +-t, t >= 0 the letters its anchor adds to
-        # f's: one that strips f's anchor is in level at the vertex before
-        # it, which the descent or the screen that queued f has covered, so
-        # it is already seen.
+        # Screen each window vertex but f's anchor on the carried quad and
+        # moduli.  An edge of color c keeps every face whose pair lacks c,
+        # with both region values bitwise unchanged, so only c's modulus
+        # changes.  The test is values_in_level written out, K*K + M taken
+        # once: a face value past the cap is HUGE there, never in level, even
+        # below K*K + M.  A hit is (its anchor's position, its pair).
         k, l = f.edge_colors
-        x0 = f.node
-        nodes = trie.ray(x0, l, k, -n1)[:0:-1] + \
-            trie.ray(x0, k, l, arc.n2 + 1)
         screen = first[f.colors]
         mods, c = list(map(modulus, arc.quads[0])), k
-        for n, quad, x in zip(range(n1, arc.n2 + 2), arc.quads, nodes):
+        hits = []
+        for n, quad in zip(range(n1, arc.n2 + 2), arc.quads):
             mods[c - 1] = modulus(quad[c - 1])
+            c = (k, l)[n & 1]     # edge n's color; n's last letter at n < 0
+            if not n:
+                screen = crossed[c]
+                continue
             for i, j, lam_ij, p in screen:
                 if not (mods[i - 1] < K or mods[j - 1] < K):
                     continue
@@ -360,15 +360,22 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                 except OverflowError:           # HUGE under _cap
                     continue
                 if v < KKM and v <= OVERFLOW_CAP:
-                    y = trie.strip(x, p)
-                    g = (y, p)
-                    if g not in seen:
-                        seen.add(g)
-                        t = depth[y] - depth[x0]
-                        queue.append((TrieFace(trie, y, p),
-                                      arc.quads[(t if n > 0 else -t) - n1]))
-            c = (k, l)[n & 1]                  # edge n joins n and n+1
+                    if n > 0 or c in p:
+                        hits.append((n, p))
+                    elif n < -1:
+                        hits.append((n + 1, p))
             screen = crossed[c]
+        if not hits:
+            continue
+        # Name the hits: intern each ray only out to its outermost anchor.
+        lo, hi = min(0, min(hits)[0]), max(0, hits[-1][0])
+        nodes = trie.ray(f.node, l, k, -lo)[:0:-1] + \
+            trie.ray(f.node, k, l, hi)
+        for s, p in hits:
+            g = (nodes[s - lo], p)
+            if g not in seen:
+                seen.add(g)
+                queue.append((TrieFace(trie, g[0], p), arc.quads[s - n1]))
     # Keys are built once, for the certificate that is returned.
     bounds = {f.key(): (n1, n2) for f, n1, n2 in arcs}
     edges = {face_edge_at(f, n) for f, (n1, n2) in bounds.items()

@@ -56,16 +56,20 @@ class SliceConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SliceConfig":
-        def pair(v, kind=(int, float)) -> tuple:
-            # A list of exactly two numbers of kind; bool is an int, not one.
-            if isinstance(v, list) and len(v) == 2 and all(
-                    type(x) is not bool and isinstance(x, kind) for x in v):
-                return tuple(v)
-            raise ValueError("%r is not a pair of two %s" % (
-                v, "integers" if kind is int else "real numbers"))
+        def num(v, kind=float):        # bool is an int, not a number here
+            if type(v) is bool or not isinstance(v, (int, kind)):
+                raise ValueError("want %s, got %r" % (kind.__name__, v))
+            return v
+
+        def pair(v, kind=float) -> tuple:
+            if isinstance(v, list) and len(v) == 2:
+                return tuple(num(x, kind) for x in v)
+            raise ValueError("want a pair of two numbers, got %r" % (v,))
 
         def cx(v) -> complex:          # a real number v is the pair [v, 0]
             return complex(*pair(v if isinstance(v, list) else [v, 0]))
+        if not (isinstance(doc, dict) and isinstance(doc.get("fixed"), dict)):
+            raise ValueError("the config and its fixed must be JSON objects")
         budgets = doc.get("budgets", {})
         if not isinstance(budgets, dict) or any(
                 k not in BUDGETS or type(v) is not int or v < 0
@@ -78,8 +82,8 @@ class SliceConfig:
         return cls(fixed={k: cx(v) for k, v in doc["fixed"].items()},
                    varying=doc["varying"],
                    center=cx(doc["center"]),
-                   width=float(doc["width"]),
-                   height=float(doc["height"]),
+                   width=float(num(doc["width"])),
+                   height=float(num(doc["height"])),
                    px=px,
                    params=params,
                    mode=doc.get("mode", "raw"))

@@ -21,10 +21,11 @@ values along it (see ``bq.attracting_arc``).
 The closure in ``bq.decide_bq`` meets faces whose anchors run to
 thousands of letters, so it names vertices by int nodes of a ``Trie``
 instead of by word: a node is one child step from its parent, and a
-face is the pair (anchor node, colors), O(1) to build and to hash.  A
-``TrieFace`` carries that pair; its string ``anchor`` is the node's
-word, which ``Trie.word`` builds only when read.  The key builders here
-are for the few vertices and faces that need a name.
+face is the pair (anchor node, colors), O(1) to build and to hash.  No
+word is stripped: a face met on a window is anchored by its position
+there.  A ``TrieFace`` carries that pair; its string ``anchor`` is the
+node's word, which ``Trie.word`` builds only when read.  The key
+builders here are for the few vertices and faces that need a name.
 """
 
 from __future__ import annotations
@@ -194,20 +195,18 @@ class Trie:
     """Reduced words interned as int nodes, grown one letter at a time.
 
     Node 0 is the root, and node x is the word of ``parent[x]`` followed
-    by ``letter[x]``, ``depth[x]`` letters long.  A child is one dict
-    lookup, and a node's word is built only when ``word`` reads it, and
-    kept.
+    by ``letter[x]``.  A child is one dict lookup, and a node's word is
+    built only when ``word`` reads it, and kept.
     """
 
     def __init__(self):
-        self.parent, self.depth, self.letter = [0], [0], [0]
+        self.parent, self.letter = [0], [0]
         self._kids = {}
         self._words = {0: ""}
 
     def walk(self, x: int, letters) -> List[int]:
         """The nodes 0, 1, ... letters past x, one child step each."""
-        kids, parent, depth, letter = \
-            self._kids, self.parent, self.depth, self.letter
+        kids, parent, letter = self._kids, self.parent, self.letter
         out = [x]
         for c in letters:
             key = 5 * x + c
@@ -215,7 +214,6 @@ class Trie:
             if y is None:
                 y = kids[key] = len(parent)
                 parent.append(x)
-                depth.append(depth[x] + 1)
                 letter.append(c)
             out.append(y)
             x = y
@@ -239,16 +237,6 @@ class Trie:
     def ray(self, x: int, a: int, b: int, n: int) -> List[int]:
         """The nodes 0, 1, ..., n letters past x along a, b, a, ..."""
         return self.walk(x, ((a, b) * ((n + 1) // 2))[:n]) if n else [x]
-
-    def strip(self, x: int, pair: Tuple[int, int]) -> int:
-        """The anchor node of the face of sorted colors pair at x: the
-        trailing letters outside pair stripped, as ``canonical_face``
-        does, by parent pointers.  The closure's only strip: on a face's
-        window it steps at most once before it reaches that face's anchor."""
-        drop, parent, letter = EDGE_COLORS[pair], self.parent, self.letter
-        while letter[x] in drop:
-            x = parent[x]
-        return x
 
 
 class TrieFace:

@@ -1,8 +1,6 @@
 """Trace-coordinate arithmetic: vertex relation, root solving, moves,
 face values, sigma, and the seven involutions."""
 
-import cmath
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

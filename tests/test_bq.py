@@ -8,7 +8,7 @@ import pytest
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import (ArcOutcome, BqParams, Status, WitnessKind,
                          attracting_arc, decide_bq, face_witness, find_sink)
-from bqdomain.markoff import MarkoffMap, modulus
+from bqdomain.markoff import modulus
 from bqdomain.tree import EdgeKey, canonical_face, faces_at, neighbors
 from conftest import (in_bq_fixtures, in_bq_quad, make_map, not_bq_fixtures,
                       random_markoff_map)

@@ -6,8 +6,10 @@ word, so the map's memo keeps only the root quad.  These tests pin the
 closure pop by pop against ``oracles.decide_bq_reference``, which keys
 faces by string and reads every anchor quad through the memo: the same
 faces in the same order, with bitwise the same anchor quads, and the
-same verdict records.  They also check the invariant that lets the
-descent hand its quad to the seeds: every seed is anchored at the sink.
+same verdict records.  They also check the invariants that let the
+descent hand its quad to the seeds (every seed is anchored at the sink)
+and let the closure skip a popped face's anchor (every face its window
+meets at or above that anchor is already seen).
 """
 
 import numpy as np
@@ -181,3 +183,49 @@ def test_seeds_are_anchored_at_the_sink():
                 assert f.anchor == d.vertex, f
                 below_root += len(d.vertex) > 1
     assert below_root > 0
+
+
+def hits_above_the_anchor(monkeypatch, m, params) -> int:
+    """Run the reference on m and check the invariant that lets
+    ``decide_bq`` skip a popped face's anchor: every key the reference's
+    screen names (``oracles.boundary_face``, at every window vertex,
+    position 0 included) whose anchor is no longer than the popped face's
+    is a seed or was named in an earlier pop's window.  Returns the
+    number of such keys checked."""
+    walk, name = oracles.attracting_arc_reference, oracles.boundary_face
+    K = params.level(m)
+    sink = find_sink(m, params).vertex
+    seeds = {f for f in faces_at(sink) if face_in_level(m, f, K)} \
+        if sink is not None else set()
+    earlier, window, checked = set(), [], 0
+
+    def popping(m, f, quad, params):
+        earlier.update(window)
+        del window[:]
+        return walk(m, f, quad, params)
+
+    def naming(f, n, i, j):
+        nonlocal checked
+        g = name(f, n, i, j)
+        if len(g.anchor) <= len(f.anchor):
+            assert g in seeds or g in earlier, (f, n, g)
+            checked += 1
+        window.append(g)
+        return g
+    monkeypatch.setattr(oracles, "attracting_arc_reference", popping)
+    monkeypatch.setattr(oracles, "boundary_face", naming)
+    decide_bq_reference(m, params)
+    monkeypatch.undo()
+    return checked
+
+
+@pytest.mark.parametrize("make", frozen_maps())
+def test_frozen_hits_above_the_popped_anchor_are_already_seen(
+        monkeypatch, make):
+    hits_above_the_anchor(monkeypatch, make(), BqParams())
+
+
+def test_seeded_hits_above_the_popped_anchor_are_already_seen(monkeypatch):
+    checked = sum(hits_above_the_anchor(monkeypatch, MarkoffMap(q), SMALL)
+                  for q in seeded_quads())
+    assert checked >= 50000

@@ -1,8 +1,10 @@
 """Outside input that the command line must report instead of crashing
 on or silently using: overflowing coordinates in ``check``, render
 budgets that are not the four ``max_*`` integers, config pairs that are
-not two numbers, and a level threshold K (``--k``, ``k_override``) that
-is not a real number with a finite square."""
+not two numbers, a config or ``fixed`` that is not a JSON object, a
+window size that is not a real number, and a level threshold K
+(``--k``, ``k_override``) that is not a real number with a finite
+square."""
 
 import json
 import math
@@ -69,6 +71,20 @@ def test_render_rejects_bad_k_override(k, tmp_path, capsys):
     {"px": True}, {"px": [8, 8, 8]}, {"px": [8, 8.5]}, {"px": 8.0}])
 def test_render_rejects_bad_pairs(change, tmp_path, capsys):
     doc = dict(SLICE, **change)
+    with pytest.raises(ValueError):
+        SliceConfig.from_json(doc)
+    render_exits_usage(doc, tmp_path, capsys)
+
+
+# A list where an object belongs must not crash render with exit 1, and a
+# bool or a string must not be read as the window's size.
+@pytest.mark.parametrize("doc", [
+    [], dict(SLICE, fixed=[]), dict(SLICE, width=True),
+    dict(SLICE, width="12"), dict(SLICE, height=True),
+    dict(SLICE, height="12")],
+    ids=["doc_list", "fixed_list", "width_true", "width_str", "height_true",
+         "height_str"])
+def test_render_rejects_bad_shapes(doc, tmp_path, capsys):
     with pytest.raises(ValueError):
         SliceConfig.from_json(doc)
     render_exits_usage(doc, tmp_path, capsys)

@@ -1,15 +1,16 @@
 """Closing up the attracting tree by position.
 
-The closure in ``decide_bq`` screens each window vertex on the carried
-quad, but past the first vertex only the three colour pairs that hold
-the colour of the edge just crossed, and names a face that passes by
-its anchor's trie node and its colour pair.  These tests key such a
-face from its position on the boundary (``oracles.boundary_face``) and
-pin that the keys and the first-met order equal the five-pair screen
-with word-built keys, that the exploration order on the budget-bound
-points does not move, that a decision reads no quad by word, and that
-saturated values end a decision as Undecided instead of crashing or
-spending the arc budget.
+The closure in ``decide_bq`` screens each window vertex but the popped
+face's anchor on the carried quad, past the first vertex only the three
+colour pairs that hold the colour of the edge just crossed, and names a
+face that passes by the position of its anchor on the window, as
+``oracles.boundary_face`` does, then by that vertex's trie node and its
+colour pair.  These tests key such a face from its position on the
+boundary and pin that the keys and the first-met order equal the
+five-pair screen with word-built keys, that the exploration order on
+the budget-bound points does not move, that a decision reads no quad by
+word, and that saturated values end a decision as Undecided instead of
+crashing or spending the arc budget.
 """
 
 import pytest

@@ -7,8 +7,8 @@ from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice,
                               elementary_move, quad_residual, solve_fourth)
 from bqdomain.markoff import (HUGE, Huge, MarkoffMap, Orientation,
                               VertexClass, modulus)
-from bqdomain.tree import (EdgeKey, FaceKey, RegionKey, ball_vertices,
-                           canonical_face, edge_surrounding, face_vertex_at)
+from bqdomain.tree import (EdgeKey, RegionKey, ball_vertices, canonical_face,
+                           edge_surrounding, face_vertex_at)
 from conftest import random_markoff_map
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))

@@ -3,7 +3,6 @@
 import cmath
 import math
 
-import numpy as np
 import pytest
 
 from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice,

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from bqdomain.algebra import CharacterPoint, Theta, involution_theta
-from bqdomain.torelli import (CHAR_WORDS, IDENTITY, IDENTITY_FACTORS, MAGNUS,
-                              TAU, Automorphism, character_agree,
-                              character_coords, compose, equal_in_out,
-                              factored, induced_character_map, lift_point)
+from bqdomain.torelli import (IDENTITY, IDENTITY_FACTORS, MAGNUS, TAU,
+                              Automorphism, character_agree, character_coords,
+                              compose, equal_in_out, factored,
+                              induced_character_map, lift_point)
 from conftest import random_on_variety_point
 
 COORD_NAMES = ("a", "b", "c", "d", "x", "y", "z")

@@ -1,18 +1,19 @@
 """Closing up by trie nodes.
 
 ``decide_bq`` names each closure face by its anchor's node in a
-``tree.Trie`` and its color pair, strips a window vertex's node to a
-face's anchor with ``Trie.strip``, and builds key strings only for the
-verdict it returns, from the words ``Trie.word`` reads up the parent
-pointers.  The closure itself is pinned pop by pop against the
-string-keyed reference in ``test_carried_decide``; this test checks
-that ``Trie.strip`` is ``canonical_face`` and that ``Trie.word`` spells
+``tree.Trie`` and its color pair, finds that node by the anchor's
+position on the window that met the face, with no strip, and builds key
+strings only for the verdict it returns, from the words ``Trie.word``
+reads up the parent pointers.  The closure itself, each pop's anchor
+included, is pinned pop by pop against the ``canonical_face`` keys of
+the string-keyed reference in ``test_carried_decide``; this test checks
+that ``Trie.node`` interns every word and that ``Trie.word`` spells
 every node in any read order.
 """
 
 import random
 
-from bqdomain.tree import FACE_PAIRS, Trie, canonical_face
+from bqdomain.tree import Trie
 
 
 def trie_word(trie: Trie, x: int) -> str:
@@ -37,19 +38,12 @@ def random_word(rng: random.Random) -> str:
     return "".join(map(str, word))
 
 
-def test_strip_is_canonical_face():
+def test_word_spells_every_node_in_any_read_order():
     rng = random.Random(5)
     trie = Trie()
     words = [random_word(rng) for _ in range(500)]
-    long_strips = 0
     for word in words:
-        x = trie.node(word)
-        assert trie_word(trie, x) == word
-        for p in FACE_PAIRS:
-            want = canonical_face(word, *p).anchor
-            assert trie_word(trie, trie.strip(x, p)) == want
-            long_strips += len(word) - len(want) >= 10
-    assert long_strips > 50
+        assert trie_word(trie, trie.node(word)) == word
     # A fresh trie reads every node's word in shuffled order, descendants
     # both before and after their ancestors, so each read must keep its
     # word under the node read, not under the known node where it stopped.

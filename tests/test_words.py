@@ -2,8 +2,8 @@
 
 from bqdomain.fib import FibTable
 from bqdomain.torelli import cyclic_reduce, invert, reduce_word
-from bqdomain.tree import (COLORS, FaceKey, RegionKey, ball_vertices,
-                           canonical_face, canonical_region)
+from bqdomain.tree import (COLORS, ball_vertices, canonical_face,
+                           canonical_region)
 from bqdomain.words import BASE_FACE_WORD, BASE_REGION_WORD, WordTable
 
 
