@@ -4,7 +4,8 @@ A slice fixes six of the seven trace coordinates, sweeps the seventh
 over a rectangular window, runs the membership test per pixel, and
 paints by verdict.  Pixels are pure functions of the config, and the
 output buffer is assembled by pixel index, so the bytes are identical
-for any worker count.
+for any worker count.  A real slice is its own complex conjugate, so
+each conjugate pair of rows is decided once (``mirror_rows``).
 """
 
 from __future__ import annotations
@@ -165,21 +166,41 @@ def _render_rows(args) -> List[Tuple[int, bytes, float]]:
     return out
 
 
+def mirror_rows(config: SliceConfig) -> Dict[int, int]:
+    """{h-1-r: r} for each row r < h//2 of a real config whose mirror row
+    sweeps the conjugates of its values.
+
+    Complex conjugation commutes with the mapping class group action and,
+    bit for bit, with every operation of the decision (+, -, *, complex
+    division, abs, hypot and cmath.sqrt; no branch reads the sign of an
+    imaginary part), so the mirror row has row r's verdicts and
+    residuals.  Row centres are compared exactly, so a height whose
+    centres round unevenly shares only the rows that do mirror."""
+    h = config.px[1]
+    if config.center.imag or any(v.imag for v in config.fixed.values()):
+        return {}
+    return {h - 1 - r: r for r in range(h // 2)
+            if pixel_value(config, 0, h - 1 - r).imag
+            == -pixel_value(config, 0, r).imag}
+
+
 def render_slice(config: SliceConfig, workers: int = 1
                  ) -> Tuple[bytes, float]:
     """Pixel bytes (without header) and the worst vertex-relation
-    residual seen over the window."""
+    residual seen over the window.  A row of ``mirror_rows`` copies its
+    partner's bytes, so each conjugate pair of rows is decided once."""
     w, h = config.px
-    all_rows = list(range(h))
+    mirror = mirror_rows(config)
+    decided = [r for r in range(h) if r not in mirror]
     # a forked pool starts all its processes at once; extra ones get no row
-    workers = min(workers, h)
+    workers = min(workers, len(decided))
     if workers <= 1:
-        chunks = [_render_rows((config, all_rows))]
+        chunks = [_render_rows((config, decided))]
     else:
         # imported here: the pool machinery is a sizeable share of the
         # package's import time and memory, and only this branch uses it
         from concurrent.futures import ProcessPoolExecutor
-        batches = [(config, all_rows[i::workers]) for i in range(workers)]
+        batches = [(config, decided[i::workers]) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_render_rows, batches))
     rows: Dict[int, bytes] = {}
@@ -188,7 +209,7 @@ def render_slice(config: SliceConfig, workers: int = 1
         for row, buf, res in chunk:
             rows[row] = buf
             worst = max(worst, res)
-    body = b"".join(rows[i] for i in range(h))
+    body = b"".join(rows[mirror.get(i, i)] for i in range(h))
     return body, worst
 
 

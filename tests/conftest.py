@@ -56,6 +56,13 @@ def make_map(quad: MarkoffQuad) -> MarkoffMap:
     return MarkoffMap(quad)
 
 
+# The render slice as a config: 16x16 pixels over a in [-6,6]^2.
+SLICE_DOC = {"fixed": {"b": 3, "c": 3, "d": 0, "x": 0, "y": 0, "z": 0},
+             "varying": "a", "center": [0, 0], "width": 12.0,
+             "height": 12.0, "px": 16, "mode": "solve_minus",
+             "budgets": {"max_faces": 500}}
+
+
 def slice_map(a: complex) -> MarkoffMap:
     """The render slice b=c=3, x=y=z=0, d = solve_minus."""
     zero = BoundaryData((0.0, 0.0, 0.0))

@@ -1,14 +1,16 @@
-"""render_slice sizes its process pool by the rows it has to hand out."""
+"""render_slice sizes its process pool by the rows it has to decide."""
 
 import concurrent.futures
 
 from bqdomain.render import SliceConfig, render_slice
 
-# 2x2 pixels: two rows to hand out.
-CONFIG = SliceConfig.from_json({
-    "fixed": {"b": 3, "c": 3, "d": 0, "x": 0, "y": 0, "z": 0},
-    "varying": "a", "center": [0, 0], "width": 12.0, "height": 12.0,
-    "px": 2, "mode": "solve_minus", "budgets": {"max_faces": 64}})
+from conftest import SLICE_DOC
+
+# A real slice decides each conjugate pair of rows once: 2x4 pixels have
+# two rows to hand out, 2x2 pixels only one.
+DOC = dict(SLICE_DOC, budgets={"max_faces": 64})
+CONFIG = SliceConfig.from_json(dict(DOC, px=[2, 4]))
+ONE_ROW = SliceConfig.from_json(dict(DOC, px=2))
 
 
 class FakePool:
@@ -39,3 +41,11 @@ def test_pool_is_capped_at_the_row_count(monkeypatch):
     body8, worst8 = render_slice(CONFIG, workers=8)
     assert FakePool.seen == [(2, [1, 1])]
     assert (body8, worst8) == render_slice(CONFIG, workers=1)
+
+
+def test_one_decided_row_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    FakePool.seen = []
+    body8, worst8 = render_slice(ONE_ROW, workers=8)
+    assert FakePool.seen == []
+    assert (body8, worst8) == render_slice(ONE_ROW, workers=1)
