@@ -9,7 +9,6 @@ from .algebra import (BoundaryData, CharacterPoint, DerivedBoundary,
 from .bq import (AttractingTree, BqParams, BqVerdict, Status, Witness,
                  WitnessKind, decide_bq)
 from .markoff import MarkoffMap, Orientation, VertexClass
-from .render import SliceConfig, render_slice, render_to_file
 
 __all__ = [
     "BoundaryData", "CharacterPoint", "DerivedBoundary", "MarkoffQuad",
@@ -21,3 +20,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# Read through ``render`` when first asked for (PEP 562), so that a command
+# that renders nothing never imports it.
+_RENDER_NAMES = ("SliceConfig", "render_slice", "render_to_file")
+
+
+def __getattr__(name):
+    if name in _RENDER_NAMES:
+        from . import render
+        return getattr(render, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

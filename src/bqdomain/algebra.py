@@ -56,6 +56,11 @@ class CharacterPoint:
                                     self.x, self.y, self.z))
 
 
+# color i -> the three other colors, in order.
+_OTHER_COLORS = {i: tuple(j for j in (1, 2, 3, 4) if j != i)
+                 for i in (1, 2, 3, 4)}
+
+
 @dataclass(frozen=True)
 class BoundaryData:
     """Boundary traces omega = (x,y,z) and their max modulus M."""
@@ -91,8 +96,9 @@ class BoundaryData:
     def move_terms(self):
         """color i -> ((j, lambda_ij) for the three other colors j), the
         coefficients of ``moved_value``."""
-        return {i: tuple((j, self.lam(i, j)) for j in (1, 2, 3, 4) if j != i)
-                for i in (1, 2, 3, 4)}
+        lam = self.lam_table
+        return {i: tuple((j, lam[i - 1][j - 1]) for j in others)
+                for i, others in _OTHER_COLORS.items()}
 
 
 @dataclass(frozen=True)

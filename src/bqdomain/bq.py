@@ -18,6 +18,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from .algebra import moved_value
@@ -25,7 +26,7 @@ from .markoff import (HUGE, OVERFLOW_CAP, MarkoffMap, Quad, Value,
                       face_value_capped, modulus)
 from .neighbors import WitnessKind, face_obstruction, h_star
 from .tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, Trie, TrieFace,
-                   VertexWord, canonical_face, face_edge_at)
+                   VertexWord, canonical_face)
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,16 @@ class DescentResult:
     budget_hit: Optional[str] = None
     steps: int = 0
     trace: List[VertexWord] = field(default_factory=list)
+    seeds: List[Tuple[int, int]] = field(default_factory=list)
+
+
+# The pairs screened at a face's first window vertex (all but its own),
+# and after crossing an edge of colour c (the pairs holding c), as getters
+# of their entries from a sequence of one entry per pair of FACE_PAIRS.
+_FIRST = {p: itemgetter(*(n for n, q in enumerate(FACE_PAIRS) if q != p))
+          for p in FACE_PAIRS}
+_CROSSED = {c: itemgetter(*(n for n, q in enumerate(FACE_PAIRS) if c in q))
+            for c in COLORS}
 
 
 def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
@@ -118,22 +129,42 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
     shows one.  The quad is carried, one move per child edge tried; the
     edge back, crossed because it made its value strictly smaller, is
     not outgoing, so it is never tried.
+
+    Each vertex is screened in one pass over its pairs, the face value
+    psi of ``face_obstruction`` serving both the witness test and the
+    level test (``values_in_level``).  Past the root only the three
+    pairs holding the colour c just crossed are screened: an edge of
+    colour c leaves both region values of every pair without c bitwise
+    unchanged, and those pairs were screened one vertex earlier, free of
+    witnesses and out of level, or the descent would have stopped there.
+    So a descent witness is the first one a screen of all six pairs
+    finds, and the sink's in-level pairs, returned as ``seeds`` in
+    ``FACE_PAIRS`` order, are all of them.
     """
     b = m.boundary
-    K, M, lam = params.level(m), b.M, b.lam
+    K = params.level(m)
+    KKM = K * K + b.M
     v: VertexWord = ""
     quad = m.root
     back = 0                       # the colour of the edge back; 0 at root
     trace = [v]
+    screen = FACE_PAIRS
     for step in range(params.max_descent_steps + 1):
-        for i, j in FACE_PAIRS:
-            _, kind = face_obstruction(b, i, j, quad[i - 1], quad[j - 1])
+        seeds = []
+        for p in screen:
+            i, j = p
+            ai, aj = quad[i - 1], quad[j - 1]
+            psi, kind = face_obstruction(b, i, j, ai, aj)
             if kind is not None:
-                w = face_witness(m, canonical_face(v, i, j), quad)
+                w = Witness(kind, canonical_face(v, i, j),
+                            psi if kind is WitnessKind.BQ1_VIOLATION
+                            else None)
                 return DescentResult(witness=w, steps=step, trace=trace)
-        if any(values_in_level(quad[i - 1], quad[j - 1], lam(i, j), K, M)
-               for i, j in FACE_PAIRS):
-            return DescentResult(vertex=v, quad=quad, steps=step, trace=trace)
+            if (modulus(ai) < K or modulus(aj) < K) and modulus(psi) < KKM:
+                seeds.append(p)
+        if seeds:
+            return DescentResult(vertex=v, quad=quad, steps=step,
+                                 trace=trace, seeds=seeds)
         down = []
         for c in COLORS:
             if c != back:
@@ -146,6 +177,7 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
         _, back, quad = min(down)      # steepest; ties to the smaller colour
         v += str(back)
         trace.append(v)
+        screen = _CROSSED[back](FACE_PAIRS)
     return DescentResult(budget_hit="max_descent_steps",
                          steps=params.max_descent_steps, trace=trace)
 
@@ -245,6 +277,19 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
                      quads=neg_quads[lo:0:-1] + pos_quads[:hi + 1])
 
 
+def arc_edges(f: FaceKey, n1: int, n2: int) -> List[EdgeKey]:
+    """``face_edge_at(f, n)`` for n = n1, ..., n2, in that order.  Edge
+    n < 0 is named by the anchor plus the first -n letters of the
+    negative ray's string l, k, l, ..., and edge n >= 0 by the anchor
+    plus the first n + 1 of the positive ray's k, l, k, ..."""
+    k, l = f.edge_colors
+    a = f.anchor
+    neg = ("%d%d" % (l, k)) * ((1 - n1) // 2)
+    pos = ("%d%d" % (k, l)) * ((n2 + 2) // 2)
+    return [EdgeKey(a + neg[:-n]) for n in range(n1, min(0, n2 + 1))] + \
+        [EdgeKey(a + pos[:n + 1]) for n in range(max(0, n1), n2 + 1)]
+
+
 def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     """Decide membership with a certificate or witness.
 
@@ -284,22 +329,18 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         return BqVerdict(Status.UNDECIDED, budget_hit=descent.budget_hit,
                          steps_used=steps)
 
-    M = m.boundary.M
-    pairs = [(*p, m.boundary.lam(*p), p) for p in FACE_PAIRS]
-    v0, q0 = descent.vertex, descent.quad
-    trie = Trie()
-    sink = trie.node(v0)
-    seeds = [p for i, j, lam_ij, p in pairs
-             if values_in_level(q0[i - 1], q0[j - 1], lam_ij, K, M)]
+    v0, q0, seeds = descent.vertex, descent.quad, descent.seeds
     if not seeds:
         return BqVerdict(Status.UNDECIDED, budget_hit="no_seed_face",
                          steps_used=steps)
-
-    # The pairs screened at a face's first window vertex (all but its
-    # own), and after crossing an edge of color c (the pairs holding c).
-    first = {p: [t for t in pairs if t[3] != p] for p in FACE_PAIRS}
-    crossed = {c: [t for t in pairs if c in t[3]] for c in COLORS}
-    KKM = K * K + M
+    trie = Trie()
+    sink = trie.node(v0)
+    # A screen entry is (i, j, lambda_ij, (i, j)), one per face pair.
+    lam = m.boundary.lam_table
+    pairs = [(i, j, lam[i - 1][j - 1], (i, j)) for i, j in FACE_PAIRS]
+    first = {p: get(pairs) for p, get in _FIRST.items()}
+    crossed = {c: get(pairs) for c, get in _CROSSED.items()}
+    KKM = K * K + m.boundary.M
     seen: Set[Tuple[int, Tuple[int, int]]] = {(sink, p) for p in seeds}
     # (face, quad at its anchor), the seeds in sorted order.
     queue: List[Tuple[TrieFace, Quad]] = \
@@ -378,7 +419,8 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                 queue.append((TrieFace(trie, g[0], p), arc.quads[s - n1]))
     # Keys are built once, for the certificate that is returned.
     bounds = {f.key(): (n1, n2) for f, n1, n2 in arcs}
-    edges = {face_edge_at(f, n) for f, (n1, n2) in bounds.items()
-             for n in range(n1, n2 + 1)}
+    edges = set()
+    for f, (n1, n2) in bounds.items():
+        edges.update(arc_edges(f, n1, n2))
     return BqVerdict(Status.IN_BQ, tree=AttractingTree(edges, bounds),
                      steps_used=steps)

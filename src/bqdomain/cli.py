@@ -1,5 +1,9 @@
 """Command-line interface: point checks, slice rendering, growth
-diagnostics, and the involution-identity verification report."""
+diagnostics, and the involution-identity verification report.
+
+Each of ``render``, ``fib`` and ``torelli`` is imported by the one
+command that runs it, so ``check`` pays for none of them.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +14,7 @@ from typing import List, Optional
 
 from .algebra import CharacterPoint, MarkoffQuad, vertex_residual
 from .bq import BqParams, Status, decide_bq
-from .fib import FibTable, growth_report
 from .markoff import MarkoffMap
-from .render import load_config, render_to_file
 
 EXIT_IN_BQ = 0
 EXIT_NOT_BQ = 1
@@ -61,6 +63,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import load_config, render_to_file
     try:
         config = load_config(args.config)
     except (OSError, KeyError, ValueError, TypeError) as exc:
@@ -72,6 +75,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_fib(args) -> int:
+    from .fib import FibTable, growth_report
     pt = CharacterPoint(*args.coords)
     report = growth_report(_map_for(pt), FibTable(), args.depth)
     print("base region values: 1 1 1, end regions: 3 3, base faces: 2 2 2")
@@ -82,8 +86,6 @@ def cmd_fib(args) -> int:
 
 
 def cmd_torelli(args) -> int:
-    # imported here: compiling torelli is a measurable share of start-up
-    # for the other subcommands, which never use it
     from .torelli import (IDENTITY_FACTORS, MAGNUS, character_agree,
                           equal_in_out, factored)
     worst = 0.0

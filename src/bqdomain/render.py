@@ -200,7 +200,9 @@ def render_slice(config: SliceConfig, workers: int = 1
         # imported here: the pool machinery is a sizeable share of the
         # package's import time and memory, and only this branch uses it
         from concurrent.futures import ProcessPoolExecutor
-        batches = [(config, decided[i::workers]) for i in range(workers)]
+        # one row per batch: a free worker takes the next row, so rows of
+        # uneven cost spread evenly
+        batches = [(config, [row]) for row in decided]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_render_rows, batches))
     rows: Dict[int, bytes] = {}

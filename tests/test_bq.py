@@ -2,14 +2,17 @@
 arc closure, and verdict certificates."""
 
 import math
+import random
 
 import pytest
 
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import (ArcOutcome, BqParams, Status, WitnessKind,
-                         attracting_arc, decide_bq, face_witness, find_sink)
+                         arc_edges, attracting_arc, decide_bq, face_witness,
+                         find_sink)
 from bqdomain.markoff import modulus
-from bqdomain.tree import EdgeKey, canonical_face, faces_at, neighbors
+from bqdomain.tree import (FACE_PAIRS, EdgeKey, FaceKey, canonical_face,
+                           face_edge_at, faces_at, neighbors)
 from conftest import (in_bq_fixtures, in_bq_quad, make_map, not_bq_fixtures,
                       random_markoff_map)
 from oracles import face_in_level
@@ -143,7 +146,6 @@ class TestDecide:
         assert v1.tree.arc_bounds == v2.tree.arc_bounds
 
     def test_certificate_edges_cover_arcs(self):
-        from bqdomain.tree import face_edge_at
         v = decide_bq(make_map(in_bq_quad(4.5)))
         for f, (n1, n2) in v.tree.arc_bounds.items():
             for n in range(n1, n2 + 1):
@@ -168,3 +170,28 @@ class TestDecide:
         for K in (2.0, 2.5, 3.0):
             assert decide_bq(make_map(quad),
                              BqParams(K=K)).status is Status.IN_BQ
+
+
+def reduced_word(rng: random.Random, n: int) -> str:
+    word = ""
+    while len(word) < n:
+        c = rng.choice("1234")
+        if not word or word[-1] != c:
+            word += c
+    return word
+
+
+# Empty arcs, arcs wholly on the negative or the positive side, and arcs
+# through position 0.
+ARCS = [(0, -1), (1, 0), (3, 2), (-2, -5), (-1, -1), (-7, -1), (-6, -3),
+        (0, 0), (0, 7), (2, 9), (-1, 0), (-4, 3), (-8, 8), (-3, 0)]
+
+
+@pytest.mark.parametrize("length", range(9))
+def test_arc_edges_spell_face_edge_at_in_order(length):
+    rng = random.Random(length)
+    for p in FACE_PAIRS:
+        f = FaceKey(reduced_word(rng, length), p)
+        for n1, n2 in ARCS:
+            want = [face_edge_at(f, n) for n in range(n1, n2 + 1)]
+            assert arc_edges(f, n1, n2) == want, (f, n1, n2)

@@ -17,9 +17,9 @@ import pytest
 
 import oracles
 from bqdomain import bq
-from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice,
-                              solve_fourth)
-from bqdomain.bq import BqParams, Status, decide_bq, find_sink
+from bqdomain.algebra import (BoundaryData, CharacterPoint, MarkoffQuad,
+                              RootChoice, solve_fourth)
+from bqdomain.bq import BqParams, Status, decide_bq, face_witness, find_sink
 from bqdomain.markoff import MarkoffMap
 from bqdomain.tree import faces_at
 
@@ -65,16 +65,28 @@ def random_complex(rng, scale):
     return complex(*rng.uniform(-scale, scale, 2))
 
 
-def moved_point(rng) -> MarkoffQuad:
-    """A random on-variety point moved out by a random word of up to six
-    letters, so that its descent starts above the sink."""
-    pt = random_on_variety_point(rng)
+def moved_point(rng, pt=None) -> MarkoffQuad:
+    """pt, by default a random on-variety point, moved out by a random
+    word of up to six letters, so that its descent starts above the
+    sink."""
+    pt = pt or random_on_variety_point(rng)
     m = MarkoffMap(MarkoffQuad(pt.quad, pt.omega))
     quad, last = m.root, 0
     for _ in range(int(rng.integers(1, 7))):
         last = int(rng.choice([c for c in (1, 2, 3, 4) if c != last]))
         quad = m._move(quad, last)
     return MarkoffQuad(quad, pt.omega, on_variety=False)
+
+
+def band_point(rng) -> CharacterPoint:
+    """A random complex point on the variety whose face {1,2} at the root
+    has a random value on the band [-2,2]."""
+    x, y, z = (random_complex(rng, 1.0) for _ in range(3))
+    a = random_complex(rng, 3.0)
+    b = (rng.uniform(-2, 2) + x) / a          # a*b - lambda_12 on the band
+    c = random_complex(rng, 3.0)
+    return CharacterPoint(a, b, c, solve_fourth(a, b, c, BoundaryData(
+        (x, y, z)), RootChoice.PLUS), x, y, z)
 
 
 def seeded_quads(seed: int = 2024):
@@ -183,6 +195,37 @@ def test_seeds_are_anchored_at_the_sink():
                 assert f.anchor == d.vertex, f
                 below_root += len(d.vertex) > 1
     assert below_root > 0
+
+
+def test_descent_seeds_and_witnesses_match_a_full_screen():
+    """The descent screens only the pairs holding the colour just crossed,
+    yet it returns the sink's in-level faces as seeds, in FACE_PAIRS
+    order, and stops at the first witness that a screen of all six
+    pairs finds at its last vertex.  The moved band points reach a
+    witness below the root."""
+    rng = np.random.default_rng(99)
+    quads = [moved_point(rng) for _ in range(300)] + seeded_quads() + \
+        [moved_point(rng, band_point(rng)) for _ in range(200)]
+    params = BqParams()
+    deep_witnesses = deep_seeds = 0
+    for q in quads:
+        m = MarkoffMap(q)
+        d = find_sink(m, params)
+        if d.vertex is None:
+            assert d.seeds == []
+        else:
+            K = params.level(m)
+            assert d.seeds == [f.colors for f in faces_at(d.vertex)
+                               if face_in_level(m, f, K)]
+            deep_seeds += len(d.vertex) > 0 and d.seeds != []
+        if d.witness is not None:
+            v = d.trace[-1]
+            first = next(w for w in (face_witness(m, f, m.quad_at(v))
+                                     for f in faces_at(v)) if w is not None)
+            assert (d.witness.kind, d.witness.face, repr(d.witness.value)) \
+                == (first.kind, first.face, repr(first.value))
+            deep_witnesses += len(v) > 0
+    assert deep_seeds > 0 and deep_witnesses > 0
 
 
 def hits_above_the_anchor(monkeypatch, m, params) -> int:

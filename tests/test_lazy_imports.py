@@ -1,0 +1,34 @@
+"""A command imports only what it runs: ``bqdomain.cli`` leaves ``render``
+and ``fib`` unimported, and the package reads its render names through
+``render`` when first asked for them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+PROBE = """
+import sys
+import bqdomain.cli
+assert "bqdomain.render" not in sys.modules, "render"
+assert "bqdomain.fib" not in sys.modules, "fib"
+import bqdomain
+assert bqdomain.SliceConfig is bqdomain.render.SliceConfig
+names = {}
+exec("from bqdomain import *", names)
+missing = [n for n in bqdomain.__all__ if n not in names]
+assert not missing, missing
+print("ok")
+"""
+
+
+def test_cli_imports_neither_render_nor_fib():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"
