@@ -22,11 +22,10 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from .algebra import moved_value
-from .markoff import (HUGE, OVERFLOW_CAP, MarkoffMap, Quad, Value,
-                      face_value_capped, modulus)
+from .markoff import HUGE, OVERFLOW_CAP, MarkoffMap, Quad, Value, modulus
 from .neighbors import WitnessKind, face_obstruction, h_star
-from .tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, Trie, TrieFace,
-                   VertexWord, canonical_face)
+from .tree import (COLORS, FACE_PAIRS, PAIRS_WITH, EdgeKey, FaceKey, Trie,
+                   TrieFace, VertexWord, canonical_face)
 
 
 @dataclass(frozen=True)
@@ -80,12 +79,11 @@ class BqVerdict:
     steps_used: int = 0
 
 
-def values_in_level(ai: Value, aj: Value, lam_ij: complex, K: float,
-                    M: float) -> bool:
-    """The level test on a face's two region values and lambda_ij:
-    |psi(face)| < K^2 + M and at least one bounding region below K."""
-    return (modulus(ai) < K or modulus(aj) < K) \
-        and modulus(face_value_capped(ai, aj, lam_ij)) < K * K + M
+def _witness(kind: WitnessKind, f: FaceKey, psi: Value) -> Witness:
+    """The witness of kind at f, psi being f's value; a band witness
+    carries it."""
+    return Witness(kind, f, psi if kind is WitnessKind.BQ1_VIOLATION
+                   else None)
 
 
 def face_witness(m: MarkoffMap, f: FaceKey, quad: Quad) -> Optional[Witness]:
@@ -94,10 +92,7 @@ def face_witness(m: MarkoffMap, f: FaceKey, quad: Quad) -> Optional[Witness]:
     value."""
     i, j = f.colors
     psi, kind = face_obstruction(m.boundary, i, j, quad[i - 1], quad[j - 1])
-    if kind is None:
-        return None
-    return Witness(kind, f, psi if kind is WitnessKind.BQ1_VIOLATION
-                   else None)
+    return None if kind is None else _witness(kind, f, psi)
 
 
 @dataclass
@@ -107,12 +102,11 @@ class DescentResult:
     witness: Optional[Witness] = None
     budget_hit: Optional[str] = None
     steps: int = 0
-    trace: List[VertexWord] = field(default_factory=list)
     seeds: List[Tuple[int, int]] = field(default_factory=list)
 
 
 # The pairs screened at a face's first window vertex (all but its own),
-# and after crossing an edge of colour c (the pairs holding c), as getters
+# and after crossing an edge of colour c (``PAIRS_WITH[c]``), as getters
 # of their entries from a sequence of one entry per pair of FACE_PAIRS.
 _FIRST = {p: itemgetter(*(n for n, q in enumerate(FACE_PAIRS) if q != p))
           for p in FACE_PAIRS}
@@ -123,23 +117,24 @@ _CROSSED = {c: itemgetter(*(n for n, q in enumerate(FACE_PAIRS) if c in q))
 def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
     """Steepest descent from the root toward small-modulus regions.
 
-    Stops at a vertex with no strictly outgoing edge, or at one already
-    touching a face below the level threshold; every face seen on the
-    way is screened for band and sigma witnesses, and keyed only if it
-    shows one.  The quad is carried, one move per child edge tried; the
-    edge back, crossed because it made its value strictly smaller, is
-    not outgoing, so it is never tried.
+    Stops at a vertex with no strictly outgoing edge, at one already
+    touching a face below the level threshold, or at the first face on
+    the way that shows a band or sigma witness, the only face keyed.
+    The quad is carried, one move per child edge tried; the edge back,
+    crossed because it made its value strictly smaller, is not outgoing,
+    so it is never tried.
 
     Each vertex is screened in one pass over its pairs, the face value
-    psi of ``face_obstruction`` serving both the witness test and the
-    level test (``values_in_level``).  Past the root only the three
-    pairs holding the colour c just crossed are screened: an edge of
-    colour c leaves both region values of every pair without c bitwise
-    unchanged, and those pairs were screened one vertex earlier, free of
-    witnesses and out of level, or the descent would have stopped there.
-    So a descent witness is the first one a screen of all six pairs
-    finds, and the sink's in-level pairs, returned as ``seeds`` in
-    ``FACE_PAIRS`` order, are all of them.
+    psi = a_i a_j - lambda_ij of ``face_obstruction`` serving both the
+    witness test and the level test min(|a_i|, |a_j|) < K, |psi| < K^2 + M
+    (reference: ``values_in_level`` in tests/oracles.py).  Past the root
+    only the three pairs holding the colour c just crossed are screened:
+    an edge of colour c leaves both region values of every pair without c
+    bitwise unchanged, and those pairs were screened one vertex earlier,
+    free of witnesses and out of level, or the descent would have stopped
+    there.  So a descent witness is the first one a screen of all six
+    pairs finds, and the sink's in-level pairs, returned as ``seeds`` in
+    ``FACE_PAIRS`` order (none on a witness stop), are all of them.
     """
     b = m.boundary
     K = params.level(m)
@@ -147,7 +142,6 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
     v: VertexWord = ""
     quad = m.root
     back = 0                       # the colour of the edge back; 0 at root
-    trace = [v]
     screen = FACE_PAIRS
     for step in range(params.max_descent_steps + 1):
         seeds = []
@@ -156,15 +150,14 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
             ai, aj = quad[i - 1], quad[j - 1]
             psi, kind = face_obstruction(b, i, j, ai, aj)
             if kind is not None:
-                w = Witness(kind, canonical_face(v, i, j),
-                            psi if kind is WitnessKind.BQ1_VIOLATION
-                            else None)
-                return DescentResult(witness=w, steps=step, trace=trace)
+                w = _witness(kind, canonical_face(v, i, j), psi)
+                return DescentResult(vertex=v, quad=quad, witness=w,
+                                     steps=step)
             if (modulus(ai) < K or modulus(aj) < K) and modulus(psi) < KKM:
                 seeds.append(p)
         if seeds:
             return DescentResult(vertex=v, quad=quad, steps=step,
-                                 trace=trace, seeds=seeds)
+                                 seeds=seeds)
         down = []
         for c in COLORS:
             if c != back:
@@ -173,13 +166,12 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
                 if far_mod < modulus(quad[c - 1]):
                     down.append((far_mod, c, far))
         if not down:
-            return DescentResult(vertex=v, quad=quad, steps=step, trace=trace)
+            return DescentResult(vertex=v, quad=quad, steps=step)
         _, back, quad = min(down)      # steepest; ties to the smaller colour
         v += str(back)
-        trace.append(v)
-        screen = _CROSSED[back](FACE_PAIRS)
+        screen = PAIRS_WITH[back]
     return DescentResult(budget_hit="max_descent_steps",
-                         steps=params.max_descent_steps, trace=trace)
+                         steps=params.max_descent_steps)
 
 
 class ArcOutcome(Enum):
@@ -380,9 +372,11 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         # Screen each window vertex but f's anchor on the carried quad and
         # moduli.  An edge of color c keeps every face whose pair lacks c,
         # with both region values bitwise unchanged, so only c's modulus
-        # changes.  The test is values_in_level written out, K*K + M taken
-        # once: a face value past the cap is HUGE there, never in level, even
-        # below K*K + M.  A hit is (its anchor's position, its pair).
+        # changes.  The level test, min(|a_i|, |a_j|) < K and
+        # |a_i a_j - lambda_ij| < K*K + M (reference: values_in_level in
+        # tests/oracles.py), takes K*K + M once; a face value past the cap is
+        # HUGE, never in level, even below K*K + M.  A hit is (its anchor's
+        # position, its pair).
         k, l = f.edge_colors
         screen = first[f.colors]
         mods, c = list(map(modulus, arc.quads[0])), k

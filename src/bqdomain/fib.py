@@ -15,24 +15,20 @@ the map's memo alone.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .markoff import (OVERFLOW_CAP, MarkoffMap, Quad, Value,
                       face_value_capped, modulus)
-from .tree import (COLORS, FACE_PAIRS, ROOT, EdgeKey, FaceKey, RegionKey,
-                   VertexWord, ball_vertices, canonical_face,
+from .tree import (COLORS, FACE_PAIRS, PAIRS_WITH, ROOT, EdgeKey, FaceKey,
+                   RegionKey, VertexWord, ball_vertices, canonical_face,
                    canonical_region, faces_at, regions_at)
 
 BASE_EDGE = EdgeKey("4")
 
 # The two endpoints of the base edge, whose colour-4 regions are seeds.
 BASE_ENDS = (BASE_EDGE.parent, BASE_EDGE.child)
-
-# The face colour pairs that hold colour c, sorted.
-_PAIRS_WITH = {c: tuple(p for p in FACE_PAIRS if c in p) for c in COLORS}
 
 Key = Union[RegionKey, FaceKey]
 
@@ -176,7 +172,7 @@ def growth_report(m: MarkoffMap, table: FibTable, depth: int) -> GrowthReport:
             if ratio < lo_r:
                 lo_r, arg_r = ratio, RegionKey(w, c)
             hi = max(hi, ratio)
-        for i, j in _PAIRS_WITH[c]:
+        for i, j in PAIRS_WITH[c]:
             psi = face_value_capped(quad[i - 1], quad[j - 1], lam[i, j])
             ratio = _log_ratio(psi, grow[i - 1] + grow[j - 1])
             if ratio < lo_f:
@@ -185,11 +181,6 @@ def growth_report(m: MarkoffMap, table: FibTable, depth: int) -> GrowthReport:
     if lo_f < lo_r:
         return GrowthReport(lo_f, hi, arg_f)
     return GrowthReport(lo_r, hi, arg_r)
-
-
-def trace_length(t: complex) -> complex:
-    """Translation length from a trace: 2*acosh(t/2), principal branch."""
-    return 2 * cmath.acosh(t / 2)
 
 
 def upper_bound_holds(m: MarkoffMap, depth: int) -> bool:

@@ -11,6 +11,7 @@ each conjugate pair of rows is decided once (``mirror_rows``).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
 from typing import Dict, List, Tuple
 
@@ -58,9 +59,11 @@ class SliceConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "SliceConfig":
         def num(v, kind=float):        # bool is an int, not a number here
-            if type(v) is bool or not isinstance(v, (int, kind)):
-                raise ValueError("want %s, got %r" % (kind.__name__, v))
-            return v
+            # An int compares with a float exactly, unconverted; NaN never.
+            if type(v) is not bool and isinstance(v, (int, kind)) \
+                    and abs(v) <= sys.float_info.max:
+                return kind(v)
+            raise ValueError("want a finite %s, got %r" % (kind.__name__, v))
 
         def pair(v, kind=float) -> tuple:
             if isinstance(v, list) and len(v) == 2:
@@ -83,8 +86,8 @@ class SliceConfig:
         return cls(fixed={k: cx(v) for k, v in doc["fixed"].items()},
                    varying=doc["varying"],
                    center=cx(doc["center"]),
-                   width=float(num(doc["width"])),
-                   height=float(num(doc["height"])),
+                   width=num(doc["width"]),
+                   height=num(doc["height"]),
                    px=px,
                    params=params,
                    mode=doc.get("mode", "raw"))

@@ -21,10 +21,9 @@ values along it (see ``bq.attracting_arc``).
 The closure in ``bq.decide_bq`` meets faces whose anchors run to
 thousands of letters, so it names vertices by int nodes of a ``Trie``
 instead of by word: a node is one child step from its parent, and a
-face is the pair (anchor node, colors), O(1) to build and to hash.  No
-word is stripped: a face met on a window is anchored by its position
-there.  A ``TrieFace`` carries that pair; its string ``anchor`` is the
-node's word, which ``Trie.word`` builds only when read.  The key
+face is the pair (anchor node, colors), O(1) to build and to hash.  A
+``TrieFace`` carries that pair; its string ``anchor`` is the node's
+word, which ``Trie.word`` builds only when read.  The key
 builders here are for the few vertices and faces that need a name.
 """
 
@@ -37,21 +36,13 @@ COLORS = (1, 2, 3, 4)
 # The six face color pairs, in the order faces_at lists them.
 FACE_PAIRS = tuple((i, j) for i in COLORS for j in COLORS if i < j)
 
+# The face color pairs that hold color c, in FACE_PAIRS order.
+PAIRS_WITH = {c: tuple(p for p in FACE_PAIRS if c in p) for c in COLORS}
+
 # A vertex key is a reduced word encoded as a string of digits '1'..'4'.
 VertexWord = str
 
 ROOT: VertexWord = ""
-
-
-def is_reduced(word: str) -> bool:
-    return all(ch in "1234" for ch in word) and \
-        all(word[i] != word[i + 1] for i in range(len(word) - 1))
-
-
-def check_vertex(word: str) -> str:
-    if not is_reduced(word):
-        raise ValueError("not a reduced color word: %r" % word)
-    return word
 
 
 def neighbors(v: VertexWord) -> List[VertexWord]:
@@ -61,15 +52,6 @@ def neighbors(v: VertexWord) -> List[VertexWord]:
     out = [v[:-1]]
     out.extend(v + str(c) for c in COLORS if str(c) != v[-1])
     return out
-
-
-def distance(u: VertexWord, v: VertexWord) -> int:
-    k = 0
-    for cu, cv in zip(u, v):
-        if cu != cv:
-            break
-        k += 1
-    return (len(u) - k) + (len(v) - k)
 
 
 class EdgeKey(NamedTuple):
@@ -152,33 +134,6 @@ def edge_surrounding(e: EdgeKey):
     return sides, (delta, delta_prime)
 
 
-def edge_faces(e: EdgeKey) -> List[FaceKey]:
-    """The three faces whose boundary geodesic contains e."""
-    c = e.color
-    u = e.parent
-    others = [i for i in COLORS if i != c]
-    return [canonical_face(u, i, j)
-            for i in others for j in others if i < j]
-
-
-def on_face(v: VertexWord, f: FaceKey) -> bool:
-    return canonical_face(v, *f.colors) == f
-
-
-def face_position(f: FaceKey, v: VertexWord) -> int:
-    """Signed position of v on f's boundary geodesic (anchor at 0).
-
-    The positive ray leaves the anchor through the smaller edge color.
-    """
-    if not on_face(v, f):
-        raise ValueError("%r is not on face %r" % (v, f))
-    suffix = v[len(f.anchor):]
-    if not suffix:
-        return 0
-    lo = str(min(f.edge_colors))
-    return len(suffix) if suffix[0] == lo else -len(suffix)
-
-
 def face_vertex_at(f: FaceKey, pos: int) -> VertexWord:
     """Vertex at signed position pos on f's boundary geodesic."""
     k, l = f.edge_colors
@@ -258,11 +213,6 @@ class TrieFace:
 
     def key(self) -> FaceKey:
         return FaceKey(self.anchor, self.colors)
-
-
-def face_boundary_walk(f: FaceKey, start: VertexWord, steps: int) -> VertexWord:
-    """Walk the alternating boundary geodesic of f from start."""
-    return face_vertex_at(f, face_position(f, start) + steps)
 
 
 def face_edge_at(f: FaceKey, n: int) -> EdgeKey:

@@ -33,11 +33,10 @@ import numpy as np
 
 from bqdomain.algebra import BoundaryData, face_value, moved_value, sigma
 from bqdomain.bq import (ArcOutcome, ArcResult, AttractingTree, BqParams,
-                         BqVerdict, Status, Witness, face_witness,
-                         values_in_level)
+                         BqVerdict, Status, Witness, face_witness)
 from bqdomain.fib import (FibTable, GrowthReport, base_keys, keys_to_depth,
                           log_plus)
-from bqdomain.markoff import (HUGE, OVERFLOW_CAP, MarkoffMap, _cap,
+from bqdomain.markoff import (HUGE, OVERFLOW_CAP, MarkoffMap, Value, _cap,
                               face_value_capped, modulus)
 from bqdomain.neighbors import (TOL_REAL, TOL_SIGMA, HInputs, WitnessKind,
                                 dist_to_interval)
@@ -431,6 +430,14 @@ def boundary_face(f: FaceKey, n: int, i: int, j: int) -> FaceKey:
     if n == 0:
         return canonical_face(f.anchor, i, j)
     return FaceKey(face_vertex_at(f, n), (i, j))
+
+
+def values_in_level(ai: Value, aj: Value, lam_ij: complex, K: float,
+                    M: float) -> bool:
+    """The level test on a face's two region values and lambda_ij:
+    |psi(face)| < K^2 + M and at least one bounding region below K."""
+    return (modulus(ai) < K or modulus(aj) < K) \
+        and modulus(face_value_capped(ai, aj, lam_ij)) < K * K + M
 
 
 def face_in_level(m: MarkoffMap, f: FaceKey, K: float) -> bool:

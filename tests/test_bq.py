@@ -85,7 +85,7 @@ class TestDescent:
     def test_finds_sink_for_member(self):
         res = find_sink(make_map(in_bq_quad(4.0)), BqParams())
         assert res.vertex is not None
-        assert res.trace[0] == "" and res.trace[-1] == res.vertex
+        assert res.witness is None and res.seeds
 
     def test_budget_exhaustion_reported(self):
         res = find_sink(make_map(in_bq_quad(4.0)),

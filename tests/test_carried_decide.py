@@ -211,15 +211,16 @@ def test_descent_seeds_and_witnesses_match_a_full_screen():
     for q in quads:
         m = MarkoffMap(q)
         d = find_sink(m, params)
-        if d.vertex is None:
+        v = d.vertex
+        if v is None or d.witness is not None:
             assert d.seeds == []
         else:
             K = params.level(m)
-            assert d.seeds == [f.colors for f in faces_at(d.vertex)
+            assert d.seeds == [f.colors for f in faces_at(v)
                                if face_in_level(m, f, K)]
-            deep_seeds += len(d.vertex) > 0 and d.seeds != []
+            deep_seeds += len(v) > 0 and d.seeds != []
         if d.witness is not None:
-            v = d.trace[-1]
+            assert d.witness.face in faces_at(v)
             first = next(w for w in (face_witness(m, f, m.quad_at(v))
                                      for f in faces_at(v)) if w is not None)
             assert (d.witness.kind, d.witness.face, repr(d.witness.value)) \

@@ -62,13 +62,15 @@ def test_render_rejects_bad_k_override(k, tmp_path, capsys):
     render_exits_usage(dict(SLICE, k_override=k), tmp_path, capsys)
 
 
-# A short pair must not crash render with exit 1, NotBQ's code, and a
-# long pair, a string, a bool or a fraction must not be read as a number.
+# A short pair or an int past float range must not crash render with exit
+# 1, NotBQ's code, and a long pair, a string, a bool or a fraction must not
+# be read as a number.
 @pytest.mark.parametrize("change", [
     {"center": [1]}, {"center": [0, 0, 9]}, {"center": [True, 0]},
     {"center": "1"}, {"fixed": dict(SLICE["fixed"], b=[4])},
     {"fixed": dict(SLICE["fixed"], b="4")}, {"px": [8]}, {"px": "88"},
-    {"px": True}, {"px": [8, 8, 8]}, {"px": [8, 8.5]}, {"px": 8.0}])
+    {"px": True}, {"px": [8, 8, 8]}, {"px": [8, 8.5]}, {"px": 8.0},
+    {"center": [10**400, 0]}, {"fixed": dict(SLICE["fixed"], b=10**400)}])
 def test_render_rejects_bad_pairs(change, tmp_path, capsys):
     doc = dict(SLICE, **change)
     with pytest.raises(ValueError):
@@ -76,14 +78,16 @@ def test_render_rejects_bad_pairs(change, tmp_path, capsys):
     render_exits_usage(doc, tmp_path, capsys)
 
 
-# A list where an object belongs must not crash render with exit 1, and a
-# bool or a string must not be read as the window's size.
+# A list where an object belongs or a size past float range must not crash
+# render with exit 1, and a bool, a string, NaN or infinity must not be
+# read as the window's size.
 @pytest.mark.parametrize("doc", [
     [], dict(SLICE, fixed=[]), dict(SLICE, width=True),
     dict(SLICE, width="12"), dict(SLICE, height=True),
-    dict(SLICE, height="12")],
+    dict(SLICE, height="12"), dict(SLICE, width=10**400),
+    dict(SLICE, width=math.inf), dict(SLICE, height=math.nan)],
     ids=["doc_list", "fixed_list", "width_true", "width_str", "height_true",
-         "height_str"])
+         "height_str", "width_huge_int", "width_inf", "height_nan"])
 def test_render_rejects_bad_shapes(doc, tmp_path, capsys):
     with pytest.raises(ValueError):
         SliceConfig.from_json(doc)

@@ -6,7 +6,7 @@ import pytest
 
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.fib import (FibTable, base_keys, growth_report, keys_to_depth,
-                          trace_length, upper_bound_holds)
+                          upper_bound_holds)
 from bqdomain.tree import (COLORS, FaceKey, RegionKey, ball_vertices,
                            canonical_face, canonical_region)
 from conftest import in_bq_quad, make_map, random_markoff_map
@@ -52,18 +52,6 @@ class TestTable:
         r2, f2 = keys_to_depth(2)
         assert RegionKey("", 4) in r2
         assert all(len(k.anchor) <= 2 for k in r2)
-
-
-class TestTraceLength:
-    def test_parabolic_is_zero(self):
-        assert trace_length(2) == 0
-
-    def test_hyperbolic_roundtrip(self):
-        assert trace_length(2 * math.cosh(1.0)) == pytest.approx(2.0)
-        import cmath
-        for t in (3.7, 2 + 1j, -5.0):
-            ell = trace_length(t)
-            assert 2 * cmath.cosh(ell / 2) == pytest.approx(t, rel=1e-12)
 
 
 class TestGrowthReport:

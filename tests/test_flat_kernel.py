@@ -22,8 +22,7 @@ import pytest
 
 from bqdomain import bq
 from bqdomain.algebra import BoundaryData, MarkoffQuad
-from bqdomain.bq import (ArcOutcome, ArcResult, BqParams, attracting_arc,
-                         values_in_level)
+from bqdomain.bq import ArcOutcome, ArcResult, BqParams, attracting_arc
 from bqdomain.markoff import HUGE, OVERFLOW_CAP, MarkoffMap
 from bqdomain.neighbors import (HInputs, WitnessKind, face_obstruction,
                                 h_star, h_value, h_value_sym)
@@ -32,7 +31,8 @@ from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, canonical_face,
 
 from conftest import random_on_variety_point
 from oracles import (attracting_arc_reference, canonical_face_reference,
-                     canonical_region_reference, h_star_reference)
+                     canonical_region_reference, h_star_reference,
+                     values_in_level)
 
 
 def same(x, y) -> bool:

@@ -15,13 +15,13 @@ from bqdomain import cli
 from bqdomain.algebra import (CharacterPoint, MarkoffQuad, Theta,
                               elementary_move, face_value, involution_theta,
                               sigma)
-from bqdomain.bq import BqParams, Status, decide_bq, values_in_level
+from bqdomain.bq import BqParams, Status, decide_bq
 from bqdomain.markoff import HUGE, OVERFLOW_CAP, MarkoffMap, _cap
 from bqdomain.tree import (COLORS, FACE_PAIRS, ball_vertices, canonical_face,
                            face_vertex_at, faces_at)
 
 from conftest import random_on_variety_point, shallow_faces, slice_map
-from oracles import face_in_level
+from oracles import face_in_level, values_in_level
 from test_position_walk import HARD, POSITIONS, carried_quads
 
 QUAD_THETAS = (Theta.A, Theta.B, Theta.C, Theta.D)
