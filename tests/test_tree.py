@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqdomain.tree import (COLORS, EdgeKey, FaceKey, RegionKey, ball_vertices,
-                           canonical_face, canonical_region, edge_surrounding,
+from bqdomain.tree import (COLORS, FACE_PAIRS, PAIRS_WITH, EdgeKey, FaceKey,
+                           RegionKey, ball_vertices, canonical_face, canonical_region, edge_surrounding,
                            face_edge_at, face_side_region, face_vertex_at,
                            faces_at, neighbors, regions_at)
 
@@ -14,6 +14,15 @@ def is_reduced(word: str) -> bool:
     """A word over 1..4 with no letter repeated twice in a row."""
     return set(word) <= set("1234") and \
         all(a != b for a, b in zip(word, word[1:]))
+
+
+def distance(u: str, v: str) -> int:
+    """Path length in the tree between two reduced words: the steps from
+    each up to their longest common prefix."""
+    k = 0
+    while k < min(len(u), len(v)) and u[k] == v[k]:
+        k += 1
+    return len(u) + len(v) - 2 * k
 
 
 @st.composite
@@ -27,9 +36,32 @@ def reduced_words(draw, max_len=8):
 
 
 class TestWords:
+    @given(v=reduced_words())
+    @settings(max_examples=60, deadline=None)
+    def test_reduced(self, v):
+        assert is_reduced("") and is_reduced("1213")
+        assert not is_reduced("11") and not is_reduced("125")
+        assert all(is_reduced(u) for u in neighbors(v))
+
     def test_neighbors_count_and_adjacency(self):
         assert neighbors("") == ["1", "2", "3", "4"]
         assert neighbors("13") == ["1", "131", "132", "134"]
+        assert all(distance("13", u) == 1 for u in neighbors("13"))
+
+    def test_distance_examples(self):
+        assert distance("", "132") == 3
+        assert distance("13", "132") == 1
+        assert distance("12", "13") == 2
+
+    @given(u=reduced_words(), v=reduced_words(), w=reduced_words())
+    @settings(max_examples=60, deadline=None)
+    def test_distance_is_a_metric(self, u, v, w):
+        assert distance(u, v) == distance(v, u)
+        assert (distance(u, v) == 0) == (u == v)
+        assert distance(u, w) <= distance(u, v) + distance(v, w)
+        # in a tree, each step to a neighbour moves one closer or farther
+        assert all(abs(distance(x, v) - distance(u, v)) == 1
+                   for x in neighbors(u))
 
 
 class TestRegions:
@@ -93,14 +125,40 @@ class TestEdges:
         assert delta == RegionKey("", 4)
         assert delta_prime == RegionKey("4", 4)
 
+    def test_edge_faces_avoid_edge_color(self):
+        # Edge "132" has colour 2: it lies on the three faces whose pair
+        # avoids 2, and crossing it changes the faces in PAIRS_WITH[2].
+        assert PAIRS_WITH[2] == tuple(p for p in FACE_PAIRS if 2 in p)
+        for i, j in FACE_PAIRS:
+            same = canonical_face("13", i, j) == canonical_face("132", i, j)
+            assert same == ((i, j) not in PAIRS_WITH[2])
+
 
 class TestBoundaryGeodesic:
+    def test_walk_from_root(self):
+        f = canonical_face("", 3, 4)      # boundary uses colors 1, 2
+        assert face_vertex_at(f, 0) == ""
+        assert face_vertex_at(f, 1) == "1"
+        assert face_vertex_at(f, 2) == "12"
+        assert face_vertex_at(f, -1) == "2"
+
     def test_position_and_vertex_inverse(self):
         f = canonical_face("213", 1, 3)
         for pos in range(-6, 7):
             v = face_vertex_at(f, pos)
             assert canonical_face(v, *f.colors) == f
             assert len(v) == len(f.anchor) + abs(pos)
+
+    def test_position_rejects_off_face_vertices(self):
+        f = canonical_face("", 1, 2)
+        assert canonical_face("1", *f.colors) != f
+        assert canonical_face("3", *f.colors) == f
+
+    def test_walk_composes(self):
+        f = canonical_face("4", 2, 4)
+        for pos in range(-5, 5):
+            assert face_vertex_at(f, pos + 1) in \
+                neighbors(face_vertex_at(f, pos))
 
     def test_edges_alternate_complementary_colors(self):
         f = canonical_face("", 1, 4)      # boundary uses colors 2, 3
