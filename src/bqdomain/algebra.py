@@ -13,35 +13,24 @@ only saturation and the memo.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Tuple
+from typing import NamedTuple, Tuple
+
+from ._record import Frozen, require_finite
 
 DEFAULT_ON_VARIETY_TOL = 1e-9
 
 
-def _require_finite(*values: complex) -> None:
-    for v in values:
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError("non-finite coordinate: %r" % (v,))
-
-
-@dataclass(frozen=True)
-class CharacterPoint:
+class CharacterPoint(Frozen):
     """A septuple (a,b,c,d,x,y,z) of trace coordinates."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    x: complex
-    y: complex
-    z: complex
+    __slots__ = _fields = ("a", "b", "c", "d", "x", "y", "z")
 
-    def __post_init__(self):
-        _require_finite(self.a, self.b, self.c, self.d, self.x, self.y, self.z)
+    def __init__(self, a: complex, b: complex, c: complex, d: complex,
+                 x: complex, y: complex, z: complex):
+        require_finite(a, b, c, d, x, y, z)
+        self._set(a, b, c, d, x, y, z)
 
     @property
     def omega(self) -> "BoundaryData":
@@ -61,14 +50,15 @@ _OTHER_COLORS = {i: tuple(j for j in (1, 2, 3, 4) if j != i)
                  for i in (1, 2, 3, 4)}
 
 
-@dataclass(frozen=True)
-class BoundaryData:
+class BoundaryData(Frozen):
     """Boundary traces omega = (x,y,z) and their max modulus M."""
 
-    omega: Tuple[complex, complex, complex]
+    _fields = ("omega",)
+    __slots__ = _fields + ("__dict__",)      # the dict holds the caches
 
-    def __post_init__(self):
-        _require_finite(*self.omega)
+    def __init__(self, omega: Tuple[complex, complex, complex]):
+        require_finite(*omega)
+        self._set(omega)
 
     @cached_property
     def M(self) -> float:
@@ -101,8 +91,7 @@ class BoundaryData:
                 for i, others in _OTHER_COLORS.items()}
 
 
-@dataclass(frozen=True)
-class MarkoffQuad:
+class MarkoffQuad(Frozen):
     """Ordered quadruple (a1..a4) with boundary data.
 
     ``on_variety`` records whether the quad is required to satisfy the
@@ -110,26 +99,25 @@ class MarkoffQuad:
     and flagged free.
     """
 
-    values: Tuple[complex, complex, complex, complex]
-    boundary: BoundaryData
-    on_variety: bool = True
+    __slots__ = _fields = ("values", "boundary", "on_variety")
 
-    def __post_init__(self):
-        _require_finite(*self.values)
-        if self.on_variety:
-            r = abs(quad_residual(self.values, self.boundary))
-            scale = 1.0 + max(abs(v) for v in self.values) ** 4
+    def __init__(self, values: Tuple[complex, complex, complex, complex],
+                 boundary: BoundaryData, on_variety: bool = True):
+        require_finite(*values)
+        if on_variety:
+            r = abs(quad_residual(values, boundary))
+            scale = 1.0 + max(abs(v) for v in values) ** 4
             if r > DEFAULT_ON_VARIETY_TOL * scale:
                 raise ValueError(
                     "quad residual %g exceeds tolerance; "
                     "flag on_variety=False for raw quads" % r)
+        self._set(values, boundary, on_variety)
 
     def __getitem__(self, color: int) -> complex:
         return self.values[color - 1]
 
 
-@dataclass(frozen=True)
-class DerivedBoundary:
+class DerivedBoundary(NamedTuple):
     """The constants p,q,r,s derived from a character point."""
 
     p: complex

@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
+from ._record import Frozen, Record
 from .algebra import moved_value
 from .markoff import HUGE, OVERFLOW_CAP, MarkoffMap, Quad, Value, modulus
 from .neighbors import WitnessKind, face_obstruction, h_star
@@ -28,21 +28,20 @@ from .tree import (COLORS, FACE_PAIRS, PAIRS_WITH, EdgeKey, FaceKey, Trie,
                    TrieFace, VertexWord, canonical_face)
 
 
-@dataclass(frozen=True)
-class BqParams:
-    K: Optional[float] = None          # None -> 2 + M
-    max_descent_steps: int = 200
-    max_faces: int = 20000
-    max_arc_steps: int = 2000
-    max_total_edges: int = 100000
+class BqParams(Frozen):
+    __slots__ = _fields = ("K", "max_descent_steps", "max_faces",
+                           "max_arc_steps", "max_total_edges")
 
-    def __post_init__(self):
+    def __init__(self, K: Optional[float] = None,   # None -> 2 + M
+                 max_descent_steps: int = 200, max_faces: int = 20000,
+                 max_arc_steps: int = 2000, max_total_edges: int = 100000):
         # bool is an int; K*K <= max fails for NaN, inf and |K| > 1.34e154.
-        K = self.K
         if K is not None and (isinstance(K, bool)
                               or not isinstance(K, numbers.Real)
                               or not K * K <= sys.float_info.max):
             raise ValueError("K must be real with K*K finite, got %r" % (K,))
+        self._set(K, max_descent_steps, max_faces, max_arc_steps,
+                  max_total_edges)
 
     def level(self, m: MarkoffMap) -> float:
         k = 2.0 + m.boundary.M if self.K is None else self.K
@@ -51,17 +50,19 @@ class BqParams:
         return k
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     kind: WitnessKind
     face: FaceKey
     value: Optional[complex] = None
 
 
-@dataclass
-class AttractingTree:
-    edges: Set[EdgeKey] = field(default_factory=set)
-    arc_bounds: Dict[FaceKey, Tuple[int, int]] = field(default_factory=dict)
+class AttractingTree(Record):
+    __slots__ = _fields = ("edges", "arc_bounds")
+
+    def __init__(self, edges: Optional[Set[EdgeKey]] = None,
+                 arc_bounds: Optional[Dict[FaceKey, Tuple[int, int]]] = None):
+        self.edges = set() if edges is None else edges
+        self.arc_bounds = {} if arc_bounds is None else arc_bounds
 
 
 class Status(Enum):
@@ -70,8 +71,7 @@ class Status(Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass
-class BqVerdict:
+class BqVerdict(NamedTuple):
     status: Status
     tree: Optional[AttractingTree] = None
     witness: Optional[Witness] = None
@@ -95,14 +95,14 @@ def face_witness(m: MarkoffMap, f: FaceKey, quad: Quad) -> Optional[Witness]:
     return None if kind is None else _witness(kind, f, psi)
 
 
-@dataclass
-class DescentResult:
+# The list defaults here and in ArcResult are shared: never append to one.
+class DescentResult(NamedTuple):
     vertex: Optional[VertexWord] = None
     quad: Optional[Quad] = None           # the quad at vertex
     witness: Optional[Witness] = None
     budget_hit: Optional[str] = None
     steps: int = 0
-    seeds: List[Tuple[int, int]] = field(default_factory=list)
+    seeds: List[Tuple[int, int]] = []
 
 
 # The pairs screened at a face's first window vertex (all but its own),
@@ -181,15 +181,13 @@ class ArcOutcome(Enum):
     OVERFLOW = "overflow"     # a value or the threshold overflowed
 
 
-@dataclass
-class ArcResult:
+class ArcResult(NamedTuple):
     outcome: ArcOutcome
     n1: int = 0
     n2: int = -1          # empty arc when n2 < n1
     steps: int = 0
     # Vertex quads at positions n1..n2+1 of a finite arc, in order.
-    quads: List[Quad] = field(default_factory=list, repr=False,
-                              compare=False)
+    quads: List[Quad] = []
 
 
 def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
@@ -363,9 +361,9 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                 else "overflow"
             return BqVerdict(Status.UNDECIDED, budget_hit=budget,
                              steps_used=steps)
-        n1 = arc.n1
-        arcs.append((f, n1, arc.n2))
-        total_edges += max(0, arc.n2 - n1 + 1)
+        _, n1, n2, _, quads = arc      # locals: a NamedTuple read is slower
+        arcs.append((f, n1, n2))
+        total_edges += max(0, n2 - n1 + 1)
         if total_edges > params.max_total_edges:
             return BqVerdict(Status.UNDECIDED, budget_hit="max_total_edges",
                              steps_used=steps)
@@ -379,9 +377,9 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         # position, its pair).
         k, l = f.edge_colors
         screen = first[f.colors]
-        mods, c = list(map(modulus, arc.quads[0])), k
+        mods, c = list(map(modulus, quads[0])), k
         hits = []
-        for n, quad in zip(range(n1, arc.n2 + 2), arc.quads):
+        for n, quad in zip(range(n1, n2 + 2), quads):
             mods[c - 1] = modulus(quad[c - 1])
             c = (k, l)[n & 1]     # edge n's color; n's last letter at n < 0
             if not n:
@@ -410,7 +408,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
             g = (nodes[s - lo], p)
             if g not in seen:
                 seen.add(g)
-                queue.append((TrieFace(trie, g[0], p), arc.quads[s - n1]))
+                queue.append((TrieFace(trie, g[0], p), quads[s - n1]))
     # Keys are built once, for the certificate that is returned.
     bounds = {f.key(): (n1, n2) for f, n1, n2 in arcs}
     edges = set()

@@ -64,6 +64,8 @@ def cmd_check(args) -> int:
 
 def cmd_render(args) -> int:
     from .render import load_config, render_to_file
+    if args.threads < 1:
+        raise ValueError("--threads must be at least 1")
     try:
         config = load_config(args.config)
     except (OSError, KeyError, ValueError, TypeError) as exc:

@@ -16,9 +16,9 @@ the map's memo alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
+from ._record import Record
 from .markoff import (OVERFLOW_CAP, MarkoffMap, Quad, Value,
                       face_value_capped, modulus)
 from .tree import (COLORS, FACE_PAIRS, PAIRS_WITH, ROOT, EdgeKey, FaceKey,
@@ -33,14 +33,17 @@ BASE_ENDS = (BASE_EDGE.parent, BASE_EDGE.child)
 Key = Union[RegionKey, FaceKey]
 
 
-@dataclass
-class FibTable:
+class FibTable(Record):
     """Memoized region/face growth values relative to the root's colour-4
     base edge ``BASE_EDGE``, computed key by key: the reference for the
     values ``ball_walk`` carries."""
 
-    _regions: Dict[RegionKey, int] = field(default_factory=dict)
-    _faces: Dict[FaceKey, int] = field(default_factory=dict)
+    __slots__ = _fields = ("_regions", "_faces")
+
+    def __init__(self, _regions: Optional[Dict[RegionKey, int]] = None,
+                 _faces: Optional[Dict[FaceKey, int]] = None):
+        self._regions = {} if _regions is None else _regions
+        self._faces = {} if _faces is None else _faces
 
     def region(self, r: RegionKey) -> int:
         got = self._regions.get(r)
@@ -101,8 +104,7 @@ def log_plus(x: float) -> float:
     return math.log(x) if x > 1.0 else 0.0
 
 
-@dataclass
-class GrowthReport:
+class GrowthReport(NamedTuple):
     kappa_lower: float
     kappa_upper: float
     argmin: Optional[Key]

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
+from ._record import Frozen, require_finite
 from .algebra import (BoundaryData, MarkoffQuad, RootChoice, quad_residual,
                       solve_fourth)
 from .bq import BqParams, BqVerdict, Status, WitnessKind, decide_bq
@@ -29,32 +29,30 @@ TAG_UNDECIDED = 3
 TAG_IN_BQ = 4
 
 # The BqParams fields a config's "budgets" may set.
-BUDGETS = [f.name for f in fields(BqParams) if f.name.startswith("max_")]
+BUDGETS = [f for f in BqParams._fields if f.startswith("max_")]
 
 
-@dataclass(frozen=True)
-class SliceConfig:
-    fixed: Dict[str, complex]
-    varying: str
-    center: complex
-    width: float
-    height: float
-    px: Tuple[int, int]              # (W, H)
-    params: BqParams = BqParams()
-    mode: str = "raw"                # raw | solve_plus | solve_minus
+class SliceConfig(Frozen):
+    __slots__ = _fields = ("fixed", "varying", "center", "width", "height",
+                           "px", "params", "mode")
 
-    def __post_init__(self):
-        if self.varying not in COORDS:
-            raise ValueError("unknown varying coordinate %r" % self.varying)
-        if sorted(self.fixed) != sorted(c for c in COORDS
-                                        if c != self.varying):
+    def __init__(self, fixed: Dict[str, complex], varying: str,
+                 center: complex, width: float, height: float,
+                 px: Tuple[int, int],                 # (W, H)
+                 params: BqParams = BqParams(),
+                 mode: str = "raw"):          # raw | solve_plus | solve_minus
+        if varying not in COORDS:
+            raise ValueError("unknown varying coordinate %r" % varying)
+        if sorted(fixed) != sorted(c for c in COORDS if c != varying):
             raise ValueError("fixed must contain the six other coordinates")
-        if self.px[0] < 1 or self.px[1] < 1:
+        require_finite(center, *fixed.values())
+        if px[0] < 1 or px[1] < 1:
             raise ValueError("resolution must be at least 1x1")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("window must have positive size")
-        if self.mode not in ("raw", "solve_plus", "solve_minus"):
-            raise ValueError("unknown mode %r" % self.mode)
+        if not 0 < width <= sys.float_info.max >= height > 0:   # not NaN
+            raise ValueError("window must have positive finite size")
+        if mode not in ("raw", "solve_plus", "solve_minus"):
+            raise ValueError("unknown mode %r" % mode)
+        self._set(fixed, varying, center, width, height, px, params, mode)
 
     @classmethod
     def from_json(cls, doc: dict) -> "SliceConfig":
@@ -93,8 +91,7 @@ class SliceConfig:
                    mode=doc.get("mode", "raw"))
 
 
-@dataclass(frozen=True)
-class PixelResult:
+class PixelResult(NamedTuple):
     tag: int
     steps_used: int
     residual: float = 0.0

@@ -12,10 +12,10 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, Tuple
 
+from ._record import Frozen
 from .algebra import CharacterPoint
 
 GENS = "ABC"
@@ -49,15 +49,14 @@ def cyclic_reduce(w: str) -> str:
     return w
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Frozen):
     """Images of (A,B,C); inverses of generators map to inverse words."""
 
-    images: Tuple[str, str, str]
+    _fields = ("images",)
+    __slots__ = _fields + ("__dict__",)      # the dict holds _table
 
-    def __post_init__(self):
-        object.__setattr__(self, "images",
-                           tuple(reduce_word(w) for w in self.images))
+    def __init__(self, images: Tuple[str, str, str]):
+        self._set(tuple(reduce_word(w) for w in images))
 
     @cached_property
     def _table(self) -> Dict[str, str]:

@@ -9,8 +9,7 @@ Fibonacci value of the key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict, NamedTuple, Union
 
 from .torelli import Automorphism, IDENTITY, TAU, compose, cyclic_reduce
 from .tree import FaceKey, RegionKey, VertexWord
@@ -31,8 +30,7 @@ BASE_FACE_WORD: Dict[tuple, str] = {
 Key = Union[RegionKey, FaceKey]
 
 
-@dataclass(frozen=True)
-class WordRep:
+class WordRep(NamedTuple):
     key: Key
     word: str     # cyclically reduced
 

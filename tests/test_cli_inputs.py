@@ -4,7 +4,7 @@ budgets that are not the four ``max_*`` integers, config pairs that are
 not two numbers, a config or ``fixed`` that is not a JSON object, a
 window size that is not a real number, and a level threshold K
 (``--k``, ``k_override``) that is not a real number with a finite
-square."""
+square, and a render worker count (``--threads``) below one."""
 
 import json
 import math
@@ -92,6 +92,17 @@ def test_render_rejects_bad_shapes(doc, tmp_path, capsys):
     with pytest.raises(ValueError):
         SliceConfig.from_json(doc)
     render_exits_usage(doc, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_render_rejects_threads_below_one(threads, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SLICE))
+    out = tmp_path / "o.ppm"
+    assert cli.main(["render", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == cli.EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("k", ["inf", "nan", "1e155"])

@@ -1,6 +1,7 @@
 """A command imports only what it runs: ``bqdomain.cli`` leaves ``render``
 and ``fib`` unimported, and the package reads its render names through
-``render`` when first asked for them."""
+``render`` when first asked for them.  No module loads ``dataclasses``
+or the ``inspect`` it pulls in: every launch would pay for them."""
 
 import os
 import subprocess
@@ -20,6 +21,13 @@ names = {}
 exec("from bqdomain import *", names)
 missing = [n for n in bqdomain.__all__ if n not in names]
 assert not missing, missing
+import bqdomain.fib
+from bqdomain.algebra import BoundaryData, MarkoffQuad
+quad = MarkoffQuad((4, 4, 4, -63.30495168499706), BoundaryData((0, 0, 0)),
+                   on_variety=False)
+bqdomain.decide_bq(bqdomain.MarkoffMap(quad))
+loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+assert not loaded, loaded
 print("ok")
 """
 

@@ -2,6 +2,7 @@
 determinism, and the command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -33,11 +34,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(fixed=bad)
 
-    def test_rejects_degenerate_window(self):
+    # The constructor checks what from_json checks: NaN, infinity and
+    # non-finite coordinates are rejected, not left to the first pixel.
+    @pytest.mark.parametrize("over", [
+        {"width": 0.0}, {"px": (0, 4)}, {"width": math.nan},
+        {"height": math.inf}, {"center": complex(math.nan, 0)},
+        {"fixed": dict(SIX_FIXED, a=complex(0, math.inf))}],
+        ids=["width_zero", "px_zero", "width_nan", "height_inf",
+             "center_nan", "fixed_inf"])
+    def test_rejects_degenerate_window(self, over):
         with pytest.raises(ValueError):
-            small_config(width=0.0)
-        with pytest.raises(ValueError):
-            small_config(px=(0, 4))
+            small_config(**over)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
