@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple, Tuple
 
 from ._record import Frozen, require_finite
@@ -51,18 +50,28 @@ _OTHER_COLORS = {i: tuple(j for j in (1, 2, 3, 4) if j != i)
 
 
 class BoundaryData(Frozen):
-    """Boundary traces omega = (x,y,z) and their max modulus M."""
+    """Boundary traces omega = (x,y,z), their max modulus M, and the
+    lambda tables that ``lam`` and the hot loops read.  Equality, hash,
+    repr and pickling use omega alone."""
 
     _fields = ("omega",)
-    __slots__ = _fields + ("__dict__",)      # the dict holds the caches
+    __slots__ = _fields + ("M", "lam_table", "move_terms")
 
     def __init__(self, omega: Tuple[complex, complex, complex]):
         require_finite(*omega)
         self._set(omega)
-
-    @cached_property
-    def M(self) -> float:
-        return max(abs(v) for v in self.omega)
+        x, y, z = omega
+        # lam_table[i-1][j-1] is lambda_ij (None when i == j), and
+        # move_terms[i] holds (j, lambda_ij) for the three other colors j,
+        # the coefficients of ``moved_value``.
+        lam = ((None, x, z, y), (x, None, y, z), (z, y, None, x),
+               (y, z, x, None))
+        init = object.__setattr__
+        init(self, "M", max(abs(v) for v in omega))
+        init(self, "lam_table", lam)
+        init(self, "move_terms", {
+            i: tuple((j, lam[i - 1][j - 1]) for j in others)
+            for i, others in _OTHER_COLORS.items()})
 
     def lam(self, i: int, j: int) -> complex:
         """lambda_{ij} for an unordered pair of colors i,j in 1..4.
@@ -73,22 +82,6 @@ class BoundaryData(Frozen):
         if 1 <= i <= 4 and 1 <= j <= 4 and i != j:
             return self.lam_table[i - 1][j - 1]
         raise ValueError("bad color pair %r" % ((i, j),))
-
-    @cached_property
-    def lam_table(self):
-        """lam_table[i-1][j-1] is lambda_ij (None when i == j), for hot
-        loops that would call ``lam``."""
-        x, y, z = self.omega
-        return ((None, x, z, y), (x, None, y, z), (z, y, None, x),
-                (y, z, x, None))
-
-    @cached_property
-    def move_terms(self):
-        """color i -> ((j, lambda_ij) for the three other colors j), the
-        coefficients of ``moved_value``."""
-        lam = self.lam_table
-        return {i: tuple((j, lam[i - 1][j - 1]) for j in others)
-                for i, others in _OTHER_COLORS.items()}
 
 
 class MarkoffQuad(Frozen):

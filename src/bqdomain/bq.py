@@ -24,8 +24,8 @@ from ._record import Frozen, Record
 from .algebra import moved_value
 from .markoff import HUGE, OVERFLOW_CAP, MarkoffMap, Quad, Value, modulus
 from .neighbors import WitnessKind, face_obstruction, h_star
-from .tree import (COLORS, FACE_PAIRS, PAIRS_WITH, EdgeKey, FaceKey, Trie,
-                   TrieFace, VertexWord, canonical_face)
+from .tree import (COLORS, EDGE_COLORS, FACE_PAIRS, PAIRS_WITH, EdgeKey,
+                   FaceKey, Trie, TrieFace, VertexWord, canonical_face)
 
 
 class BqParams(Frozen):
@@ -229,38 +229,40 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
     steps, rays = 0, []
     for side, other in ((l, k), (k, l)):
         # Quads at ray positions 0, 1, ..., the leading edges that reach
-        # the window, and the latest quad.  side is edge t's side color,
-        # moved at step t > 0, with its latest modulus and escape flag;
-        # the _o pair is the other color's (NaN: no value yet).
-        quads, cur, window, t = [quad], list(quad), 0, 0
+        # the window, and the latest quad as a list.  side is edge t's side
+        # color, with its latest modulus u and escape flag; the _o pair is
+        # the other color's (NaN: no value yet).  Step t reads u; unless
+        # the ray stops there, the colors trade places and the move of the
+        # new side color gives the quad at position t + 1.
+        quads, cur, window = [quad], list(quad), 0
         prev = prev_o = math.nan
         escaped = escaped_o = False
         u = modulus(quad[side - 1])
-        while not (escaped and escaped_o):
+        while True:
             if steps >= max_steps:
                 return ArcResult(ArcOutcome.BUDGET, steps=steps)
             steps += 1
-            if t:
-                v = moved_value(quads[-1], side, terms[side])
-                try:
-                    u = modulus(v)
-                except OverflowError:
-                    u = math.inf
-                if not u <= OVERFLOW_CAP:       # _cap, on the modulus
-                    v, u = HUGE, math.inf
-                cur[side - 1] = v
-                quads.append(tuple(cur))
             if u < h:
-                window = t + 1
+                window = len(quads)
                 escaped = escaped_o = False
             elif u == prev == math.inf:
                 return ArcResult(ArcOutcome.OVERFLOW, steps=steps)
             else:
                 escaped = u > prev
+                if escaped and escaped_o:
+                    break
             side, other = other, side
             prev, prev_o = prev_o, u
             escaped, escaped_o = escaped_o, escaped
-            t += 1
+            v = moved_value(cur, side, terms[side])
+            try:
+                u = modulus(v)
+            except OverflowError:
+                u = math.inf
+            if not u <= OVERFLOW_CAP:           # _cap, on the modulus
+                v, u = HUGE, math.inf
+            cur[side - 1] = v
+            quads.append(tuple(cur))
         rays.append((quads, window))
     (pos_quads, hi), (neg_quads, lo) = rays
     return ArcResult(ArcOutcome.FINITE, n1=-lo, n2=hi - 1, steps=steps,
@@ -290,11 +292,13 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     ``face_witness`` when the closure stops at it.
 
     A closure face is its anchor's node in a ``tree.Trie`` and its color
-    pair; the queue passes it on as a ``tree.TrieFace``, whose string
-    anchor is the node's word, built by ``Trie.word`` only when read.
-    Keys are built only for the verdict returned: the witness face, or
-    the arc bounds, in pop order so that each anchor read walks only the
-    letters past its source's, and then the edges.
+    pair.  ``seen`` keys it by one int, 6 * node + the pair's index in
+    ``FACE_PAIRS``; the queue holds it as a plain (node, pair, anchor quad)
+    tuple, and only a face that pops becomes a ``tree.TrieFace``, whose
+    string anchor is the node's word, built by ``Trie.word`` only when
+    read.  Keys are built only for the verdict returned: the witness
+    face, or the arc bounds, in pop order so that each anchor read walks
+    only the letters past its source's, and then the edges.
 
     The window screen rests on one invariant: after a face's screen,
     every in-level face at every vertex of its window is in ``seen``.  At
@@ -325,24 +329,29 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                          steps_used=steps)
     trie = Trie()
     sink = trie.node(v0)
-    # A screen entry is (i, j, lambda_ij, (i, j)), one per face pair.
+    # A screen entry is (i, j, lambda_ij, n), one per face pair, n its
+    # index in FACE_PAIRS; a face is keyed in seen by 6 * node + n.
     lam = m.boundary.lam_table
-    pairs = [(i, j, lam[i - 1][j - 1], (i, j)) for i, j in FACE_PAIRS]
+    pairs = [(i, j, lam[i - 1][j - 1], n)
+             for n, (i, j) in enumerate(FACE_PAIRS)]
     first = {p: get(pairs) for p, get in _FIRST.items()}
     crossed = {c: get(pairs) for c, get in _CROSSED.items()}
     KKM = K * K + m.boundary.M
-    seen: Set[Tuple[int, Tuple[int, int]]] = {(sink, p) for p in seeds}
-    # (face, quad at its anchor), the seeds in sorted order.
-    queue: List[Tuple[TrieFace, Quad]] = \
-        [(TrieFace(trie, sink, p), q0) for p in seeds]
+    max_faces, max_total_edges = params.max_faces, params.max_total_edges
+    seen: Set[int] = {6 * sink + FACE_PAIRS.index(p) for p in seeds}
+    # (node, pair, quad at its anchor), the seeds in sorted order; the
+    # face is built when it pops.
+    queue: List[Tuple[int, Tuple[int, int], Quad]] = \
+        [(sink, p, q0) for p in seeds]
     arcs: List[Tuple[TrieFace, int, int]] = []     # in pop order
     total_edges = 0
     while queue:
-        f, anchor_quad = queue.pop()
+        x, p, anchor_quad = queue.pop()
+        f = TrieFace(trie, x, p)
         steps += 1
         # A band or sigma face's walk ends at once, INFINITE or (on a HUGE
         # anchor quad) OVERFLOW, so a face with a finite arc needs no witness.
-        over_budget = len(seen) > params.max_faces
+        over_budget = len(seen) > max_faces
         arc = None if over_budget else \
             attracting_arc(m, f, anchor_quad, params)
         if over_budget or arc.outcome is not ArcOutcome.FINITE:
@@ -364,7 +373,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         _, n1, n2, _, quads = arc      # locals: a NamedTuple read is slower
         arcs.append((f, n1, n2))
         total_edges += max(0, n2 - n1 + 1)
-        if total_edges > params.max_total_edges:
+        if total_edges > max_total_edges:
             return BqVerdict(Status.UNDECIDED, budget_hit="max_total_edges",
                              steps_used=steps)
         # Screen each window vertex but f's anchor on the carried quad and
@@ -374,18 +383,18 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         # |a_i a_j - lambda_ij| < K*K + M (reference: values_in_level in
         # tests/oracles.py), takes K*K + M once; a face value past the cap is
         # HUGE, never in level, even below K*K + M.  A hit is (its anchor's
-        # position, its pair).
-        k, l = f.edge_colors
-        screen = first[f.colors]
+        # position, its pair's index).
+        kl = k, l = EDGE_COLORS[p]
+        screen = first[p]
         mods, c = list(map(modulus, quads[0])), k
         hits = []
         for n, quad in zip(range(n1, n2 + 2), quads):
             mods[c - 1] = modulus(quad[c - 1])
-            c = (k, l)[n & 1]     # edge n's color; n's last letter at n < 0
+            c = kl[n & 1]         # edge n's color; n's last letter at n < 0
             if not n:
                 screen = crossed[c]
                 continue
-            for i, j, lam_ij, p in screen:
+            for i, j, lam_ij, t in screen:
                 if not (mods[i - 1] < K or mods[j - 1] < K):
                     continue
                 try:
@@ -393,22 +402,22 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                 except OverflowError:           # HUGE under _cap
                     continue
                 if v < KKM and v <= OVERFLOW_CAP:
-                    if n > 0 or c in p:
-                        hits.append((n, p))
+                    if n > 0 or c == i or c == j:
+                        hits.append((n, t))
                     elif n < -1:
-                        hits.append((n + 1, p))
+                        hits.append((n + 1, t))
             screen = crossed[c]
         if not hits:
             continue
         # Name the hits: intern each ray only out to its outermost anchor.
         lo, hi = min(0, min(hits)[0]), max(0, hits[-1][0])
-        nodes = trie.ray(f.node, l, k, -lo)[:0:-1] + \
-            trie.ray(f.node, k, l, hi)
-        for s, p in hits:
-            g = (nodes[s - lo], p)
+        nodes = trie.ray(x, l, k, -lo)[:0:-1] + trie.ray(x, k, l, hi)
+        for s, t in hits:
+            y = nodes[s - lo]
+            g = 6 * y + t
             if g not in seen:
                 seen.add(g)
-                queue.append((TrieFace(trie, g[0], p), quads[s - n1]))
+                queue.append((y, FACE_PAIRS[t], quads[s - n1]))
     # Keys are built once, for the certificate that is returned.
     bounds = {f.key(): (n1, n2) for f, n1, n2 in arcs}
     edges = set()

@@ -88,6 +88,8 @@ def cmd_fib(args) -> int:
 
 
 def cmd_torelli(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     from .torelli import (IDENTITY_FACTORS, MAGNUS, character_agree,
                           equal_in_out, factored)
     worst = 0.0

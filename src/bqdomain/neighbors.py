@@ -14,7 +14,7 @@ import math
 from enum import Enum
 from typing import List, NamedTuple, Optional, Tuple
 
-from .algebra import BoundaryData, face_value
+from .algebra import BoundaryData
 from .markoff import (HUGE, Quad, Value, face_value_capped, modulus,
                       sigma_capped)
 from .tree import EDGE_COLORS, FaceKey
@@ -56,77 +56,25 @@ class HInputs(NamedTuple):
     X: complex
 
 
-class HOutputs(NamedTuple):
-    lam: complex       # |lam| >= 1 root of lam + 1/lam = X^2 - 2
-    T: complex         # product of the two geometric modes when S is the
-                       # conserved quadratic of the orbit
-    eta: complex       # the affine fixed point of the step map is
-    zeta: complex      # (-eta, -zeta); only |eta| enters H
-    W: float
-    H: float           # math.inf when the threshold does not exist
-
-
-def _multiplier(X: complex) -> Tuple[complex, complex, bool]:
-    """lam, X^2 - 4, and whether H is infinite (X on the band, |lam| 1)."""
-    mu = X * X - 2
-    root = cmath.sqrt(mu * mu - 4)
-    lam = (mu + root) / 2
-    if abs(lam) < 1:
-        lam = (mu - root) / 2
-    return lam, X * X - 4, dist_to_interval(X) <= 1e-12 \
-        or abs(lam) <= 1 + 1e-12
-
-
 def _threshold(Q: complex, R: complex, S: complex, X: complex, al: float,
                denom: complex) -> Tuple[complex, complex, float, float]:
     """(T, eta, W, H) for the ordering (Q, R), given |lam| = al and
-    denom = X^2 - 4.  H is inf when num is 0; past float range it raises."""
+    denom = X^2 - 4.  H is inf when num is 0; past float range it raises.
+    The W radicand is clamped at zero from below: the clamp only shrinks
+    W, and a smaller W keeps H a valid (indeed tighter) threshold."""
     num = Q * Q + R * R - X * R * Q + S * denom
     T = num / (denom * denom)
     eta = (2 * Q - X * R) / denom
     if num == 0:
         return T, eta, math.inf, math.inf
-    radicand = abs(eta) ** 2 - al * (al * al - 1)
-    w = (abs(eta) + math.sqrt(max(radicand, 0.0))) \
-        / (math.sqrt(abs(T)) * al * (al - 1))
-    h = math.sqrt(abs(T)) * al * (w + 1) + abs(eta)
+    e = abs(eta)
+    radicand = e ** 2 - al * (al * al - 1)
+    t = math.sqrt(abs(T)) * al
+    w = (e + math.sqrt(max(radicand, 0.0))) / (t * (al - 1))
+    h = t * (w + 1) + e
     if not h < math.inf:                     # inf or NaN
         raise OverflowError("the threshold H overflowed")
     return T, eta, w, h
-
-
-def h_value(inp: HInputs) -> HOutputs:
-    """Threshold data for the recurrence with parameters (Q,R,S,X).
-
-    H is +inf when X lies on [-2,2] (the multiplier has modulus one) or
-    when Q^2+R^2-XRQ+S(X^2-4) vanishes.  The W radicand is clamped at
-    zero from below: the clamp only shrinks W, and a smaller W keeps H a
-    valid (indeed tighter) threshold.
-    """
-    Q, R, S, X = inp
-    lam, denom, infinite = _multiplier(X)
-    if infinite:
-        return HOutputs(lam, complex("nan"), complex("nan"),
-                        complex("nan"), math.inf, math.inf)
-    T, eta, w, h = _threshold(Q, R, S, X, abs(lam), denom)
-    return HOutputs(lam, T, eta, (2 * R - X * Q) / denom, w, h)
-
-
-def h_value_sym(inp: Tuple[complex, complex, complex, complex]) -> float:
-    """max of H over both orderings of (Q,R), the face's two interleaved
-    side sequences; an infinite H in either wins over the other's overflow."""
-    Q, R, S, X = inp
-    lam, denom, infinite = _multiplier(X)
-    if infinite:
-        return math.inf
-    try:
-        h = _threshold(Q, R, S, X, abs(lam), denom)[3]
-    except ArithmeticError:
-        if _threshold(R, Q, S, X, abs(lam), denom)[3] < math.inf:
-            raise
-        return math.inf
-    return h if h == math.inf else \
-        max(h, _threshold(R, Q, S, X, abs(lam), denom)[3])
 
 
 class NeighborSeq(NamedTuple):
@@ -193,37 +141,11 @@ def specialize_n13(a: complex, b: complex,
     return HInputs(y * b + a * z, y * a + z * b, s, a * b - x)
 
 
-def _face_h_params(boundary: BoundaryData, quad, i: int, j: int,
-                   x: complex) -> Tuple[complex, complex, complex, complex]:
-    """Recurrence parameters (Q, R, S, X) for the side-region sequence of
-    face {i,j}, whose face value x is X.
-
-    `quad` is the four region values at a vertex on the face's boundary
-    geodesic.  The sequence regions carry the complementary colors k,l,
-    and the two values a_k, a_l at the vertex seed the orbit; S is the
-    conserved quadratic of the recurrence evaluated there, with the sign
-    that makes T equal the product AB of the two geometric modes (and
-    hence sigma/(X^2-4)^2).
-    """
-    k, l = EDGE_COLORS[i, j]
-    li, lj = boundary.lam_table[i - 1], boundary.lam_table[j - 1]
-    ai, aj, ak, al = (quad[i - 1], quad[j - 1], quad[k - 1], quad[l - 1])
-    q = li[k - 1] * ai + lj[k - 1] * aj
-    r = lj[k - 1] * ai + li[k - 1] * aj
-    s = q * ak + r * al - ak * ak - al * al - x * ak * al
-    return q, r, s, x
-
-
-def face_h_inputs(boundary: BoundaryData, quad, i: int, j: int) -> HInputs:
-    """``_face_h_params`` with X the face value at quad, as HInputs."""
-    x = face_value(quad[i - 1], quad[j - 1], boundary.lam_table[i - 1][j - 1])
-    return HInputs(*_face_h_params(boundary, quad, i, j, x))
-
-
 def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
            K: float) -> float:
     """Arc-gluing threshold for face f at level K, from the quad at f's
-    anchor.
+    anchor: the larger of H, the threshold of the side-region recurrence,
+    and the level term (K^2 + 2M) / min(|a_i|, |a_j|).
 
     Infinite when the face shows a ``face_obstruction`` (its value sits
     on the forbidden band, or sigma vanishes), or when a bounding region
@@ -239,8 +161,42 @@ def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
     lo = min(abs(ai), abs(aj))
     if obstruction is not None or lo == 0:
         return math.inf
-    h_psi = h_value_sym(_face_h_params(boundary, quad, i, j, psi))
+    # The side regions, colored k and l, alternate along the boundary
+    # geodesic, and their values obey an affine recurrence with parameters
+    # (Q, R, S, X), X = psi: a_k and a_l seed it, and S is its conserved
+    # quadratic there, with the sign that makes T the product AB of the
+    # two geometric modes (and hence sigma/(X^2-4)^2).
+    k, l = EDGE_COLORS[i, j]
+    li, lj = boundary.lam_table[i - 1], boundary.lam_table[j - 1]
+    ak, al = quad[k - 1], quad[l - 1]
+    Q = li[k - 1] * ai + lj[k - 1] * aj
+    R = lj[k - 1] * ai + li[k - 1] * aj
+    S = Q * ak + R * al - ak * ak - al * al - psi * ak * al
+    # The multiplier: the root of lam + 1/lam = X^2 - 2 with |lam| >= 1.
+    # H is infinite when |lam| is one.  It would be for X within 1e-12 of
+    # the band [-2,2] too, but psi passed face_obstruction's band test,
+    # so it lies more than TOL_REAL off the band.
+    mu = psi * psi - 2
+    root = cmath.sqrt(mu * mu - 4)
+    lam = (mu + root) / 2
+    if abs(lam) < 1:
+        lam = (mu - root) / 2
+    denom, mod = psi * psi - 4, abs(lam)
+    if mod <= 1 + 1e-12:
+        h = math.inf
+    else:
+        # H is the larger over both orderings of (Q, R), the face's two
+        # interleaved side sequences; an infinite H in either wins over
+        # the other's overflow.
+        try:
+            h = _threshold(Q, R, S, psi, mod, denom)[3]
+        except ArithmeticError:
+            if _threshold(R, Q, S, psi, mod, denom)[3] < math.inf:
+                raise
+            h = math.inf
+        if h != math.inf:
+            h = max(h, _threshold(R, Q, S, psi, mod, denom)[3])
     level = (K * K + 2 * boundary.M) / lo
-    if level == math.inf > h_psi:
+    if level == math.inf > h:
         raise OverflowError("the level term of H* overflowed")
-    return max(h_psi, level)
+    return max(h, level)

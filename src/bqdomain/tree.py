@@ -22,9 +22,10 @@ The closure in ``bq.decide_bq`` meets faces whose anchors run to
 thousands of letters, so it names vertices by int nodes of a ``Trie``
 instead of by word: a node is one child step from its parent, and a
 face is the pair (anchor node, colors), O(1) to build and to hash.  A
-``TrieFace`` carries that pair; its string ``anchor`` is the node's
-word, which ``Trie.word`` builds only when read.  The key
-builders here are for the few vertices and faces that need a name.
+face that the closure pops is handed on as a ``TrieFace`` carrying that
+pair; its string ``anchor`` is the node's word, which ``Trie.word``
+builds only when read.  The key builders here are for the few vertices
+and faces that need a name.
 """
 
 from __future__ import annotations

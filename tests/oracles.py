@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from bqdomain.fib import (FibTable, GrowthReport, base_keys, keys_to_depth,
 from bqdomain.markoff import (HUGE, OVERFLOW_CAP, MarkoffMap, Value, _cap,
                               face_value_capped, modulus)
 from bqdomain.neighbors import (TOL_REAL, TOL_SIGMA, HInputs, WitnessKind,
-                                dist_to_interval)
+                                _threshold, dist_to_interval)
 from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, RegionKey,
                            canonical_face, face_edge_at, face_vertex_at,
                            faces_at)
@@ -299,8 +299,52 @@ def canonical_face_reference(v: str, i: int, j: int) -> FaceKey:
     return FaceKey(v[:n], (i, j))
 
 
+class HOutputs(NamedTuple):
+    lam: complex       # |lam| >= 1 root of lam + 1/lam = X^2 - 2
+    T: complex         # product of the two geometric modes when S is the
+                       # conserved quadratic of the orbit
+    eta: complex       # the affine fixed point of the step map is
+    zeta: complex      # (-eta, -zeta); only |eta| enters H
+    W: float
+    H: float           # math.inf when the threshold does not exist
+
+
+def h_value(inp: HInputs) -> HOutputs:
+    """Threshold data of the recurrence with parameters (Q,R,S,X), for the
+    ordering (Q, R): the multiplier as ``neighbors.h_star`` takes it, and
+    T, eta, W, H from ``neighbors._threshold``.  H is +inf when X
+    lies on [-2,2] (the multiplier has modulus one) or when
+    Q^2+R^2-XRQ+S(X^2-4) vanishes."""
+    Q, R, S, X = inp
+    mu = X * X - 2
+    root = cmath.sqrt(mu * mu - 4)
+    lam = (mu + root) / 2
+    if abs(lam) < 1:
+        lam = (mu - root) / 2
+    denom = X * X - 4
+    if dist_to_interval(X) <= 1e-12 or abs(lam) <= 1 + 1e-12:
+        return HOutputs(lam, complex("nan"), complex("nan"),
+                        complex("nan"), math.inf, math.inf)
+    T, eta, w, h = _threshold(Q, R, S, X, abs(lam), denom)
+    return HOutputs(lam, T, eta, (2 * R - X * Q) / denom, w, h)
+
+
+def h_value_sym(inp: HInputs) -> float:
+    """The larger of ``h_value``'s H over both orderings of (Q,R), an
+    infinite H in either winning over the other's overflow: the rule
+    ``neighbors.h_star`` applies to the recurrence of a face."""
+    Q, R, S, X = inp
+    try:
+        h = h_value(inp).H
+    except ArithmeticError:
+        if h_value(HInputs(R, Q, S, X)).H < math.inf:
+            raise
+        return math.inf
+    return h if h == math.inf else max(h, h_value(HInputs(R, Q, S, X)).H)
+
+
 def h_value_reference(inp: HInputs) -> float:
-    """H of ``neighbors.h_value`` for one ordering, the multiplier
+    """H of ``h_value`` for one ordering, the multiplier and the threshold
     computed afresh."""
     Q, R, S, X = inp.Q, inp.R, inp.S, inp.X
     mu = X * X - 2
@@ -325,7 +369,9 @@ def h_value_reference(inp: HInputs) -> float:
 
 def face_h_inputs_reference(boundary: BoundaryData, quad, i: int,
                             j: int) -> HInputs:
-    """``neighbors.face_h_inputs`` with every lambda read by ``lam``."""
+    """The recurrence parameters (Q, R, S, X) that ``neighbors.h_star``
+    computes for face {i,j} from the quad at a vertex on its boundary,
+    with every lambda read by ``lam`` and X the face value."""
     k, l = [c for c in COLORS if c not in (i, j)]
     lam = boundary.lam
     ai, aj, ak, al = (quad[i - 1], quad[j - 1], quad[k - 1], quad[l - 1])

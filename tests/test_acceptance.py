@@ -18,8 +18,7 @@ from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice, Theta,
 from bqdomain.bq import BqParams, Status, decide_bq
 from bqdomain.fib import FibTable, growth_report, keys_to_depth
 from bqdomain.markoff import Huge, MarkoffMap, VertexClass
-from bqdomain.neighbors import (HInputs, NeighborSeq, face_h_inputs, h_value,
-                                h_value_sym, simulate_neighbors)
+from bqdomain.neighbors import HInputs, NeighborSeq, simulate_neighbors
 from bqdomain.render import (TAG_IN_BQ, TAG_UNDECIDED, SliceConfig,
                              classify_pixel, render_slice)
 from bqdomain.torelli import (MAGNUS, TAU, character_agree, equal_in_out,
@@ -30,7 +29,8 @@ from bqdomain.words import WordTable
 from conftest import (NOT_BQ_FIXTURES, in_bq_fixtures, make_map,
                       not_bq_fixtures, random_markoff_map,
                       random_on_variety_point)
-from oracles import brute_force_bq, face_in_level, fork_scan
+from oracles import (brute_force_bq, face_h_inputs_reference, face_in_level,
+                     fork_scan, h_value, h_value_sym)
 
 COORD_NAMES = ("a", "b", "c", "d", "x", "y", "z")
 
@@ -166,7 +166,7 @@ def test_criterion_04_neighbor_trichotomy():
     m = MarkoffMap(MarkoffQuad((2.3, 1.7, -0.9, d), bd))
     for (i, j) in ((1, 2), (1, 3), (1, 4), (2, 4), (3, 4)):
         f = canonical_face("", i, j)
-        inp = face_h_inputs(bd, m.quad_at(""), i, j)
+        inp = face_h_inputs_reference(bd, m.quad_at(""), i, j)
         lam_f = h_value(inp).lam
         ns = range(-5, 6)
         ys = np.array([complex(m.eval_region(face_side_region(f, 2 * n - 1)))

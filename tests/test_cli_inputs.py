@@ -4,7 +4,8 @@ budgets that are not the four ``max_*`` integers, config pairs that are
 not two numbers, a config or ``fixed`` that is not a JSON object, a
 window size that is not a real number, and a level threshold K
 (``--k``, ``k_override``) that is not a real number with a finite
-square, and a render worker count (``--threads``) below one."""
+square, a render worker count (``--threads``) below one, and a torelli
+trial count (``--trials``) below one."""
 
 import json
 import math
@@ -103,6 +104,14 @@ def test_render_rejects_threads_below_one(threads, tmp_path, capsys):
                      "--threads", threads]) == cli.EXIT_USAGE
     assert "--threads" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_torelli_rejects_trials_below_one(trials, capsys):
+    assert cli.main(["torelli", "--trials", trials]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --trials must be at least 1\n"
 
 
 @pytest.mark.parametrize("k", ["inf", "nan", "1e155"])

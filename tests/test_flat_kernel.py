@@ -5,8 +5,10 @@ reads the lambdas from ``lam_table`` and evaluates H on plain values,
 and the canonical keys strip their trailing letters with
 ``str.rstrip``.  These tests hold each of them bitwise to the
 references: one ``move_reference`` per arc step, ``lam`` calls and
-``HInputs``, and per-letter loops.  Where the references' H* is NaN
-from overflow, the threshold now raises and the arc ends with OVERFLOW.
+``HInputs``, and per-letter loops, on made-up quads and, for H*, on the
+anchor quad of every face the closure pops on the frozen points.  Where
+the references' H* is NaN from overflow, the threshold now raises and
+the arc ends with OVERFLOW.
 The window screen in ``decide_bq``, ``values_in_level`` written out on
 the carried moduli, is pinned by the faces the closure pops (see
 ``test_carried_decide``); here one made-up window checks that a face
@@ -25,14 +27,14 @@ from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import ArcOutcome, ArcResult, BqParams, attracting_arc
 from bqdomain.markoff import HUGE, OVERFLOW_CAP, MarkoffMap
 from bqdomain.neighbors import (HInputs, WitnessKind, face_obstruction,
-                                h_star, h_value, h_value_sym)
+                                h_star)
 from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, canonical_face,
                            canonical_region)
 
 from conftest import random_on_variety_point
 from oracles import (attracting_arc_reference, canonical_face_reference,
                      canonical_region_reference, h_star_reference,
-                     values_in_level)
+                     h_value_reference, h_value_sym, values_in_level)
 
 
 def same(x, y) -> bool:
@@ -150,6 +152,31 @@ def test_arc_and_h_star_match_the_references(params):
         assert ArcOutcome.BUDGET in seen["variety"] | seen["raw"]
 
 
+def test_h_star_matches_the_reference_on_closure_pops(monkeypatch):
+    """H* bitwise, raised errors included, at the anchor quad of every
+    face the closure pops on the 25 frozen points of
+    ``test_carried_decide``: the (Q, R, S, X) and multiplier that
+    ``h_star`` computes on these quads are otherwise pinned only through
+    the windows they bound.  Every one of these H* is finite, so each
+    pop reaches the recurrence and both orderings of its threshold."""
+    from test_carried_decide import frozen_maps
+    walk, pops = bq.attracting_arc, []
+
+    def recording(m, f, quad, params):
+        pops.append((m.boundary, f, quad, params.level(m)))
+        return walk(m, f, quad, params)
+    monkeypatch.setattr(bq, "attracting_arc", recording)
+    for make in frozen_maps():
+        bq.decide_bq(make.values[0]())
+    finite = 0
+    for boundary, f, quad, K in pops:
+        got = call(h_star, boundary, f, quad, K)
+        want = call(h_star_reference, boundary, f, quad, K)
+        assert same(got, want), (f.key(), quad, got, want)
+        finite += not isinstance(got, tuple) and math.isfinite(got)
+    assert len(pops) == 14138 and finite == len(pops)
+
+
 def test_the_band_and_sigma_cases_are_obstructed():
     kinds = {}
     for name, omega, quad in kernel_cases():
@@ -184,16 +211,18 @@ def h_inputs(seed: int = 5):
     return out
 
 
-def test_h_value_sym_is_the_max_over_both_orderings():
+def test_threshold_matches_the_reference_on_both_orderings():
+    """``neighbors._threshold``, through ``oracles.h_value_sym``, against
+    ``h_value_reference``, which computes H afresh, over both orderings:
+    bitwise on every input, the infinite ones included."""
     inputs = h_inputs()
     assert len(inputs) == 500
     infinite = 0
     for inp in inputs:
         swapped = HInputs(inp.R, inp.Q, inp.S, inp.X)
-        want = max(h_value(inp).H, h_value(swapped).H)
+        want = max(h_value_reference(inp), h_value_reference(swapped))
         got = h_value_sym(inp)
         assert same(got, want), inp
-        assert same(h_value_sym(tuple(inp)), want)
         infinite += math.isinf(got)
     assert infinite >= 80
 
@@ -246,8 +275,9 @@ def test_window_face_value_past_the_cap_is_not_in_level(monkeypatch):
     """At K = 1e100 the regions 1e85 and 1e85 are below K, and their face
     value, about 1e170, is below K*K + M but past the overflow cap: it
     is HUGE, never in level.  No arc is finite at so high a K, so the
-    first popped face gets a made-up window of two vertices, and a
-    recorder on ``bq.TrieFace`` reads the colors of every face queued."""
+    first popped face gets a made-up window of two vertices and every
+    later pop an empty finite arc, which queues nothing; so every queued
+    face pops, and the stub reads the node and colors of each."""
     m = kernel_map((0j, 0j, 0j), (1e85 + 0j, 1e85 + 0j, 3 + 0j, 3 + 0j))
     params = BqParams(K=1e100)
     K, b = params.level(m), m.boundary
@@ -256,18 +286,23 @@ def test_window_face_value_past_the_cap_is_not_in_level(monkeypatch):
     for quad in window:
         assert max(abs(quad[0]), abs(quad[1])) < K
         assert OVERFLOW_CAP < abs(quad[0] * quad[1]) < K * K
-    arcs = [ArcResult(ArcOutcome.FINITE, n1=0, n2=0, steps=2, quads=window)]
-    monkeypatch.setattr(bq, "attracting_arc", lambda *args: arcs.pop()
-                        if arcs else ArcResult(ArcOutcome.BUDGET))
-    face, queued = bq.TrieFace, []
+    popped = []
 
-    def recording(trie, node, colors):
-        queued.append(colors)
-        return face(trie, node, colors)
-    monkeypatch.setattr(bq, "TrieFace", recording)
-    bq.decide_bq(m, params)
+    def arc(m, f, quad, params):
+        popped.append((f.node, f.colors))
+        if len(popped) == 1:
+            return ArcResult(ArcOutcome.FINITE, n1=0, n2=0, steps=2,
+                             quads=window)
+        return ArcResult(ArcOutcome.FINITE, n1=0, n2=-1, steps=1,
+                         quads=[quad])
+    monkeypatch.setattr(bq, "attracting_arc", arc)
+    verdict = bq.decide_bq(m, params)
+    assert verdict.status is bq.Status.IN_BQ
     seeds = [p for p in FACE_PAIRS if values_in_level(
         q0[p[0] - 1], q0[p[1] - 1], b.lam(*p), K, b.M)]
-    assert queued[:len(seeds)] == seeds and (1, 2) not in seeds
-    assert queued[len(seeds):], "the window queued no face"
-    assert (1, 2) not in queued
+    sink = popped[0][0]
+    assert popped[0] == (sink, seeds[-1]) and (1, 2) not in seeds
+    # The seeds pop last in, first out, after the faces of the window.
+    assert [p for x, p in popped if x == sink] == seeds[::-1]
+    assert [x for x, _ in popped if x != sink], "the window queued no face"
+    assert (1, 2) not in [p for _, p in popped]

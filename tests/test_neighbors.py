@@ -9,11 +9,12 @@ from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice,
                               solve_fourth)
 from bqdomain.markoff import MarkoffMap
 from bqdomain.neighbors import (HInputs, NeighborSeq, dist_to_interval,
-                                face_h_inputs, h_star, h_value, h_value_sym,
-                                simulate_neighbors,
+                                h_star, simulate_neighbors,
                                 specialize_four_holed_sphere, specialize_n13,
                                 specialize_torus)
 from bqdomain.tree import canonical_face, face_side_region
+
+from oracles import face_h_inputs_reference, h_value
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
 
@@ -49,10 +50,23 @@ class TestHValue:
         assert h_value(HInputs(0, 0, 0, 3)).H == math.inf
 
     def test_symmetric_version_takes_worst_order(self):
-        inp = HInputs(2.0, -1.0, 3.0, 4.0)
-        swapped = HInputs(-1.0, 2.0, 3.0, 4.0)
-        expect = max(h_value(inp).H, h_value(swapped).H)
-        assert h_value_sym(inp) == expect
+        # h_star's H is the larger over both orderings of (Q, R): (Q, R)
+        # wins at the first quad, (R, Q) at the second, both above the
+        # level term.
+        bd = BoundaryData((1.0, 0.5, -0.3))
+        K = 2 + bd.M
+        wins = set()
+        for quad in ((3 + 2j, 2 - 1j, 4 + 1j, -5 + 0.5j),
+                     (1.0, 4.0, 4.0, -1 + 2j)):
+            inp = face_h_inputs_reference(bd, quad, 1, 2)
+            swapped = HInputs(inp.R, inp.Q, inp.S, inp.X)
+            h, h_swapped = h_value(inp).H, h_value(swapped).H
+            level = (K * K + 2 * bd.M) / min(abs(quad[0]), abs(quad[1]))
+            assert min(h, h_swapped) > level
+            got = h_star(bd, canonical_face("", 1, 2), quad, K)
+            assert got == max(h, h_swapped)
+            wins.add(h > h_swapped)
+        assert wins == {True, False}
 
     def test_lambda_is_large_root(self):
         out = h_value(HInputs(1, 2, 3, 2.5))
@@ -127,7 +141,7 @@ def sample_map(omega, abc, which=RootChoice.PLUS) -> MarkoffMap:
 class TestFaceRecurrence:
     def check_face(self, m: MarkoffMap, i: int, j: int):
         f = canonical_face("", i, j)
-        inp = face_h_inputs(m.boundary, m.quad_at(""), i, j)
+        inp = face_h_inputs_reference(m.boundary, m.quad_at(""), i, j)
         X, Q, R, S = inp.X, inp.Q, inp.R, inp.S
         u = {n: m.eval_region(face_side_region(f, n)) for n in range(-7, 8)}
 
@@ -167,7 +181,7 @@ class TestFaceRecurrence:
             m = sample_map(omega, abc)
             for (i, j) in ((1, 2), (1, 3), (2, 3), (1, 4)):
                 f = canonical_face("", i, j)
-                inp = face_h_inputs(m.boundary, m.quad_at(""), i, j)
+                inp = face_h_inputs_reference(m.boundary, m.quad_at(""), i, j)
                 X, Q, R, S = inp.X, inp.Q, inp.R, inp.S
                 T = (Q * Q + R * R - X * R * Q
                      + S * (X * X - 4)) / (X * X - 4) ** 2
@@ -179,7 +193,7 @@ class TestFaceRecurrence:
         m = sample_map((0, 0, 0), (2.4, 1.9, 0.8))
         quad = m.quad_at("")
         for (i, j) in ((1, 2), (1, 3), (2, 3)):
-            mine = h_value(face_h_inputs(m.boundary, quad, i, j)).H
+            mine = h_value(face_h_inputs_reference(m.boundary, quad, i, j)).H
             pub = h_value(specialize_n13(quad[i - 1], quad[j - 1],
                                          (0, 0, 0))).H
             assert mine == pytest.approx(pub, rel=1e-9)

@@ -22,12 +22,11 @@ from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
                          decide_bq)
 from bqdomain.markoff import (HUGE, MarkoffMap, _cap, face_value_capped,
                               sigma_capped)
-from bqdomain.neighbors import (WitnessKind, face_obstruction, h_star,
-                                h_value_sym)
+from bqdomain.neighbors import WitnessKind, face_obstruction, h_star
 from bqdomain.tree import COLORS, FACE_PAIRS, FaceKey
 
 from conftest import random_on_variety_point
-from oracles import move_reference
+from oracles import face_h_inputs_reference, move_reference
 
 
 def same(x, y) -> bool:
@@ -110,18 +109,39 @@ def fake_threshold(raising):
     return threshold
 
 
-@pytest.mark.parametrize("raising", [{1.0}, {2.0}])
+# A face (1, 2) off the band, with no zero region and Q != R, so that
+# each ordering of its recurrence is told apart by its Q.
+ORDER_OMEGA = BoundaryData((1.0, 0.5, -0.3))
+ORDER_QUAD = (3 + 2j, 2 - 1j, 4 + 1j, -5 + 0.5j)
+
+
+def order_qs():
+    inp = face_h_inputs_reference(ORDER_OMEGA, ORDER_QUAD, 1, 2)
+    assert inp.Q != inp.R
+    return inp.Q, inp.R
+
+
+def order_h_star():
+    return h_star(ORDER_OMEGA, FaceKey("", (1, 2)), ORDER_QUAD,
+                  2 + ORDER_OMEGA.M)
+
+
+# raising holds the orderings whose threshold overflows: 0 is (Q, R) and
+# 1 is (R, Q).
+@pytest.mark.parametrize("raising", [{0}, {1}])
 def test_an_infinite_ordering_wins_over_an_overflowed_one(raising,
                                                           monkeypatch):
-    monkeypatch.setattr(neighbors, "_threshold", fake_threshold(raising))
-    assert h_value_sym((1.0, 2.0, 0.5, 3.0)) == math.inf
+    qs = order_qs()
+    monkeypatch.setattr(neighbors, "_threshold",
+                        fake_threshold({qs[n] for n in raising}))
+    assert order_h_star() == math.inf
 
 
 def test_overflow_in_both_orderings_raises(monkeypatch):
     monkeypatch.setattr(neighbors, "_threshold",
-                        fake_threshold({1.0, 2.0}))
+                        fake_threshold(set(order_qs())))
     with pytest.raises(OverflowError):
-        h_value_sym((1.0, 2.0, 0.5, 3.0))
+        order_h_star()
 
 
 def test_an_overflowed_level_term_ends_the_arc_with_overflow():
