@@ -8,15 +8,15 @@ from .algebra import (BoundaryData, CharacterPoint, DerivedBoundary,
                       vertex_residual)
 from .bq import (AttractingTree, BqParams, BqVerdict, Status, Witness,
                  WitnessKind, decide_bq)
-from .markoff import MarkoffMap, Orientation, VertexClass
+from .markoff import MarkoffMap
 
 __all__ = [
     "BoundaryData", "CharacterPoint", "DerivedBoundary", "MarkoffQuad",
     "RootChoice", "Theta", "elementary_move", "face_value",
     "involution_theta", "sigma", "solve_fourth", "vertex_residual",
     "AttractingTree", "BqParams", "BqVerdict", "Status", "Witness",
-    "WitnessKind", "decide_bq", "MarkoffMap", "Orientation", "VertexClass",
-    "SliceConfig", "render_slice", "render_to_file",
+    "WitnessKind", "decide_bq", "MarkoffMap", "SliceConfig", "render_slice",
+    "render_to_file",
 ]
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ four one-sided curves.  Everything here is pure complex arithmetic, and
 each trace identity is written once, over plain values: the vertex
 relation (``quad_residual``), the elementary move (``moved_value``), the
 face value and sigma.  ``markoff`` applies them over the tree and adds
-only saturation and the memo.
+only saturation.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class CharacterPoint(Frozen):
     def quad(self) -> Tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
 
-    def sup_norm(self) -> float:
-        return max(abs(v) for v in (self.a, self.b, self.c, self.d,
-                                    self.x, self.y, self.z))
-
 
 # color i -> the three other colors, in order.
 _OTHER_COLORS = {i: tuple(j for j in (1, 2, 3, 4) if j != i)
@@ -67,7 +63,11 @@ class BoundaryData(Frozen):
         lam = ((None, x, z, y), (x, None, y, z), (z, y, None, x),
                (y, z, x, None))
         init = object.__setattr__
-        init(self, "M", max(abs(v) for v in omega))
+        try:
+            init(self, "M", max(abs(v) for v in omega))
+        except OverflowError:
+            raise ValueError("boundary trace past float range: %r"
+                             % (omega,)) from None
         init(self, "lam_table", lam)
         init(self, "move_terms", {
             i: tuple((j, lam[i - 1][j - 1]) for j in others)
@@ -98,9 +98,13 @@ class MarkoffQuad(Frozen):
                  boundary: BoundaryData, on_variety: bool = True):
         require_finite(*values)
         if on_variety:
-            r = abs(quad_residual(values, boundary))
-            scale = 1.0 + max(abs(v) for v in values) ** 4
-            if r > DEFAULT_ON_VARIETY_TOL * scale:
+            try:
+                r = abs(quad_residual(values, boundary))
+                scale = 1.0 + max(abs(v) for v in values) ** 4
+            except OverflowError:
+                raise ValueError("quad too large to test against the vertex "
+                                 "relation: %r" % (values,)) from None
+            if not r <= DEFAULT_ON_VARIETY_TOL * scale:
                 raise ValueError(
                     "quad residual %g exceeds tolerance; "
                     "flag on_variety=False for raw quads" % r)

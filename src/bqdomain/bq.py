@@ -7,8 +7,8 @@ membership; a face value on the real band [-2,2], a vanishing sigma, or
 an arc that cannot terminate certifies non-membership; exhausted budgets
 and overflow yield an honest Undecided.
 
-Every value is carried from the root, one elementary move per edge, and
-none is looked up by word, so the map's memo stays at the root quad.
+Every value is carried from the map's root quad, one elementary move
+per edge, and none is looked up by word.
 """
 
 from __future__ import annotations
@@ -270,10 +270,10 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
 
 
 def arc_edges(f: FaceKey, n1: int, n2: int) -> List[EdgeKey]:
-    """``face_edge_at(f, n)`` for n = n1, ..., n2, in that order.  Edge
-    n < 0 is named by the anchor plus the first -n letters of the
-    negative ray's string l, k, l, ..., and edge n >= 0 by the anchor
-    plus the first n + 1 of the positive ray's k, l, k, ..."""
+    """Boundary edges n = n1, ..., n2 of f, in that order; edge n joins
+    positions n and n + 1.  Edge n < 0 is named by the anchor plus the
+    first -n letters of the negative ray's string l, k, l, ..., and edge
+    n >= 0 by the anchor plus the first n + 1 of the positive ray's."""
     k, l = f.edge_colors
     a = f.anchor
     neg = ("%d%d" % (l, k)) * ((1 - n1) // 2)

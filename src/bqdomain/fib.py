@@ -4,13 +4,13 @@ F assigns 1 to the three regions flanking a base edge and 2 to the three
 faces containing it, then grows outward: a new region is the sum of the
 three previously assigned regions at its anchor vertex, a new face the
 sum of two previously assigned faces.  F equals the cyclically reduced
-word length of the curve a key represents (see words.py), and the ratio
-log+ |psi| / F measures exponential growth of a map against it.
+word length of the curve a key represents, and the ratio log+ |psi| / F
+measures exponential growth of a map against it.
 
 ``FibTable`` computes F key by key and is the reference.  The
 diagnostics look no key up: they read F and the map's values from one
-depth-first ``ball_walk`` that carries both down the tree, so they leave
-the map's memo alone.
+depth-first ``ball_walk`` that carries both down the tree from the
+map's root quad.
 """
 
 from __future__ import annotations
@@ -77,19 +77,6 @@ class FibTable(Record):
         self._faces[f] = val
         return val
 
-    def value(self, key: Key) -> int:
-        if isinstance(key, RegionKey):
-            return self.region(key)
-        return self.face(key)
-
-
-def base_keys() -> Tuple[List[RegionKey], List[FaceKey]]:
-    """The simplices carrying the seed values 1 (regions) and 2 (faces)."""
-    regions = [RegionKey("", c) for c in (1, 2, 3)]
-    faces = [FaceKey("", (i, j)) for i in (1, 2, 3) for j in (1, 2, 3)
-             if i < j]
-    return regions, faces
-
 
 def keys_to_depth(depth: int) -> Tuple[List[RegionKey], List[FaceKey]]:
     """All distinct region and face keys whose anchor lies in the ball."""
@@ -120,8 +107,7 @@ def ball_walk(m: MarkoffMap, table: FibTable, depth: int) -> Iterator[
     regions at w.  Both are carried down the walk, one
     ``MarkoffMap._move`` per step, and a move on colour c sets grow[c]
     to the sum of the other three; the root's growth values come from
-    the table.  The memo is left alone and the stack holds O(depth)
-    entries.
+    the table.  The stack holds O(depth) entries.
     """
     seeds = tuple(table.region(RegionKey(ROOT, c)) for c in COLORS)
     stack = [(ROOT, 0, m.root, seeds)]
@@ -183,16 +169,3 @@ def growth_report(m: MarkoffMap, table: FibTable, depth: int) -> GrowthReport:
     if lo_f < lo_r:
         return GrowthReport(lo_f, hi, arg_f)
     return GrowthReport(lo_r, hi, arg_r)
-
-
-def upper_bound_holds(m: MarkoffMap, depth: int) -> bool:
-    """log+ of each quad value is controlled by the other three plus a
-    universal additive constant, at every vertex of the ball."""
-    slack = math.log(32.0)
-    for _, _, quad, _ in ball_walk(m, FibTable(), depth):
-        logs = [log_plus(modulus(q)) for q in quad]
-        for i in range(4):
-            rest = sum(logs) - logs[i]
-            if logs[i] > rest + slack + 1e-9:
-                return False
-    return True

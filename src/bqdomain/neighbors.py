@@ -1,4 +1,4 @@
-"""Neighbor sequences along a face and the escape threshold H.
+"""The witness test on a face and its escape threshold H.
 
 Around the boundary geodesic of a face, the values of the alternating
 side regions satisfy a second-order affine recurrence whose multiplier is
@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 from .algebra import BoundaryData
 from .markoff import (HUGE, Quad, Value, face_value_capped, modulus,
@@ -49,13 +49,6 @@ def face_obstruction(boundary: BoundaryData, i: int, j: int, ai: Value,
     return psi, None
 
 
-class HInputs(NamedTuple):
-    Q: complex
-    R: complex
-    S: complex
-    X: complex
-
-
 def _threshold(Q: complex, R: complex, S: complex, X: complex, al: float,
                denom: complex) -> Tuple[complex, complex, float, float]:
     """(T, eta, W, H) for the ordering (Q, R), given |lam| = al and
@@ -75,70 +68,6 @@ def _threshold(Q: complex, R: complex, S: complex, X: complex, al: float,
     if not h < math.inf:                     # inf or NaN
         raise OverflowError("the threshold H overflowed")
     return T, eta, w, h
-
-
-class NeighborSeq(NamedTuple):
-    X: complex
-    Q: complex
-    R: complex
-    y0: complex
-    z0: complex
-
-    @property
-    def S(self) -> complex:
-        """The S parameter matching the threshold formula: minus the
-        conserved quadratic of the orbit, so that T equals the product
-        of the two geometric modes."""
-        y, z = self.y0, self.z0
-        return -(y * y + z * z + self.X * y * z
-                 - self.Q * y - self.R * z)
-
-
-def simulate_neighbors(seq: NeighborSeq, n_min: int,
-                       n_max: int) -> List[Tuple[complex, complex]]:
-    """Orbit (y_n, z_n) for n in [n_min, n_max] of the affine recurrence
-
-        (y,z) -> (-y - X z + Q,  X y + (X^2-1) z + R - X Q)
-
-    iterated forward, and its exact inverse backward.  The quadratic
-    y^2+z^2+Xyz-Qy-Rz is conserved along the orbit (and equals -S).
-    """
-    if not (n_min <= 0 <= n_max):
-        raise ValueError("need n_min <= 0 <= n_max")
-    X, Q, R = seq.X, seq.Q, seq.R
-    cy, cz = Q, R - X * Q
-    forward = [(seq.y0, seq.z0)]
-    y, z = seq.y0, seq.z0
-    for _ in range(n_max):
-        y, z = (-y - X * z + cy, X * y + (X * X - 1) * z + cz)
-        forward.append((y, z))
-    backward = []
-    y, z = seq.y0, seq.z0
-    for _ in range(-n_min):
-        u, v = y - cy, z - cz
-        y, z = ((X * X - 1) * u + X * v, -X * u - v)
-        backward.append((y, z))
-    backward.reverse()
-    return backward + forward
-
-
-def specialize_torus(mu: complex, x: complex) -> HInputs:
-    return HInputs(0, 0, mu - x * x, x)
-
-
-def specialize_four_holed_sphere(a: complex, b: complex, c: complex,
-                                 d: complex, x: complex) -> HInputs:
-    s = (4 - a * a - b * b - c * c - d * d - a * b * c * d
-         - (a * b + c * d) * x - x * x)
-    return HInputs(b * c + a * d, a * c + b * d, s, x)
-
-
-def specialize_n13(a: complex, b: complex,
-                   omega: Tuple[complex, complex, complex]) -> HInputs:
-    x, y, z = omega
-    s = (4 - a * a - b * b - x * x - y * y - z * z
-         - x * y * z - x * a * b)
-    return HInputs(y * b + a * z, y * a + z * b, s, a * b - x)
 
 
 def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,

@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Dict, Iterator, Tuple
 
 from ._record import Frozen
-from .algebra import CharacterPoint
 
 GENS = "ABC"
 LETTERS = "ABCabc"
@@ -40,13 +39,6 @@ def reduce_word(w: str) -> str:
             out.append(ch)
             last = ch
     return "".join(out)
-
-
-def cyclic_reduce(w: str) -> str:
-    w = reduce_word(w)
-    while len(w) >= 2 and w[0] == w[-1].swapcase():
-        w = w[1:-1]
-    return w
 
 
 class Automorphism(Frozen):
@@ -242,42 +234,3 @@ def character_agree(f: Automorphism, g: Automorphism,
         cg = character_coords(g, triple)
         worst = max(worst, max(abs(u - v) for u, v in zip(cf, cg)))
     return worst
-
-
-def lift_point(pt: CharacterPoint):
-    """SL(2,C) matrices (M_A, M_B, M_C) whose seven trace coordinates are
-    (a,b,c,d,x,y,z).
-
-    M_A and M_B are put in a standard position from (a, x, b); M_C is
-    solved from (c, z, y, d) in closed form.  Fails on the reducible locus
-    a^2+b^2+x^2-abx-4 = 0, where that solve is singular.
-    """
-    a, b, c, d = pt.quad
-    x, y, z = pt.x, pt.y, pt.z
-    crit = a * a + b * b + x * x - a * b * x - 4
-    if abs(crit) < 1e-8:
-        raise ValueError("point lies on the reducible locus; no "
-                         "irreducible matrix lift exists")
-    root = cmath.sqrt(x * x - 4)
-    eta = max((x + root) / 2, (x - root) / 2, key=abs)  # no cancellation
-    ieta = 1 / eta
-    # tr C = c and tr AC = z give s = c - p and q = z - ap + r; then
-    # tr BC = y and tr ABC = d are e11 p + e12 r = f1, -e12 p + e22 r = f2
-    e11, e12, e22 = a * ieta - b, eta - ieta, a * eta - b
-    f1, f2 = y - b * c + z * ieta, d - eta * c
-    p = (f1 * e22 - e12 * f2) / crit
-    r = (e11 * f2 + e12 * f1) / crit
-    mc = ((p, z - a * p + r), (r, c - p))
-    scale = max(abs(v) for row in mc for v in row)
-    if abs(det(mc) - 1) > 1e-6 * (1 + scale ** 2):
-        raise ValueError("no determinant-1 solution: traces do not "
-                         "satisfy the defining relation")
-    return ((a, -1), (1, 0)), ((0, eta), (-ieta, b)), mc
-
-
-def induced_character_map(f: Automorphism,
-                          pt: CharacterPoint) -> CharacterPoint:
-    """Action of f on trace coordinates through an explicit matrix lift."""
-    triple = lift_point(pt)
-    coords = character_coords(f, triple)
-    return CharacterPoint(*coords)

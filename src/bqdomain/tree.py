@@ -25,7 +25,7 @@ face is the pair (anchor node, colors), O(1) to build and to hash.  A
 face that the closure pops is handed on as a ``TrieFace`` carrying that
 pair; its string ``anchor`` is the node's word, which ``Trie.word``
 builds only when read.  The key builders here are for the few vertices
-and faces that need a name.
+and faces that need a name: the keys a verdict or a report returns.
 """
 
 from __future__ import annotations
@@ -46,15 +46,6 @@ VertexWord = str
 ROOT: VertexWord = ""
 
 
-def neighbors(v: VertexWord) -> List[VertexWord]:
-    """The four adjacent vertices (parent first when it exists)."""
-    if not v:
-        return [str(c) for c in COLORS]
-    out = [v[:-1]]
-    out.extend(v + str(c) for c in COLORS if str(c) != v[-1])
-    return out
-
-
 class EdgeKey(NamedTuple):
     """An edge, named by its child endpoint (nonempty word)."""
 
@@ -67,9 +58,6 @@ class EdgeKey(NamedTuple):
     @property
     def parent(self) -> VertexWord:
         return self.child[:-1]
-
-    def endpoints(self) -> Tuple[VertexWord, VertexWord]:
-        return (self.parent, self.child)
 
 
 class RegionKey(NamedTuple):
@@ -119,28 +107,6 @@ def regions_at(v: VertexWord) -> List[RegionKey]:
 
 def faces_at(v: VertexWord) -> List[FaceKey]:
     return [canonical_face(v, i, j) for i, j in FACE_PAIRS]
-
-
-def edge_surrounding(e: EdgeKey):
-    """The three side regions of e and the two color-(e) end regions.
-
-    Returns (sides, (delta, delta_prime)) where delta is the color-(e)
-    region at the parent endpoint and delta_prime the one at the child.
-    """
-    u, v = e.endpoints()
-    c = e.color
-    sides = [canonical_region(u, i) for i in COLORS if i != c]
-    delta = canonical_region(u, c)
-    delta_prime = canonical_region(v, c)
-    return sides, (delta, delta_prime)
-
-
-def face_vertex_at(f: FaceKey, pos: int) -> VertexWord:
-    """Vertex at signed position pos on f's boundary geodesic."""
-    k, l = f.edge_colors
-    pair = "%d%d" % ((k, l) if pos > 0 else (l, k))
-    n = abs(pos)
-    return f.anchor + (pair * ((n + 1) // 2))[:n]
 
 
 # Byte values 1..4 to the digits "1".."4", for joining letters into a word.
@@ -214,20 +180,6 @@ class TrieFace:
 
     def key(self) -> FaceKey:
         return FaceKey(self.anchor, self.colors)
-
-
-def face_edge_at(f: FaceKey, n: int) -> EdgeKey:
-    """The n-th boundary edge of f: joins positions n and n+1, and is
-    named by the one farther from the anchor."""
-    return EdgeKey(face_vertex_at(f, n + 1 if n >= 0 else n))
-
-
-def face_side_region(f: FaceKey, n: int) -> RegionKey:
-    """Third region of the n-th boundary edge (the alternating neighbor)."""
-    e = face_edge_at(f, n)
-    i, j = f.colors
-    m = next(c for c in COLORS if c not in (i, j) and c != e.color)
-    return canonical_region(e.parent, m)
 
 
 def ball_vertices(depth: int) -> Iterator[VertexWord]:

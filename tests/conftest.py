@@ -7,10 +7,10 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
-from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice,
-                              solve_fourth)
-from bqdomain.markoff import MarkoffMap
+from bqdomain.algebra import (BoundaryData, CharacterPoint, MarkoffQuad,
+                              RootChoice, solve_fourth)
 from bqdomain.tree import FaceKey, ball_vertices, faces_at
+from oracles import KeyedMap
 
 Omega = Tuple[complex, complex, complex]
 
@@ -52,8 +52,8 @@ def not_bq_fixtures() -> List[MarkoffQuad]:
             for vals, om in NOT_BQ_FIXTURES]
 
 
-def make_map(quad: MarkoffQuad) -> MarkoffMap:
-    return MarkoffMap(quad)
+def make_map(quad: MarkoffQuad) -> KeyedMap:
+    return KeyedMap(quad)
 
 
 # The render slice as a config: 16x16 pixels over a in [-6,6]^2.
@@ -63,11 +63,11 @@ SLICE_DOC = {"fixed": {"b": 3, "c": 3, "d": 0, "x": 0, "y": 0, "z": 0},
              "budgets": {"max_faces": 500}}
 
 
-def slice_map(a: complex) -> MarkoffMap:
+def slice_map(a: complex) -> KeyedMap:
     """The render slice b=c=3, x=y=z=0, d = solve_minus."""
     zero = BoundaryData((0.0, 0.0, 0.0))
     d = solve_fourth(a, 3, 3, zero, RootChoice.MINUS)
-    return MarkoffMap(MarkoffQuad((a, 3, 3, d), zero, on_variety=False))
+    return KeyedMap(MarkoffQuad((a, 3, 3, d), zero, on_variety=False))
 
 
 def shallow_faces() -> List[FaceKey]:
@@ -85,7 +85,6 @@ def random_complex(rng: np.random.Generator, scale: float = 3.0) -> complex:
 def random_on_variety_point(rng: np.random.Generator):
     """Random (a,b,c,omega) in the complex box, d solved from the
     vertex relation; returns a CharacterPoint-compatible septuple."""
-    from bqdomain.algebra import CharacterPoint
     om = tuple(random_complex(rng) for _ in range(3))
     a, b, c = (random_complex(rng) for _ in range(3))
     which = RootChoice.PLUS if rng.integers(2) else RootChoice.MINUS
@@ -93,9 +92,13 @@ def random_on_variety_point(rng: np.random.Generator):
     return CharacterPoint(a, b, c, d, *om)
 
 
-def random_markoff_map(rng: np.random.Generator) -> MarkoffMap:
+def sup_norm(pt: CharacterPoint) -> float:
+    return max(abs(v) for v in (pt.a, pt.b, pt.c, pt.d, pt.x, pt.y, pt.z))
+
+
+def random_markoff_map(rng: np.random.Generator) -> KeyedMap:
     pt = random_on_variety_point(rng)
-    return MarkoffMap(MarkoffQuad(pt.quad, pt.omega))
+    return KeyedMap(MarkoffQuad(pt.quad, pt.omega))
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
 """Independent slow oracles and keyed references used only by the test
-suite.
+suite.  Where the library carries values down from the root, these look
+them up by tree key: ``KeyedMap`` memoizes quads by vertex word, and the
+tree helpers, ``points_toward`` and the ``*_reference`` functions build
+on it.
 
 The membership oracle enumerates every vertex of the tree to a fixed
 depth with vectorized arithmetic, evaluating all six face values at each
@@ -27,22 +30,204 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from bqdomain.algebra import BoundaryData, face_value, moved_value, sigma
 from bqdomain.bq import (ArcOutcome, ArcResult, AttractingTree, BqParams,
                          BqVerdict, Status, Witness, face_witness)
-from bqdomain.fib import (FibTable, GrowthReport, base_keys, keys_to_depth,
+from bqdomain.fib import (FibTable, GrowthReport, ball_walk, keys_to_depth,
                           log_plus)
-from bqdomain.markoff import (HUGE, OVERFLOW_CAP, MarkoffMap, Value, _cap,
-                              face_value_capped, modulus)
-from bqdomain.neighbors import (TOL_REAL, TOL_SIGMA, HInputs, WitnessKind,
-                                _threshold, dist_to_interval)
-from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, RegionKey,
-                           canonical_face, face_edge_at, face_vertex_at,
-                           faces_at)
+from bqdomain.markoff import (HUGE, OVERFLOW_CAP, MarkoffMap, Quad, Value,
+                              _cap, face_value_capped, modulus, sigma_capped)
+from bqdomain.neighbors import (TOL_REAL, TOL_SIGMA, WitnessKind, _threshold,
+                                dist_to_interval)
+from bqdomain.tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, RegionKey,
+                           canonical_face, canonical_region, faces_at)
+
+
+class KeyedMap(MarkoffMap):
+    """A ``MarkoffMap`` whose ``quad_at`` memoizes the quad of every vertex
+    it reaches, so the memo is closed under prefixes: a lookup replays the
+    letters past the longest memoized prefix with ``_move``, iteratively.
+    Carried and memoized quads agree bit for bit, and the library, which
+    reads only ``root`` and ``_move``, leaves the memo at the root quad.
+    """
+
+    def __init__(self, root_quad):
+        super().__init__(root_quad)
+        self._quads: Dict[str, Quad] = {"": self.root}
+
+    def quad_at(self, v: str) -> Quad:
+        """Values of the four regions around vertex v, indexed by color-1."""
+        quads = self._quads
+        got = quads.get(v)
+        if got is not None:
+            return got
+        n = len(v) - 1
+        got = quads.get(v[:n])
+        while got is None:                # the root is always memoized
+            n -= 1
+            got = quads.get(v[:n])
+        for k in range(n, len(v)):
+            got = self._move(got, int(v[k]))
+            quads[v[:k + 1]] = got
+        return got
+
+    def eval_region(self, r: RegionKey) -> Value:
+        return self.quad_at(r.anchor)[r.color - 1]
+
+    def region_values_at(self, f: FaceKey) -> Tuple[Value, Value]:
+        i, j = f.colors
+        quad = self.quad_at(f.anchor)
+        return quad[i - 1], quad[j - 1]
+
+    def eval_face(self, f: FaceKey) -> Value:
+        ai, aj = self.region_values_at(f)
+        return face_value_capped(ai, aj, self.boundary.lam(*f.colors))
+
+    def eval_sigma(self, f: FaceKey) -> Value:
+        (ai, aj), (i, j) = self.region_values_at(f), f.colors
+        return sigma_capped(self.boundary, i, j, ai, aj, self.eval_face(f))
+
+
+def neighbors(v: str) -> List[str]:
+    """The four adjacent vertices (parent first when it exists)."""
+    children = [v + str(c) for c in COLORS if not v or str(c) != v[-1]]
+    return [v[:-1]] + children if v else children
+
+
+def edge_surrounding(e: EdgeKey):
+    """The three side regions of e and the two color-(e) end regions.
+
+    Returns (sides, (delta, delta_prime)) where delta is the color-(e)
+    region at the parent endpoint and delta_prime the one at the child.
+    """
+    u, v, c = e.parent, e.child, e.color
+    sides = [canonical_region(u, i) for i in COLORS if i != c]
+    return sides, (canonical_region(u, c), canonical_region(v, c))
+
+
+def face_vertex_at(f: FaceKey, pos: int) -> str:
+    """Vertex at signed position pos on f's boundary geodesic."""
+    k, l = f.edge_colors
+    pair = "%d%d" % ((k, l) if pos > 0 else (l, k))
+    n = abs(pos)
+    return f.anchor + (pair * ((n + 1) // 2))[:n]
+
+
+def face_edge_at(f: FaceKey, n: int) -> EdgeKey:
+    """The n-th boundary edge of f: joins positions n and n+1, and is
+    named by the one farther from the anchor."""
+    return EdgeKey(face_vertex_at(f, n + 1 if n >= 0 else n))
+
+
+def face_side_region(f: FaceKey, n: int) -> RegionKey:
+    """Third region of the n-th boundary edge (the alternating neighbor)."""
+    e = face_edge_at(f, n)
+    i, j = f.colors
+    m = next(c for c in COLORS if c not in (i, j) and c != e.color)
+    return canonical_region(e.parent, m)
+
+
+def points_toward(m: KeyedMap, e: EdgeKey, v: str) -> bool:
+    """Whether the arrow on edge e points toward its endpoint v.  The
+    arrow points into the color-(e) end region of smaller modulus, and
+    toward the child on a tie."""
+    if v not in (e.parent, e.child):
+        raise ValueError("%r is not an endpoint of %r" % (v, e))
+    parent, child = (modulus(m.eval_region(r)) for r in edge_surrounding(e)[1])
+    return (parent < child) == (v == e.parent)
+
+
+class HInputs(NamedTuple):
+    Q: complex
+    R: complex
+    S: complex
+    X: complex
+
+
+class NeighborSeq(NamedTuple):
+    X: complex
+    Q: complex
+    R: complex
+    y0: complex
+    z0: complex
+
+    @property
+    def S(self) -> complex:
+        """The S parameter matching the threshold formula: minus the
+        conserved quadratic of the orbit, so that T equals the product
+        of the two geometric modes."""
+        y, z = self.y0, self.z0
+        return -(y * y + z * z + self.X * y * z
+                 - self.Q * y - self.R * z)
+
+
+def simulate_neighbors(seq: NeighborSeq, n_min: int,
+                       n_max: int) -> List[Tuple[complex, complex]]:
+    """Orbit (y_n, z_n) for n in [n_min, n_max] of the affine recurrence
+
+        (y,z) -> (-y - X z + Q,  X y + (X^2-1) z + R - X Q)
+
+    iterated forward, and its exact inverse backward.  The quadratic
+    y^2+z^2+Xyz-Qy-Rz is conserved along the orbit (and equals -S).
+    """
+    if not (n_min <= 0 <= n_max):
+        raise ValueError("need n_min <= 0 <= n_max")
+    X, Q, R = seq.X, seq.Q, seq.R
+    cy, cz = Q, R - X * Q
+    forward = [(seq.y0, seq.z0)]
+    y, z = seq.y0, seq.z0
+    for _ in range(n_max):
+        y, z = (-y - X * z + cy, X * y + (X * X - 1) * z + cz)
+        forward.append((y, z))
+    backward = []
+    y, z = seq.y0, seq.z0
+    for _ in range(-n_min):
+        u, v = y - cy, z - cz
+        y, z = ((X * X - 1) * u + X * v, -X * u - v)
+        backward.append((y, z))
+    backward.reverse()
+    return backward + forward
+
+
+def specialize_torus(mu: complex, x: complex) -> HInputs:
+    return HInputs(0, 0, mu - x * x, x)
+
+
+def specialize_four_holed_sphere(a: complex, b: complex, c: complex,
+                                 d: complex, x: complex) -> HInputs:
+    s = (4 - a * a - b * b - c * c - d * d - a * b * c * d
+         - (a * b + c * d) * x - x * x)
+    return HInputs(b * c + a * d, a * c + b * d, s, x)
+
+
+def specialize_n13(a: complex, b: complex,
+                   omega: Tuple[complex, complex, complex]) -> HInputs:
+    x, y, z = omega
+    s = (4 - a * a - b * b - x * x - y * y - z * z
+         - x * y * z - x * a * b)
+    return HInputs(y * b + a * z, y * a + z * b, s, a * b - x)
+
+
+def base_keys() -> Tuple[List[RegionKey], List[FaceKey]]:
+    """The simplices carrying the seed values 1 (regions) and 2 (faces)."""
+    return ([RegionKey("", c) for c in (1, 2, 3)],
+            [FaceKey("", p) for p in ((1, 2), (1, 3), (2, 3))])
+
+
+def upper_bound_holds(m: MarkoffMap, depth: int) -> bool:
+    """log+ of each quad value is controlled by the other three plus a
+    universal additive constant, at every vertex of the ball."""
+    slack = math.log(32.0)
+    for _, _, quad, _ in ball_walk(m, FibTable(), depth):
+        logs = [log_plus(modulus(q)) for q in quad]
+        if any(logs[i] > sum(logs) - logs[i] + slack + 1e-9 for i in range(4)):
+            return False
+    return True
+
 
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
@@ -255,7 +440,7 @@ def brute_force_bq(quad, omega, depth: int = 14, K: Optional[float] = None,
                         pruned, kept_nan)
 
 
-def growth_report_reference(m: MarkoffMap, table: FibTable,
+def growth_report_reference(m: KeyedMap, table: FibTable,
                             depth: int) -> GrowthReport:
     """``fib.growth_report`` by keys: every region and face key of the
     depth ball, sorted regions then sorted faces, valued through the
@@ -269,11 +454,11 @@ def growth_report_reference(m: MarkoffMap, table: FibTable,
     for key in list(regions) + list(faces):
         if key in skip:
             continue
-        val = m.eval_region(key) if isinstance(key, RegionKey) \
-            else m.eval_face(key)
+        region = isinstance(key, RegionKey)
+        val = m.eval_region(key) if region else m.eval_face(key)
         mod = modulus(val)
         top = math.log(OVERFLOW_CAP) if math.isinf(mod) else log_plus(mod)
-        ratio = top / table.value(key)
+        ratio = top / (table.region(key) if region else table.face(key))
         if ratio < lo:
             lo, argmin = ratio, key
         hi = max(hi, ratio)
@@ -486,13 +671,13 @@ def values_in_level(ai: Value, aj: Value, lam_ij: complex, K: float,
         and modulus(face_value_capped(ai, aj, lam_ij)) < K * K + M
 
 
-def face_in_level(m: MarkoffMap, f: FaceKey, K: float) -> bool:
+def face_in_level(m: KeyedMap, f: FaceKey, K: float) -> bool:
     """The level test on a face key, its values read through the memo."""
     ai, aj = m.region_values_at(f)
     return values_in_level(ai, aj, m.boundary.lam(*f.colors), K, m.boundary.M)
 
 
-def decide_bq_reference(m: MarkoffMap,
+def decide_bq_reference(m: KeyedMap,
                         params: BqParams = BqParams()) -> BqVerdict:
     """``bq.decide_bq`` by keys: the descent moves between vertex words,
     the seeds are every in-level face at the sink, each popped face reads

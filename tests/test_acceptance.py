@@ -17,20 +17,20 @@ from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice, Theta,
                               vertex_residual)
 from bqdomain.bq import BqParams, Status, decide_bq
 from bqdomain.fib import FibTable, growth_report, keys_to_depth
-from bqdomain.markoff import Huge, MarkoffMap, VertexClass
-from bqdomain.neighbors import HInputs, NeighborSeq, simulate_neighbors
+from bqdomain.markoff import Huge
 from bqdomain.render import (TAG_IN_BQ, TAG_UNDECIDED, SliceConfig,
                              classify_pixel, render_slice)
 from bqdomain.torelli import (MAGNUS, TAU, character_agree, equal_in_out,
-                              factored, induced_character_map, lift_point)
-from bqdomain.tree import (EdgeKey, ball_vertices, canonical_face,
-                           edge_surrounding, face_side_region, faces_at)
-from bqdomain.words import WordTable
+                              factored)
+from bqdomain.tree import EdgeKey, ball_vertices, canonical_face, faces_at
 from conftest import (NOT_BQ_FIXTURES, in_bq_fixtures, make_map,
                       not_bq_fixtures, random_markoff_map,
-                      random_on_variety_point)
-from oracles import (brute_force_bq, face_h_inputs_reference, face_in_level,
-                     fork_scan, h_value, h_value_sym)
+                      random_on_variety_point, sup_norm)
+from free_group import WordTable, induced_character_map, lift_point
+from oracles import (HInputs, KeyedMap, NeighborSeq, brute_force_bq,
+                     edge_surrounding, face_h_inputs_reference, face_in_level,
+                     face_side_region, fork_scan, h_value, h_value_sym,
+                     neighbors, points_toward, simulate_neighbors)
 
 COORD_NAMES = ("a", "b", "c", "d", "x", "y", "z")
 
@@ -42,7 +42,7 @@ def test_criterion_01_involution_suite():
     t0 = time.perf_counter()
     for _ in range(1000):
         pt = random_on_variety_point(rng)
-        tol_res = 1e-9 * (1 + pt.sup_norm() ** 4)
+        tol_res = 1e-9 * (1 + sup_norm(pt) ** 4)
         for which in Theta:
             image = involution_theta(pt, which)
             assert abs(vertex_residual(image)) <= tol_res
@@ -83,7 +83,7 @@ def test_criterion_02_vertex_and_edge_equations_depth_10():
                 - vals[0] * vals[1] * vals[2]
             assert abs(ends[0] + ends[1] - rhs) < 1e-8 * (1 + abs(rhs))
     # bitwise memo agreement: two caches warmed in different orders
-    m2 = MarkoffMap(m.root_quad)
+    m2 = KeyedMap(m.root_quad)
     for v in sorted(ball_vertices(6), key=len, reverse=True):
         m2.quad_at(v)
     for v in ball_vertices(6):
@@ -106,8 +106,9 @@ def test_criterion_03_fork_lemma():
         if k < 5:
             # the vectorized scanner mirrors the lazy evaluator
             shallow = {v for v in forks if len(v) <= 4}
-            library = {v for v in ball_vertices(4)
-                       if m.classify_vertex(v) is VertexClass.FORK}
+            library = {v for v in ball_vertices(4) if 1 <= sum(
+                points_toward(m, EdgeKey(max(v, w, key=len)), v)
+                for w in neighbors(v)) <= 2}
             assert shallow == library
     assert counterexamples == 0
 
@@ -163,7 +164,7 @@ def test_criterion_04_neighbor_trichotomy():
     # fitted from a face orbit equals sigma / (X^2 - 4)^2
     bd = BoundaryData((0.3, -0.2, 0.7))
     d = solve_fourth(2.3, 1.7, -0.9, bd, RootChoice.PLUS)
-    m = MarkoffMap(MarkoffQuad((2.3, 1.7, -0.9, d), bd))
+    m = KeyedMap(MarkoffQuad((2.3, 1.7, -0.9, d), bd))
     for (i, j) in ((1, 2), (1, 3), (1, 4), (2, 4), (3, 4)):
         f = canonical_face("", i, j)
         inp = face_h_inputs_reference(bd, m.quad_at(""), i, j)
@@ -274,7 +275,7 @@ def test_criterion_08_torelli_identities():
         except ValueError:
             continue                          # reducible-locus draw
         done += 1
-        scale = 1 + pt.sup_norm() ** 3
+        scale = 1 + sup_norm(pt) ** 3
         for tau_name, which in pairs.items():
             image = induced_character_map(TAU[tau_name], pt)
             reference = involution_theta(pt, which)

@@ -10,7 +10,7 @@ from bqdomain.algebra import (BoundaryData, CharacterPoint, DerivedBoundary,
                               MarkoffQuad, RootChoice, Theta, elementary_move,
                               face_value, involution_theta, quad_residual,
                               sigma, solve_fourth, vertex_residual)
-from conftest import random_on_variety_point
+from conftest import random_on_variety_point, sup_norm
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
 
@@ -19,7 +19,7 @@ cplx = st.builds(complex, finite, finite)
 
 
 def residual_tol(pt: CharacterPoint) -> float:
-    return 1e-9 * (1 + pt.sup_norm() ** 4)
+    return 1e-9 * (1 + sup_norm(pt) ** 4)
 
 
 class TestVertexResidual:
@@ -73,6 +73,16 @@ class TestMarkoffQuad:
     def test_indexing_by_color(self):
         q = MarkoffQuad((0, 0, 0, 2), ZERO)
         assert (q[1], q[2], q[3], q[4]) == (0, 0, 0, 2)
+
+    def test_values_past_float_range_raise_value_error(self):
+        # finite parts whose modulus, fourth power or residual overflows
+        huge, far = 1.5e308 + 1.5e308j, BoundaryData((1e200, -1e200, 0))
+        for make in (lambda: MarkoffQuad((1e100, 0, 0, 0), ZERO),
+                     lambda: MarkoffQuad((huge, 0, 0, 0), ZERO),
+                     lambda: MarkoffQuad((0, 0, 0, 0), far),
+                     lambda: BoundaryData((0, huge, 0))):
+            with pytest.raises(ValueError):
+                make()
 
 
 class TestElementaryMove:
@@ -163,7 +173,7 @@ class TestInvolutions:
         twice = involution_theta(image, which)
         assert abs(vertex_residual(image)) < residual_tol(image)
         coords = ("a", "b", "c", "d", "x", "y", "z")
-        scale = 1 + pt.sup_norm() ** 3
+        scale = 1 + sup_norm(pt) ** 3
         for name in coords:
             assert abs(getattr(twice, name) - getattr(pt, name)) \
                 < 1e-12 * scale

@@ -12,10 +12,10 @@ from bqdomain.bq import (ArcOutcome, BqParams, Status, WitnessKind,
                          find_sink)
 from bqdomain.markoff import modulus
 from bqdomain.tree import (FACE_PAIRS, EdgeKey, FaceKey, canonical_face,
-                           face_edge_at, faces_at, neighbors)
+                           faces_at)
 from conftest import (in_bq_fixtures, in_bq_quad, make_map, not_bq_fixtures,
                       random_markoff_map)
-from oracles import face_in_level
+from oracles import face_edge_at, face_in_level, neighbors, points_toward
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
 
@@ -158,12 +158,12 @@ class TestDecide:
         v = decide_bq(m)
         verts = set()
         for e in v.tree.edges:
-            verts.update(e.endpoints())
+            verts.update((e.parent, e.child))
         for u in verts:
             for w in neighbors(u):
                 e = EdgeKey(w if len(w) > len(u) else u)
                 if e not in v.tree.edges:
-                    assert m.points_toward(e, u)
+                    assert points_toward(m, e, u)
 
     def test_verdict_stable_under_larger_level(self):
         quad = in_bq_quad(6.0)

@@ -20,12 +20,11 @@ from bqdomain import bq
 from bqdomain.algebra import (BoundaryData, CharacterPoint, MarkoffQuad,
                               RootChoice, solve_fourth)
 from bqdomain.bq import BqParams, Status, decide_bq, face_witness, find_sink
-from bqdomain.markoff import MarkoffMap
 from bqdomain.tree import faces_at
 
 from conftest import (in_bq_fixtures, not_bq_fixtures,
                       random_on_variety_point, slice_map)
-from oracles import decide_bq_reference, face_in_level
+from oracles import KeyedMap, decide_bq_reference, face_in_level
 
 SLICE_POINTS = [-2.25 - 2.25j, 3.75 + 3.75j, -0.75 + 0.75j, 0.75 - 0.75j,
                 -5.25 + 5.25j]
@@ -38,9 +37,9 @@ SMALL = BqParams(max_faces=200, max_arc_steps=400, max_total_edges=3000)
 def frozen_maps():
     """The 25 frozen points: 10 easy InBQ, 10 root NotBQ, 5 on the slice
     (2 hard InBQ, 3 budget-bound Undecided)."""
-    return ([pytest.param(lambda q=q: MarkoffMap(q), id="in_bq%d" % n)
+    return ([pytest.param(lambda q=q: KeyedMap(q), id="in_bq%d" % n)
              for n, q in enumerate(in_bq_fixtures())]
-            + [pytest.param(lambda q=q: MarkoffMap(q), id="not_bq%d" % n)
+            + [pytest.param(lambda q=q: KeyedMap(q), id="not_bq%d" % n)
                for n, q in enumerate(not_bq_fixtures())]
             + [pytest.param(lambda a=a: slice_map(a), id="slice%d" % n)
                for n, a in enumerate(SLICE_POINTS)])
@@ -70,7 +69,7 @@ def moved_point(rng, pt=None) -> MarkoffQuad:
     word of up to six letters, so that its descent starts above the
     sink."""
     pt = pt or random_on_variety_point(rng)
-    m = MarkoffMap(MarkoffQuad(pt.quad, pt.omega))
+    m = KeyedMap(MarkoffQuad(pt.quad, pt.omega))
     quad, last = m.root, 0
     for _ in range(int(rng.integers(1, 7))):
         last = int(rng.choice([c for c in (1, 2, 3, 4) if c != last]))
@@ -167,14 +166,14 @@ def test_seeded_pops_match_the_reference(monkeypatch):
     quads = seeded_quads() + \
         (seeded_quads(7) + seeded_quads(11) + seeded_quads(13))[:1000]
     assert len(quads) == 1400
-    makes = [lambda q=q: MarkoffMap(q) for q in quads]
+    makes = [lambda q=q: KeyedMap(q) for q in quads]
     verdicts, pops = agree(monkeypatch, makes, SMALL)
     assert pops >= 50000
     assert {v.status for v in verdicts} == set(Status)
     assert {"max_faces", "overflow"} <= {v.budget_hit for v in verdicts}
     closure_witnesses = sum(
         v.status is Status.NOT_BQ and len(v.witness.face.anchor) >= 2
-        and find_sink(MarkoffMap(q), SMALL).witness is None
+        and find_sink(KeyedMap(q), SMALL).witness is None
         for q, v in zip(quads, verdicts))
     assert closure_witnesses >= 10
 
@@ -184,7 +183,7 @@ def test_seeds_are_anchored_at_the_sink():
     params = BqParams()
     below_root = 0
     for _ in range(300):
-        m = MarkoffMap(moved_point(rng))
+        m = KeyedMap(moved_point(rng))
         d = find_sink(m, params)
         if d.vertex is None:
             continue
@@ -209,7 +208,7 @@ def test_descent_seeds_and_witnesses_match_a_full_screen():
     params = BqParams()
     deep_witnesses = deep_seeds = 0
     for q in quads:
-        m = MarkoffMap(q)
+        m = KeyedMap(q)
         d = find_sink(m, params)
         v = d.vertex
         if v is None or d.witness is not None:
@@ -270,6 +269,6 @@ def test_frozen_hits_above_the_popped_anchor_are_already_seen(
 
 
 def test_seeded_hits_above_the_popped_anchor_are_already_seen(monkeypatch):
-    checked = sum(hits_above_the_anchor(monkeypatch, MarkoffMap(q), SMALL)
+    checked = sum(hits_above_the_anchor(monkeypatch, KeyedMap(q), SMALL)
                   for q in seeded_quads())
     assert checked >= 50000

@@ -4,8 +4,9 @@ budgets that are not the four ``max_*`` integers, config pairs that are
 not two numbers, a config or ``fixed`` that is not a JSON object, a
 window size that is not a real number, and a level threshold K
 (``--k``, ``k_override``) that is not a real number with a finite
-square, a render worker count (``--threads``) below one, and a torelli
-trial count (``--trials``) below one."""
+square, a render worker count (``--threads``) below one, a torelli
+trial count (``--trials``) below one, and a boundary trace whose parts
+are finite but whose modulus is past float range."""
 
 import json
 import math
@@ -122,3 +123,19 @@ def test_check_rejects_non_finite_k(k, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+
+# A finite pair whose modulus is past float range, as a boundary trace,
+# must not crash a command with exit 1, NotBQ's code.
+@pytest.mark.parametrize("command", ["check", "fib", "render"])
+def test_boundary_trace_past_float_range(command, tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.ppm"
+    cfg.write_text(json.dumps(dict(SLICE, fixed=dict(
+        SLICE["fixed"], x=[1.5e308, 1.5e308]))))
+    argv = ["render", "--config", str(cfg), "--out", str(out)] \
+        if command == "render" else \
+        [command, "0", "0", "0", "0", "1.5e308,1.5e308", "0", "0"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -19,20 +19,20 @@ from bqdomain import cli
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
                          decide_bq)
-from bqdomain.markoff import HUGE, MarkoffMap, sigma_capped
+from bqdomain.markoff import HUGE, sigma_capped
 from bqdomain.neighbors import h_star
-from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, canonical_face,
-                           face_vertex_at)
+from bqdomain.tree import COLORS, FACE_PAIRS, FaceKey, canonical_face
 
 from conftest import shallow_faces, slice_map
-from oracles import boundary_face, face_in_level, values_in_level
+from oracles import (KeyedMap, boundary_face, face_in_level, face_vertex_at,
+                     values_in_level)
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
 POSITIONS = range(-40, 41)
 
 
-def raw_map(values) -> MarkoffMap:
-    return MarkoffMap(MarkoffQuad(values, ZERO, on_variety=False))
+def raw_map(values) -> KeyedMap:
+    return KeyedMap(MarkoffQuad(values, ZERO, on_variety=False))
 
 
 def first_met(keys):

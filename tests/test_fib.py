@@ -5,11 +5,11 @@ import math
 import pytest
 
 from bqdomain.algebra import BoundaryData, MarkoffQuad
-from bqdomain.fib import (FibTable, base_keys, growth_report, keys_to_depth,
-                          upper_bound_holds)
+from bqdomain.fib import FibTable, growth_report, keys_to_depth
 from bqdomain.tree import (COLORS, FaceKey, RegionKey, ball_vertices,
                            canonical_face, canonical_region)
 from conftest import in_bq_quad, make_map, random_markoff_map
+from oracles import base_keys, upper_bound_holds
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
 

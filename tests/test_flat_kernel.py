@@ -26,15 +26,15 @@ from bqdomain import bq
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import ArcOutcome, ArcResult, BqParams, attracting_arc
 from bqdomain.markoff import HUGE, OVERFLOW_CAP, MarkoffMap
-from bqdomain.neighbors import (HInputs, WitnessKind, face_obstruction,
-                                h_star)
+from bqdomain.neighbors import WitnessKind, face_obstruction, h_star
 from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, canonical_face,
                            canonical_region)
 
 from conftest import random_on_variety_point
-from oracles import (attracting_arc_reference, canonical_face_reference,
-                     canonical_region_reference, h_star_reference,
-                     h_value_reference, h_value_sym, values_in_level)
+from oracles import (HInputs, attracting_arc_reference,
+                     canonical_face_reference, canonical_region_reference,
+                     h_star_reference, h_value_reference, h_value_sym,
+                     values_in_level)
 
 
 def same(x, y) -> bool:

@@ -7,10 +7,9 @@ import pytest
 
 from bqdomain import cli
 from bqdomain.algebra import BoundaryData, MarkoffQuad
-from bqdomain.fib import FibTable, growth_report, upper_bound_holds
-from bqdomain.markoff import MarkoffMap
+from bqdomain.fib import FibTable, growth_report
 from conftest import in_bq_quad, random_markoff_map
-from oracles import growth_report_reference
+from oracles import KeyedMap, growth_report_reference, upper_bound_holds
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
 
@@ -26,8 +25,8 @@ SPECIAL_QUADS = {
 
 
 def assert_same_report(quad, depth):
-    got = growth_report(MarkoffMap(quad), FibTable(), depth)
-    want = growth_report_reference(MarkoffMap(quad), FibTable(), depth)
+    got = growth_report(KeyedMap(quad), FibTable(), depth)
+    want = growth_report_reference(KeyedMap(quad), FibTable(), depth)
     assert got.argmin == want.argmin
     assert got.kappa_lower.hex() == want.kappa_lower.hex()
     assert got.kappa_upper.hex() == want.kappa_upper.hex()
@@ -57,7 +56,7 @@ def test_fib_command_output_at_depth_8(capsys):
 
 
 def test_walk_leaves_the_memo_at_the_root_quad():
-    m = MarkoffMap(in_bq_quad(4.0))
+    m = KeyedMap(in_bq_quad(4.0))
     root = m.quad_at("")
     growth_report(m, FibTable(), 5)
     assert upper_bound_holds(m, 5)

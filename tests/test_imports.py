@@ -1,9 +1,11 @@
-"""Every import in ``src/`` and ``tests/`` is used.
+"""Every import in ``src/`` and ``tests/`` is used, and the library reads
+every function and class it defines.
 
 No lint tool is a test dependency, so this scans each module's syntax
 tree with the standard library: a name bound by an import must be read
 somewhere in the module, or listed in its ``__all__``.  ``from
-__future__`` imports bind no name and are skipped.
+__future__`` imports bind no name and are skipped.  A module-level
+function or class of ``bqdomain`` that only tests read belongs with them.
 """
 
 import ast
@@ -14,6 +16,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src").rglob("*.py")) + \
     sorted((ROOT / "tests").rglob("*.py"))
+
+# Read only from outside src/: the console script, the fib probe's keys.
+ENTRY_POINTS = [("cli", "main"), ("fib", "keys_to_depth")]
 
 
 def unused_imports(source: str):
@@ -46,3 +51,37 @@ def test_scanner_finds_an_unused_import():
                          ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+
+def unread_definitions(sources):
+    """(module, name) of each module-level function or class in sources,
+    a dict of module name to source, that no code there reads outside its
+    own definition.  Dunders are skipped, and a string equal to the name,
+    as in an ``__all__``, counts as a read."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("__"):
+                inside = set(map(id, ast.walk(node)))
+                if not any(id(n) not in inside and node.name in (
+                        getattr(n, k, None) for k in ("id", "attr", "value"))
+                        for t in trees.values() for n in ast.walk(t)):
+                    out.append((mod, node.name))
+    return out
+
+
+def test_scanner_finds_an_unread_definition():
+    sources = {"a": "__all__ = ['shown']\ndef shown(): pass\n"
+                    "def used(): pass\ndef alone(n): return alone(n - 1)\n",
+               "b": "from a import used\nused()\n"}
+    assert unread_definitions(sources) == [("a", "alone")]
+
+
+def test_src_holds_no_test_only_definition():
+    package = ROOT / "src" / "bqdomain"
+    sources = {p.stem: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert [d for d in unread_definitions(sources)
+            if d not in ENTRY_POINTS] == []

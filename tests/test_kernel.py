@@ -18,10 +18,10 @@ from bqdomain.algebra import (CharacterPoint, MarkoffQuad, Theta,
 from bqdomain.bq import BqParams, Status, decide_bq
 from bqdomain.markoff import HUGE, OVERFLOW_CAP, MarkoffMap, _cap
 from bqdomain.tree import (COLORS, FACE_PAIRS, ball_vertices, canonical_face,
-                           face_vertex_at, faces_at)
+                           faces_at)
 
 from conftest import random_on_variety_point, shallow_faces, slice_map
-from oracles import face_in_level, values_in_level
+from oracles import KeyedMap, face_in_level, face_vertex_at, values_in_level
 from test_position_walk import HARD, POSITIONS, carried_quads
 
 QUAD_THETAS = (Theta.A, Theta.B, Theta.C, Theta.D)
@@ -59,7 +59,7 @@ def test_quad_involution_is_elementary_move(i, which):
 
 def test_eval_sigma_is_algebra_sigma_on_root_faces():
     for pt in random_points():
-        m = MarkoffMap(MarkoffQuad(pt.quad, pt.omega))
+        m = KeyedMap(MarkoffQuad(pt.quad, pt.omega))
         lam = m.boundary.lam
         for f in faces_at(""):
             i, j = f.colors
@@ -74,7 +74,7 @@ def ball_level_cases():
     """The ball-2 faces of four random points at three K, with their
     region values read through the memo."""
     for pt in random_points(4):
-        m = MarkoffMap(MarkoffQuad(pt.quad, pt.omega))
+        m = KeyedMap(MarkoffQuad(pt.quad, pt.omega))
         M = m.boundary.M
         for K in (2.0 + M, 3.0 + M, 6.0 + M):
             for v in ball_vertices(2):

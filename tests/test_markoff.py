@@ -1,26 +1,26 @@
-"""Lazy tree evaluation: memoized quads, face/sigma values, orientation."""
+"""KeyedMap evaluation: memoized quads, face/sigma values, orientation."""
 
 import numpy as np
 import pytest
 
 from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice,
                               elementary_move, quad_residual, solve_fourth)
-from bqdomain.markoff import (HUGE, Huge, MarkoffMap, Orientation,
-                              VertexClass, modulus)
-from bqdomain.tree import (EdgeKey, RegionKey, ball_vertices, canonical_face,
-                           edge_surrounding, face_vertex_at)
+from bqdomain.markoff import HUGE, Huge, modulus
+from bqdomain.tree import EdgeKey, RegionKey, ball_vertices, canonical_face
 from conftest import random_markoff_map
+from oracles import (KeyedMap, edge_surrounding, face_vertex_at, neighbors,
+                     points_toward)
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
 
 
-def simple_map() -> MarkoffMap:
-    return MarkoffMap(MarkoffQuad((0, 0, 0, 2), ZERO))
+def simple_map() -> KeyedMap:
+    return KeyedMap(MarkoffQuad((0, 0, 0, 2), ZERO))
 
 
-def golden_map() -> MarkoffMap:
+def golden_map() -> KeyedMap:
     d = solve_fourth(1, 1, 1, ZERO, RootChoice.PLUS).real
-    return MarkoffMap(MarkoffQuad((1, 1, 1, d), ZERO))
+    return KeyedMap(MarkoffQuad((1, 1, 1, d), ZERO))
 
 
 class TestRegionValues:
@@ -38,7 +38,7 @@ class TestRegionValues:
     def test_memo_agrees_with_fresh_bitwise(self):
         rng = np.random.default_rng(7)
         m1 = random_markoff_map(rng)
-        m2 = MarkoffMap(m1.root_quad)
+        m2 = KeyedMap(m1.root_quad)
         targets = ["13121", "4232", "212121", "34341"]
         # warm one cache deep-first, the other shallow-first
         for v in targets:
@@ -51,12 +51,12 @@ class TestRegionValues:
 
 class TestFaceAndSigma:
     def test_face_matches_pair_product(self):
-        m = MarkoffMap(MarkoffQuad((2, 3, 0, 0), BoundaryData((1, 0, 0)),
+        m = KeyedMap(MarkoffQuad((2, 3, 0, 0), BoundaryData((1, 0, 0)),
                                    on_variety=False))
         assert m.eval_face(canonical_face("", 1, 2)) == 5
 
     def test_sigma_at_root(self):
-        m = MarkoffMap(MarkoffQuad((2, 2, 0, 0), ZERO, on_variety=False))
+        m = KeyedMap(MarkoffQuad((2, 2, 0, 0), ZERO, on_variety=False))
         assert m.eval_sigma(canonical_face("", 1, 2)) == 48
 
     def test_face_constant_along_boundary_geodesic(self):
@@ -106,7 +106,7 @@ class TestVertexAndEdgeEquations:
 
 class TestOverflow:
     def test_huge_propagates_and_compares_large(self):
-        m = MarkoffMap(MarkoffQuad((1e100, 1e100, 1e100, 1e100), ZERO,
+        m = KeyedMap(MarkoffQuad((1e100, 1e100, 1e100, 1e100), ZERO,
                                    on_variety=False))
         quad = m.quad_at("1")
         assert isinstance(quad[0], Huge)
@@ -121,41 +121,25 @@ class TestOverflow:
 class TestOrientation:
     def test_tie_points_toward_child(self):
         m = simple_map()
-        assert m.orient_edge(EdgeKey("4")) is Orientation.TOWARD_CHILD
+        assert points_toward(m, EdgeKey("4"), "4")
+        assert not points_toward(m, EdgeKey("4"), "")
 
     def test_arrow_into_smaller_region(self):
         m = golden_map()
         # the root color-4 region holds the small root, the far one the
         # large conjugate root
-        assert m.orient_edge(EdgeKey("4")) is Orientation.TOWARD_PARENT
-        assert m.points_toward(EdgeKey("4"), "")
-        assert not m.points_toward(EdgeKey("4"), "4")
+        assert points_toward(m, EdgeKey("4"), "")
+        assert not points_toward(m, EdgeKey("4"), "4")
 
     def test_points_toward_rejects_non_endpoint(self):
         m = simple_map()
         with pytest.raises(ValueError):
-            m.points_toward(EdgeKey("4"), "12")
+            points_toward(m, EdgeKey("4"), "12")
 
     def test_small_root_vertex_is_sink(self):
         # with the small quadratic root every move grows the quad
         bd = ZERO
         d = solve_fourth(5, 5, 5, bd, RootChoice.PLUS).real
         assert abs(d) < 1
-        m = MarkoffMap(MarkoffQuad((5, 5, 5, d), bd))
-        assert m.classify_vertex("") is VertexClass.SINK
-        assert m.inward_count("") == 4
-
-    def test_classification_partitions_by_inward_count(self):
-        rng = np.random.default_rng(8)
-        m = random_markoff_map(rng)
-        for v in ball_vertices(3):
-            inward = m.inward_count(v)
-            cls = m.classify_vertex(v)
-            if inward == 4:
-                assert cls is VertexClass.SINK
-            elif inward == 3:
-                assert cls is VertexClass.MERGE
-            elif inward == 0:
-                assert cls is VertexClass.SOURCE
-            else:
-                assert cls is VertexClass.FORK
+        m = KeyedMap(MarkoffQuad((5, 5, 5, d), bd))
+        assert all(points_toward(m, EdgeKey(w), "") for w in neighbors(""))

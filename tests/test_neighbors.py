@@ -7,14 +7,13 @@ import pytest
 
 from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice,
                               solve_fourth)
-from bqdomain.markoff import MarkoffMap
-from bqdomain.neighbors import (HInputs, NeighborSeq, dist_to_interval,
-                                h_star, simulate_neighbors,
-                                specialize_four_holed_sphere, specialize_n13,
-                                specialize_torus)
-from bqdomain.tree import canonical_face, face_side_region
+from bqdomain.neighbors import dist_to_interval, h_star
+from bqdomain.tree import canonical_face
 
-from oracles import face_h_inputs_reference, h_value
+from oracles import (HInputs, KeyedMap, NeighborSeq, face_h_inputs_reference,
+                     face_side_region, h_value, simulate_neighbors,
+                     specialize_four_holed_sphere, specialize_n13,
+                     specialize_torus)
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
 
@@ -132,14 +131,14 @@ class TestSpecializations:
         assert got == HInputs(2, 2, 4 - 4 - 1, 0)
 
 
-def sample_map(omega, abc, which=RootChoice.PLUS) -> MarkoffMap:
+def sample_map(omega, abc, which=RootChoice.PLUS) -> KeyedMap:
     bd = BoundaryData(omega)
     d = solve_fourth(*abc, bd, which)
-    return MarkoffMap(MarkoffQuad((*abc, d), bd))
+    return KeyedMap(MarkoffQuad((*abc, d), bd))
 
 
 class TestFaceRecurrence:
-    def check_face(self, m: MarkoffMap, i: int, j: int):
+    def check_face(self, m: KeyedMap, i: int, j: int):
         f = canonical_face("", i, j)
         inp = face_h_inputs_reference(m.boundary, m.quad_at(""), i, j)
         X, Q, R, S = inp.X, inp.Q, inp.R, inp.S
@@ -213,7 +212,7 @@ class TestHStar:
         assert got >= (K * K + 2 * M) / 2.0
 
     def test_infinite_on_band(self):
-        m = MarkoffMap(MarkoffQuad((1.0, 1.5, 0, 0), ZERO, on_variety=False))
+        m = KeyedMap(MarkoffQuad((1.0, 1.5, 0, 0), ZERO, on_variety=False))
         assert h_star(m.boundary, canonical_face("", 1, 2), m.quad_at(""),
                       2.0) == math.inf
 
@@ -221,7 +220,7 @@ class TestHStar:
         # a^2 + b^2 = 4 kills the first factor while ab stays far from
         # the real band
         b = cmath.sqrt(4 - 9)
-        m = MarkoffMap(MarkoffQuad((3.0, b, 0, 0), ZERO, on_variety=False))
+        m = KeyedMap(MarkoffQuad((3.0, b, 0, 0), ZERO, on_variety=False))
         f = canonical_face("", 1, 2)
         assert dist_to_interval(complex(m.eval_face(f))) > 1
         assert abs(m.eval_sigma(f)) < 1e-9
@@ -229,14 +228,14 @@ class TestHStar:
 
     def test_infinite_on_zero_region(self):
         bd = BoundaryData((5.0, 0.0, 0.0))
-        m = MarkoffMap(MarkoffQuad((0.0, 3.0, 1, 1), bd, on_variety=False))
+        m = KeyedMap(MarkoffQuad((0.0, 3.0, 1, 1), bd, on_variety=False))
         f = canonical_face("", 1, 2)
         assert dist_to_interval(complex(m.eval_face(f))) > 1
         assert abs(m.eval_sigma(f)) > 1
         assert h_star(m.boundary, f, m.quad_at(f.anchor), 7.0) == math.inf
 
     def test_raises_on_overflowed_values(self):
-        m = MarkoffMap(MarkoffQuad((1e120, 1e120, 1e120, 1e120), ZERO,
+        m = KeyedMap(MarkoffQuad((1e120, 1e120, 1e120, 1e120), ZERO,
                                    on_variety=False))
         with pytest.raises(ValueError):
             h_star(m.boundary, canonical_face("1", 1, 2), m.quad_at("1"), 2.0)

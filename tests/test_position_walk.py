@@ -17,17 +17,16 @@ import pytest
 from bqdomain.algebra import BoundaryData
 from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
                          decide_bq)
-from bqdomain.markoff import MarkoffMap
-from bqdomain.tree import (EdgeKey, face_edge_at, face_side_region,
-                           face_vertex_at)
+from bqdomain.tree import EdgeKey
 
 from conftest import shallow_faces, slice_map
-from oracles import face_in_level
+from oracles import (KeyedMap, face_edge_at, face_in_level, face_side_region,
+                     face_vertex_at)
 
 POSITIONS = range(-40, 41)
 
 
-def carried_quads(m: MarkoffMap, f, count: int):
+def carried_quads(m: KeyedMap, f, count: int):
     """Quads at positions 0..count and 0..-count, one move per step."""
     k, l = f.edge_colors
     rays = {}

@@ -26,7 +26,7 @@ from bqdomain.neighbors import WitnessKind, face_obstruction, h_star
 from bqdomain.tree import COLORS, FACE_PAIRS, FaceKey
 
 from conftest import random_on_variety_point
-from oracles import face_h_inputs_reference, move_reference
+from oracles import KeyedMap, face_h_inputs_reference, move_reference
 
 
 def same(x, y) -> bool:
@@ -229,7 +229,7 @@ def test_extreme_inputs_decide_only_on_a_certificate(monkeypatch):
     assert len(inputs) >= 2000
     for quad, K in inputs:
         values.clear()
-        m = MarkoffMap(quad)
+        m = KeyedMap(quad)
         v = decide_bq(m, BqParams(K=K, max_faces=200, max_arc_steps=300))
         statuses.add((v.status, v.witness and v.witness.kind))
         if v.status is not Status.UNDECIDED:

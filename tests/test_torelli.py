@@ -7,9 +7,9 @@ import pytest
 from bqdomain.algebra import CharacterPoint, Theta, involution_theta
 from bqdomain.torelli import (IDENTITY, IDENTITY_FACTORS, MAGNUS, TAU,
                               Automorphism, character_agree, character_coords,
-                              compose, equal_in_out, factored,
-                              induced_character_map, lift_point)
-from conftest import random_on_variety_point
+                              compose, equal_in_out, factored)
+from conftest import random_on_variety_point, sup_norm
+from free_group import induced_character_map, lift_point
 
 COORD_NAMES = ("a", "b", "c", "d", "x", "y", "z")
 
@@ -86,7 +86,7 @@ class TestInducedAction:
         pairs = {"a": Theta.A, "b": Theta.B, "c": Theta.C, "d": Theta.D,
                  "x": Theta.X, "y": Theta.Y, "z": Theta.Z}
         pt = random_on_variety_point(rng)
-        scale = 1 + pt.sup_norm() ** 3
+        scale = 1 + sup_norm(pt) ** 3
         for tau_name, which in pairs.items():
             img = induced_character_map(TAU[tau_name], pt)
             ref = involution_theta(pt, which)

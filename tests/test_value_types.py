@@ -20,7 +20,7 @@ from bqdomain.fib import FibTable, GrowthReport
 from bqdomain.render import PixelResult, SliceConfig
 from bqdomain.torelli import Automorphism
 from bqdomain.tree import FaceKey, RegionKey
-from bqdomain.words import WordRep
+from free_group import WordRep
 
 ZERO = BoundaryData((0j, 0j, 0j))
 ON_VARIETY, OTHER_ROOT = (

@@ -15,12 +15,13 @@ import pytest
 from bqdomain import markoff
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import BqParams, Status, WitnessKind, decide_bq, find_sink
-from bqdomain.markoff import MarkoffMap
 from bqdomain.render import (TAG_NOTBQ_ARC, TAG_NOTBQ_SIGMA, PixelResult,
                              pixel_rgb, verdict_tag)
+from bqdomain.markoff import MarkoffMap
 from bqdomain.tree import FaceKey
 
 from conftest import in_bq_quad, slice_map
+from oracles import KeyedMap
 
 # An on-variety real point whose band witness is met in the closure, not
 # on the descent.
@@ -33,9 +34,9 @@ INFINITE_ARC = ((0, 3, 4, 6), (5, 5, 5))
 SIGMA_ZERO = ((3, cmath.sqrt(-5), 0, 0), (0, 0, 0))
 
 
-def raw_map(values, omega) -> MarkoffMap:
-    return MarkoffMap(MarkoffQuad(tuple(complex(v) for v in values),
-                                  BoundaryData(omega), on_variety=False))
+def raw_map(values, omega) -> KeyedMap:
+    return KeyedMap(MarkoffQuad(tuple(complex(v) for v in values),
+                                BoundaryData(omega), on_variety=False))
 
 
 class TestDecideExits:

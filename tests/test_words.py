@@ -1,10 +1,11 @@
 """Curve representatives: base words and the length/growth match."""
 
 from bqdomain.fib import FibTable
-from bqdomain.torelli import cyclic_reduce, invert, reduce_word
+from bqdomain.torelli import invert, reduce_word
 from bqdomain.tree import (COLORS, ball_vertices, canonical_face,
                            canonical_region)
-from bqdomain.words import BASE_FACE_WORD, BASE_REGION_WORD, WordTable
+from free_group import (BASE_FACE_WORD, BASE_REGION_WORD, WordTable,
+                        cyclic_reduce)
 
 
 class TestFreeGroupOps:
