@@ -22,7 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ._record import Frozen, Record
 from .algebra import moved_value
-from .markoff import HUGE, OVERFLOW_CAP, MarkoffMap, Quad, Value, modulus
+from .markoff import HUGE, OVERFLOW_CAP, MarkoffMap, Quad
 from .neighbors import WitnessKind, face_obstruction, h_star
 from .tree import (COLORS, EDGE_COLORS, FACE_PAIRS, PAIRS_WITH, EdgeKey,
                    FaceKey, Trie, TrieFace, VertexWord, canonical_face)
@@ -79,7 +79,7 @@ class BqVerdict(NamedTuple):
     steps_used: int = 0
 
 
-def _witness(kind: WitnessKind, f: FaceKey, psi: Value) -> Witness:
+def _witness(kind: WitnessKind, f: FaceKey, psi: complex) -> Witness:
     """The witness of kind at f, psi being f's value; a band witness
     carries it."""
     return Witness(kind, f, psi if kind is WitnessKind.BQ1_VIOLATION
@@ -153,7 +153,7 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
                 w = _witness(kind, canonical_face(v, i, j), psi)
                 return DescentResult(vertex=v, quad=quad, witness=w,
                                      steps=step)
-            if (modulus(ai) < K or modulus(aj) < K) and modulus(psi) < KKM:
+            if (abs(ai) < K or abs(aj) < K) and abs(psi) < KKM:
                 seeds.append(p)
         if seeds:
             return DescentResult(vertex=v, quad=quad, steps=step,
@@ -162,8 +162,8 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
         for c in COLORS:
             if c != back:
                 far = m._move(quad, c)
-                far_mod = modulus(far[c - 1])
-                if far_mod < modulus(quad[c - 1]):
+                far_mod = abs(far[c - 1])
+                if far_mod < abs(quad[c - 1]):
                     down.append((far_mod, c, far))
         if not down:
             return DescentResult(vertex=v, quad=quad, steps=step)
@@ -210,10 +210,10 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
     Each step is one ``moved_value``, capped as ``markoff._cap`` caps it
     but on the modulus the walk reads anyway, so each moved value's
     modulus is taken once; the values are those of ``MarkoffMap._move``.
-    Overflow ends the walk with OVERFLOW, here and nowhere else: a HUGE
-    in the anchor quad or an ``h_star`` that raises an ArithmeticError
-    leaves no threshold, and a ray with two HUGE values in a row of one
-    side color never escapes, because HUGE absorbs every later move.
+    Overflow ends the walk with OVERFLOW: a HUGE in the anchor quad or an
+    ``h_star`` that raises an ArithmeticError leaves no threshold, and a
+    ray with two HUGE values in a row of one side color never escapes,
+    because every later move reads a HUGE and is capped to HUGE again.
     """
     K = params.level(m)
     if HUGE in quad:
@@ -237,7 +237,7 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
         quads, cur, window = [quad], list(quad), 0
         prev = prev_o = math.nan
         escaped = escaped_o = False
-        u = modulus(quad[side - 1])
+        u = abs(quad[side - 1])
         while True:
             if steps >= max_steps:
                 return ArcResult(ArcOutcome.BUDGET, steps=steps)
@@ -256,7 +256,7 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
             escaped, escaped_o = escaped_o, escaped
             v = moved_value(cur, side, terms[side])
             try:
-                u = modulus(v)
+                u = abs(v)
             except OverflowError:
                 u = math.inf
             if not u <= OVERFLOW_CAP:           # _cap, on the modulus
@@ -287,9 +287,10 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
 
     InBQ carries the closed-up attracting tree; NotBQ carries a face
     witness; Undecided reports which budget ran out, or "overflow" when
-    the arc walk overflows.  Each popped face runs the band and sigma
-    test once: in ``h_star`` when its arc is finite, and through
-    ``face_witness`` when the closure stops at it.
+    the arc walk overflows or the descent stops at a quad holding HUGE
+    with no seed (no edge leads down from it).  Each popped face runs the
+    band and sigma test once: in ``h_star`` when its arc is finite, and
+    through ``face_witness`` when the closure stops at it.
 
     A closure face is its anchor's node in a ``tree.Trie`` and its color
     pair.  ``seen`` keys it by one int, 6 * node + the pair's index in
@@ -325,7 +326,8 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
 
     v0, q0, seeds = descent.vertex, descent.quad, descent.seeds
     if not seeds:
-        return BqVerdict(Status.UNDECIDED, budget_hit="no_seed_face",
+        budget = "overflow" if HUGE in q0 else "no_seed_face"
+        return BqVerdict(Status.UNDECIDED, budget_hit=budget,
                          steps_used=steps)
     trie = Trie()
     sink = trie.node(v0)
@@ -386,10 +388,10 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         # position, its pair's index).
         kl = k, l = EDGE_COLORS[p]
         screen = first[p]
-        mods, c = list(map(modulus, quads[0])), k
+        mods, c = list(map(abs, quads[0])), k
         hits = []
         for n, quad in zip(range(n1, n2 + 2), quads):
-            mods[c - 1] = modulus(quad[c - 1])
+            mods[c - 1] = abs(quad[c - 1])
             c = kl[n & 1]         # edge n's color; n's last letter at n < 0
             if not n:
                 screen = crossed[c]
@@ -398,7 +400,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                 if not (mods[i - 1] < K or mods[j - 1] < K):
                     continue
                 try:
-                    v = modulus(quad[i - 1] * quad[j - 1] - lam_ij)
+                    v = abs(quad[i - 1] * quad[j - 1] - lam_ij)
                 except OverflowError:           # HUGE under _cap
                     continue
                 if v < KKM and v <= OVERFLOW_CAP:

@@ -19,8 +19,8 @@ import math
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from ._record import Record
-from .markoff import (OVERFLOW_CAP, MarkoffMap, Quad, Value,
-                      face_value_capped, modulus)
+from .algebra import face_value
+from .markoff import OVERFLOW_CAP, MarkoffMap, Quad, _cap
 from .tree import (COLORS, FACE_PAIRS, PAIRS_WITH, ROOT, EdgeKey, FaceKey,
                    RegionKey, VertexWord, ball_vertices, canonical_face,
                    canonical_region, faces_at, regions_at)
@@ -123,10 +123,10 @@ def ball_walk(m: MarkoffMap, table: FibTable, depth: int) -> Iterator[
                     stack.append((w + str(c), c, m._move(quad, c), tuple(g)))
 
 
-def _log_ratio(val: Value, f: int) -> float:
-    mod = modulus(val)
-    # A saturated value contributes its saturation scale: the true ratio
-    # is at least as large.
+def _log_ratio(val: complex, f: int) -> float:
+    mod = abs(val)
+    # A value capped to HUGE (modulus inf) contributes the cap's scale:
+    # the true ratio is at least as large.
     top = math.log(OVERFLOW_CAP) if math.isinf(mod) else log_plus(mod)
     return top / f
 
@@ -161,7 +161,7 @@ def growth_report(m: MarkoffMap, table: FibTable, depth: int) -> GrowthReport:
                 lo_r, arg_r = ratio, RegionKey(w, c)
             hi = max(hi, ratio)
         for i, j in PAIRS_WITH[c]:
-            psi = face_value_capped(quad[i - 1], quad[j - 1], lam[i, j])
+            psi = _cap(face_value(quad[i - 1], quad[j - 1], lam[i, j]))
             ratio = _log_ratio(psi, grow[i - 1] + grow[j - 1])
             if ratio < lo_f:
                 lo_f, arg_f = ratio, FaceKey(w, (i, j))

@@ -14,9 +14,8 @@ import math
 from enum import Enum
 from typing import Optional, Tuple
 
-from .algebra import BoundaryData
-from .markoff import (HUGE, Quad, Value, face_value_capped, modulus,
-                      sigma_capped)
+from .algebra import BoundaryData, face_value, sigma
+from .markoff import HUGE, Quad, _cap
 from .tree import EDGE_COLORS, FaceKey
 
 
@@ -36,15 +35,18 @@ TOL_REAL = 1e-9
 TOL_SIGMA = 1e-12
 
 
-def face_obstruction(boundary: BoundaryData, i: int, j: int, ai: Value,
-                     aj: Value) -> Tuple[Value, Optional[WitnessKind]]:
-    """Face value psi of face {i,j} and its obstruction: BQ1_VIOLATION
-    when psi is on the band [-2,2], SIGMA_ZERO when sigma vanishes, else
-    None.  Either obstruction makes H* infinite; HUGE values show none."""
-    psi = face_value_capped(ai, aj, boundary.lam_table[i - 1][j - 1])
-    if modulus(psi) <= 2.0 + TOL_REAL and dist_to_interval(psi) <= TOL_REAL:
+def face_obstruction(boundary: BoundaryData, i: int, j: int, ai: complex,
+                     aj: complex) -> Tuple[complex, Optional[WitnessKind]]:
+    """Face value psi of face {i,j}, capped, and its obstruction:
+    BQ1_VIOLATION when psi is on the band [-2,2], SIGMA_ZERO when sigma
+    vanishes, else None.  Either makes H* infinite; HUGE shows neither."""
+    li, lj = boundary.lam_table[i - 1], boundary.lam_table[j - 1]
+    k = EDGE_COLORS[i, j][0]
+    psi = _cap(face_value(ai, aj, li[j - 1]))
+    if abs(psi) <= 2.0 + TOL_REAL and dist_to_interval(psi) <= TOL_REAL:
         return psi, WitnessKind.BQ1_VIOLATION
-    if modulus(sigma_capped(boundary, i, j, ai, aj, psi)) <= TOL_SIGMA:
+    if abs(_cap(sigma(ai, aj, psi, li[j - 1], li[k - 1], lj[k - 1]))) \
+            <= TOL_SIGMA:
         return psi, WitnessKind.SIGMA_ZERO
     return psi, None
 

@@ -39,8 +39,7 @@ from bqdomain.bq import (ArcOutcome, ArcResult, AttractingTree, BqParams,
                          BqVerdict, Status, Witness, face_witness)
 from bqdomain.fib import (FibTable, GrowthReport, ball_walk, keys_to_depth,
                           log_plus)
-from bqdomain.markoff import (HUGE, OVERFLOW_CAP, MarkoffMap, Quad, Value,
-                              _cap, face_value_capped, modulus, sigma_capped)
+from bqdomain.markoff import HUGE, OVERFLOW_CAP, MarkoffMap, Quad, _cap
 from bqdomain.neighbors import (TOL_REAL, TOL_SIGMA, WitnessKind, _threshold,
                                 dist_to_interval)
 from bqdomain.tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, RegionKey,
@@ -75,21 +74,23 @@ class KeyedMap(MarkoffMap):
             quads[v[:k + 1]] = got
         return got
 
-    def eval_region(self, r: RegionKey) -> Value:
+    def eval_region(self, r: RegionKey) -> complex:
         return self.quad_at(r.anchor)[r.color - 1]
 
-    def region_values_at(self, f: FaceKey) -> Tuple[Value, Value]:
+    def region_values_at(self, f: FaceKey) -> Tuple[complex, complex]:
         i, j = f.colors
         quad = self.quad_at(f.anchor)
         return quad[i - 1], quad[j - 1]
 
-    def eval_face(self, f: FaceKey) -> Value:
+    def eval_face(self, f: FaceKey) -> complex:
         ai, aj = self.region_values_at(f)
-        return face_value_capped(ai, aj, self.boundary.lam(*f.colors))
+        return _cap(face_value(ai, aj, self.boundary.lam(*f.colors)))
 
-    def eval_sigma(self, f: FaceKey) -> Value:
+    def eval_sigma(self, f: FaceKey) -> complex:
         (ai, aj), (i, j) = self.region_values_at(f), f.colors
-        return sigma_capped(self.boundary, i, j, ai, aj, self.eval_face(f))
+        k, lam = next(c for c in COLORS if c not in (i, j)), self.boundary.lam
+        return _cap(sigma(ai, aj, self.eval_face(f), lam(i, j), lam(i, k),
+                          lam(j, k)))
 
 
 def neighbors(v: str) -> List[str]:
@@ -137,7 +138,7 @@ def points_toward(m: KeyedMap, e: EdgeKey, v: str) -> bool:
     toward the child on a tie."""
     if v not in (e.parent, e.child):
         raise ValueError("%r is not an endpoint of %r" % (v, e))
-    parent, child = (modulus(m.eval_region(r)) for r in edge_surrounding(e)[1])
+    parent, child = (abs(m.eval_region(r)) for r in edge_surrounding(e)[1])
     return (parent < child) == (v == e.parent)
 
 
@@ -223,7 +224,7 @@ def upper_bound_holds(m: MarkoffMap, depth: int) -> bool:
     universal additive constant, at every vertex of the ball."""
     slack = math.log(32.0)
     for _, _, quad, _ in ball_walk(m, FibTable(), depth):
-        logs = [log_plus(modulus(q)) for q in quad]
+        logs = [log_plus(abs(q)) for q in quad]
         if any(logs[i] > sum(logs) - logs[i] + slack + 1e-9 for i in range(4)):
             return False
     return True
@@ -456,7 +457,7 @@ def growth_report_reference(m: KeyedMap, table: FibTable,
             continue
         region = isinstance(key, RegionKey)
         val = m.eval_region(key) if region else m.eval_face(key)
-        mod = modulus(val)
+        mod = abs(val)
         top = math.log(OVERFLOW_CAP) if math.isinf(mod) else log_plus(mod)
         ratio = top / (table.region(key) if region else table.face(key))
         if ratio < lo:
@@ -574,16 +575,16 @@ def h_star_reference(boundary: BoundaryData, f: FaceKey, quad,
     i, j = f.colors
     ai, aj = quad[i - 1], quad[j - 1]
     lam = boundary.lam
-    psi = face_value_capped(ai, aj, lam(i, j))
+    psi = _cap(face_value(ai, aj, lam(i, j)))
     k = next(c for c in COLORS if c not in (i, j))
     sig = HUGE if HUGE in (ai, aj, psi) else \
         _cap(sigma(ai, aj, psi, lam(i, j), lam(i, k), lam(j, k)))
-    band = modulus(psi) <= 2.0 + TOL_REAL \
+    band = abs(psi) <= 2.0 + TOL_REAL \
         and dist_to_interval(psi) <= TOL_REAL
     if psi is HUGE or HUGE in quad:
         raise ValueError("h_star called on a face with overflowed values")
     lo = min(abs(ai), abs(aj))
-    if band or modulus(sig) <= TOL_SIGMA or lo == 0:
+    if band or abs(sig) <= TOL_SIGMA or lo == 0:
         return math.inf
     inp = face_h_inputs_reference(boundary, quad, i, j)
     h_psi = max(h_value_reference(inp),
@@ -626,7 +627,7 @@ def attracting_arc_reference(m: MarkoffMap, f: FaceKey, quad,
             p = t & 1
             if t:
                 quads.append(move_reference(m, quads[-1], letters[1 - p]))
-            u = modulus(quads[t][letters[1 - p] - 1])
+            u = abs(quads[t][letters[1 - p] - 1])
             if u < h:
                 window = t + 1
                 escaped = [False, False]
@@ -663,12 +664,12 @@ def boundary_face(f: FaceKey, n: int, i: int, j: int) -> FaceKey:
     return FaceKey(face_vertex_at(f, n), (i, j))
 
 
-def values_in_level(ai: Value, aj: Value, lam_ij: complex, K: float,
+def values_in_level(ai: complex, aj: complex, lam_ij: complex, K: float,
                     M: float) -> bool:
     """The level test on a face's two region values and lambda_ij:
     |psi(face)| < K^2 + M and at least one bounding region below K."""
-    return (modulus(ai) < K or modulus(aj) < K) \
-        and modulus(face_value_capped(ai, aj, lam_ij)) < K * K + M
+    return (abs(ai) < K or abs(aj) < K) \
+        and abs(_cap(face_value(ai, aj, lam_ij))) < K * K + M
 
 
 def face_in_level(m: KeyedMap, f: FaceKey, K: float) -> bool:
@@ -699,8 +700,8 @@ def decide_bq_reference(m: KeyedMap,
         best = None
         for c in COLORS:
             far = v[:-1] if v and v[-1] == str(c) else v + str(c)
-            far_mod = modulus(m.quad_at(far)[c - 1])
-            if far_mod < modulus(quad[c - 1]):
+            far_mod = abs(m.quad_at(far)[c - 1])
+            if far_mod < abs(quad[c - 1]):
                 if best is None or far_mod < best[0]:
                     best = (far_mod, far)
         if best is None:
@@ -713,7 +714,8 @@ def decide_bq_reference(m: KeyedMap,
 
     seeds = [f for f in faces_at(v) if face_in_level(m, f, K)]
     if not seeds:
-        return BqVerdict(Status.UNDECIDED, budget_hit="no_seed_face",
+        budget = "overflow" if HUGE in m.quad_at(v) else "no_seed_face"
+        return BqVerdict(Status.UNDECIDED, budget_hit=budget,
                          steps_used=steps)
     tree = AttractingTree()
     seen = set(seeds)

@@ -17,7 +17,7 @@ from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice, Theta,
                               vertex_residual)
 from bqdomain.bq import BqParams, Status, decide_bq
 from bqdomain.fib import FibTable, growth_report, keys_to_depth
-from bqdomain.markoff import Huge
+from bqdomain.markoff import HUGE
 from bqdomain.render import (TAG_IN_BQ, TAG_UNDECIDED, SliceConfig,
                              classify_pixel, render_slice)
 from bqdomain.torelli import (MAGNUS, TAU, character_agree, equal_in_out,
@@ -63,7 +63,7 @@ def test_criterion_02_vertex_and_edge_equations_depth_10():
     lam = m.boundary.lam
     for v in ball_vertices(10):
         quad = m.quad_at(v)
-        mods = [abs(u) for u in quad if not isinstance(u, Huge)]
+        mods = [abs(u) for u in quad if u is not HUGE]
         # past ~1e70 fourth powers leave double range; the identity is
         # meaningless there and the values are certified huge anyway
         if len(mods) == 4 and max(mods) < 1e70:
@@ -76,7 +76,7 @@ def test_criterion_02_vertex_and_edge_equations_depth_10():
             sides, (delta, delta_prime) = edge_surrounding(EdgeKey(v + str(c)))
             vals = [m.eval_region(r) for r in sides]
             ends = [m.eval_region(delta), m.eval_region(delta_prime)]
-            if any(isinstance(u, Huge) for u in vals + ends) \
+            if any(u is HUGE for u in vals + ends) \
                     or max(abs(u) for u in vals + ends) > 1e70:
                 continue
             rhs = sum(lam(c, r.color) * u for r, u in zip(sides, vals)) \

@@ -10,7 +10,6 @@ from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import (ArcOutcome, BqParams, Status, WitnessKind,
                          arc_edges, attracting_arc, decide_bq, face_witness,
                          find_sink)
-from bqdomain.markoff import modulus
 from bqdomain.tree import (FACE_PAIRS, EdgeKey, FaceKey, canonical_face,
                            faces_at)
 from conftest import (in_bq_fixtures, in_bq_quad, make_map, not_bq_fixtures,
@@ -56,7 +55,7 @@ class TestLevelPredicates:
             for v in ("", "1", "23"):
                 for f in faces_at(v):
                     ai, aj = m.region_values_at(f)
-                    if modulus(ai) < K and modulus(aj) < K:
+                    if abs(ai) < K and abs(aj) < K:
                         assert face_in_level(m, f, K)
 
 

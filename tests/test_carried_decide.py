@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 import oracles
-from bqdomain import bq
+from bqdomain import bq, cli
 from bqdomain.algebra import (BoundaryData, CharacterPoint, MarkoffQuad,
                               RootChoice, solve_fourth)
 from bqdomain.bq import BqParams, Status, decide_bq, face_witness, find_sink
+from bqdomain.markoff import HUGE
 from bqdomain.tree import faces_at
 
 from conftest import (in_bq_fixtures, not_bq_fixtures,
@@ -176,6 +177,29 @@ def test_seeded_pops_match_the_reference(monkeypatch):
         and find_sink(KeyedMap(q), SMALL).witness is None
         for q, v in zip(quads, verdicts))
     assert closure_witnesses >= 10
+
+
+def test_an_overflowed_descent_is_labelled_overflow(capsys):
+    """A descent stops at a quad holding HUGE (no edge leads down); with no
+    seed, that stop is overflow, not a sink, on (1e200,)*4 and on every
+    such stop among the seeded quads under both budgets (there are some)."""
+    argv = ["check"] + ["1e200"] * 4 + ["0"] * 3
+    assert cli.main(argv) == cli.EXIT_UNDECIDED
+    assert "verdict: Undecided (budget: overflow)" in capsys.readouterr().out
+    huge = MarkoffQuad((1e200,) * 4, BoundaryData((0.0, 0.0, 0.0)),
+                       on_variety=False)
+    stops = []
+    for params in (BqParams(), SMALL):
+        for q in [huge] + seeded_quads():
+            d = find_sink(KeyedMap(q), params)
+            if d.quad is None or d.witness or d.seeds or HUGE not in d.quad:
+                continue
+            stops.append(q)
+            for decide in (decide_bq, decide_bq_reference):
+                v = decide(KeyedMap(q), params)
+                assert (v.status, v.budget_hit) \
+                    == (Status.UNDECIDED, "overflow"), q
+    assert stops.count(huge) == 2 and len(stops) > 2
 
 
 def test_seeds_are_anchored_at_the_sink():

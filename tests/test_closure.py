@@ -16,10 +16,10 @@ crashing or spending the arc budget.
 import pytest
 
 from bqdomain import cli
-from bqdomain.algebra import BoundaryData, MarkoffQuad
+from bqdomain.algebra import BoundaryData, MarkoffQuad, sigma
 from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
                          decide_bq)
-from bqdomain.markoff import HUGE, sigma_capped
+from bqdomain.markoff import HUGE, _cap
 from bqdomain.neighbors import h_star
 from bqdomain.tree import COLORS, FACE_PAIRS, FaceKey, canonical_face
 
@@ -140,13 +140,15 @@ class TestOneQuadPerFace:
 
     def test_sigma_capped_is_eval_sigma(self):
         m = slice_map(3.75 + 3.75j)
+        lam = m.boundary.lam
         for f in shallow_faces():
             i, j = f.colors
+            k = next(c for c in COLORS if c not in (i, j))
             ai, aj = m.region_values_at(f)
             psi = m.eval_face(f)
-            assert sigma_capped(m.boundary, i, j, ai, aj, psi) \
+            assert _cap(sigma(ai, aj, psi, lam(i, j), lam(i, k), lam(j, k))) \
                 == m.eval_sigma(f)
-        assert sigma_capped(ZERO, 1, 2, HUGE, 1.0, 1.0) is HUGE
+        assert _cap(sigma(HUGE, 1.0, 1.0, 0.0, 0.0, 0.0)) is HUGE
 
 
 class TestOverflow:

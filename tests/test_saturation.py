@@ -1,10 +1,12 @@
 """Overflow: one saturation rule and one exit.
 
-HUGE absorbs + - and *, so every formula with a HUGE operand yields
-HUGE without a check of its own; these tests hold ``MarkoffMap._move``,
-``face_value_capped`` and ``sigma_capped`` to the rule written out.  A
-threshold that leaves float range raises in ``h_star`` and ends the arc
-walk with OVERFLOW, so a decision never rests on an overflowed H*: the
+HUGE is the complex number with both parts infinite, and + - and *
+never make an infinite or NaN part finite again, so ``_cap`` of every
+formula with a HUGE operand is HUGE without a check of its own; these
+tests hold ``MarkoffMap._move`` and the capped face value and sigma to
+the rule written out.  A threshold that leaves float range raises in
+``h_star`` and ends the arc walk with OVERFLOW, so a decision never
+rests on an overflowed H*: the
 reproducers below, and a seeded sweep of extreme raw inputs, end as
 Undecided/``overflow`` or with a verdict whose certificate holds.
 """
@@ -17,11 +19,10 @@ import pytest
 
 from bqdomain import bq, cli, neighbors
 from bqdomain.algebra import (BoundaryData, CharacterPoint, MarkoffQuad,
-                              face_value, sigma)
+                              face_value, moved_value, sigma)
 from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
                          decide_bq)
-from bqdomain.markoff import (HUGE, MarkoffMap, _cap, face_value_capped,
-                              sigma_capped)
+from bqdomain.markoff import HUGE, MarkoffMap, _cap
 from bqdomain.neighbors import WitnessKind, face_obstruction, h_star
 from bqdomain.tree import COLORS, FACE_PAIRS, FaceKey
 
@@ -34,11 +35,26 @@ def same(x, y) -> bool:
     return repr(x) == repr(y)
 
 
-def test_huge_absorbs_plus_minus_times():
-    for v in (HUGE + 1, 1 - HUGE, 0 * HUGE, -HUGE, HUGE * HUGE,
-              HUGE - HUGE, 2j + HUGE, HUGE * 0.5, (1 + 1j) - HUGE):
-        assert v is HUGE
-    assert _cap(HUGE) is HUGE
+# Finite operands, complex, float and int, zeros of both signs among them.
+OPERANDS = (0, 0.0, -0.0, 0j, -0j, 1, -1.0, 2.5, 1e149 - 3j, 0.5j, -1 + 1j)
+
+
+def test_a_huge_operand_caps_to_huge():
+    assert abs(HUGE) == math.inf and _cap(HUGE) is HUGE
+    for v in (0 * HUGE, -0.0 * HUGE, HUGE * 0j, HUGE - HUGE, HUGE * -HUGE):
+        assert math.isnan(v.real) or math.isnan(v.imag), v
+        assert _cap(v) is HUGE
+    # Each non-empty set of HUGE slots, every other operand and lambda x.
+    for x in OPERANDS:
+        for slots in list(subsets(4))[1:]:
+            vals = with_huge((x,) * 4, slots)
+            for i in COLORS:
+                terms = tuple((j, x) for j in COLORS if j != i)
+                assert _cap(moved_value(vals, i, terms)) is HUGE, (x, slots)
+        for slots in list(subsets(3))[1:]:
+            ai, aj, psi = with_huge((x,) * 3, slots)
+            assert _cap(sigma(ai, aj, psi, x, x, x)) is HUGE, (x, slots)
+            assert _cap(face_value(ai, aj, x)) is HUGE or slots == (2,)
 
 
 def quads(seed: int = 3):
@@ -89,12 +105,12 @@ def test_face_value_and_sigma_are_the_explicit_rule():
                      face_value(quad[i - 1], quad[j - 1], lam[0])), slots)
                 want = HUGE if HUGE in (ai, aj) \
                     else _cap(face_value(ai, aj, lam[0]))
-                got = face_value_capped(ai, aj, lam[0])
+                got = _cap(face_value(ai, aj, lam[0]))
                 assert same(got, want), (i, j, slots)
                 assert got is HUGE or not {0, 1} & set(slots)
                 want = HUGE if HUGE in (ai, aj, psi) \
                     else _cap(sigma(ai, aj, psi, *lam))
-                got = sigma_capped(omega, i, j, ai, aj, psi)
+                got = _cap(sigma(ai, aj, psi, *lam))
                 assert same(got, want), (i, j, slots)
                 assert got is HUGE or not slots
 

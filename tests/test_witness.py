@@ -12,7 +12,7 @@ import cmath
 
 import pytest
 
-from bqdomain import markoff
+from bqdomain import neighbors
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import BqParams, Status, WitnessKind, decide_bq, find_sink
 from bqdomain.render import (TAG_NOTBQ_ARC, TAG_NOTBQ_SIGMA, PixelResult,
@@ -69,12 +69,12 @@ class TestDecideExits:
 
 def counted_sigma(monkeypatch):
     calls = []
-    sigma = markoff.sigma
+    sigma = neighbors.sigma
 
     def counting(*args):
         calls.append(args)
         return sigma(*args)
-    monkeypatch.setattr(markoff, "sigma", counting)
+    monkeypatch.setattr(neighbors, "sigma", counting)
     return calls
 
 
