@@ -8,22 +8,22 @@ word length of the curve a key represents, and the ratio log+ |psi| / F
 measures exponential growth of a map against it.
 
 ``FibTable`` computes F key by key and is the reference.  The
-diagnostics look no key up: they read F and the map's values from one
-depth-first ``ball_walk`` that carries both down the tree from the
+diagnostic ``growth_report`` looks no key up: one loop walks the ball
+depth first and carries F and the map's values down the tree from the
 map's root quad.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ._record import Record
 from .algebra import face_value
-from .markoff import OVERFLOW_CAP, MarkoffMap, Quad, _cap
-from .tree import (COLORS, FACE_PAIRS, PAIRS_WITH, ROOT, EdgeKey, FaceKey,
-                   RegionKey, VertexWord, ball_vertices, canonical_face,
-                   canonical_region, faces_at, regions_at)
+from .markoff import OVERFLOW_CAP, MarkoffMap, _cap
+from .tree import (COLORS, PAIRS_WITH, ROOT, EdgeKey, FaceKey, RegionKey,
+                   ball_vertices, canonical_face, canonical_region, faces_at,
+                   regions_at)
 
 BASE_EDGE = EdgeKey("4")
 
@@ -36,7 +36,7 @@ Key = Union[RegionKey, FaceKey]
 class FibTable(Record):
     """Memoized region/face growth values relative to the root's colour-4
     base edge ``BASE_EDGE``, computed key by key: the reference for the
-    values ``ball_walk`` carries."""
+    values ``growth_report`` carries."""
 
     __slots__ = _fields = ("_regions", "_faces")
 
@@ -87,48 +87,10 @@ def keys_to_depth(depth: int) -> Tuple[List[RegionKey], List[FaceKey]]:
     return sorted(regions), sorted(faces)
 
 
-def log_plus(x: float) -> float:
-    return math.log(x) if x > 1.0 else 0.0
-
-
 class GrowthReport(NamedTuple):
     kappa_lower: float
     kappa_upper: float
     argmin: Optional[Key]
-
-
-def ball_walk(m: MarkoffMap, table: FibTable, depth: int) -> Iterator[
-        Tuple[VertexWord, int, Quad, Tuple[int, int, int, int]]]:
-    """Every vertex w of the depth ball in preorder, children in increasing
-    colour, so words come in lexicographic order.
-
-    Yields (w, last, quad, grow): last is the last letter of w (0 at the
-    root), quad the values and grow the growth values of the four
-    regions at w.  Both are carried down the walk, one
-    ``MarkoffMap._move`` per step, and a move on colour c sets grow[c]
-    to the sum of the other three; the root's growth values come from
-    the table.  The stack holds O(depth) entries.
-    """
-    seeds = tuple(table.region(RegionKey(ROOT, c)) for c in COLORS)
-    stack = [(ROOT, 0, m.root, seeds)]
-    while stack:
-        w, last, quad, grow = stack.pop()
-        yield w, last, quad, grow
-        if len(w) < depth:
-            total = sum(grow)
-            for c in (4, 3, 2, 1):          # popped in increasing colour
-                if c != last:
-                    g = list(grow)
-                    g[c - 1] = total - grow[c - 1]
-                    stack.append((w + str(c), c, m._move(quad, c), tuple(g)))
-
-
-def _log_ratio(val: complex, f: int) -> float:
-    mod = abs(val)
-    # A value capped to HUGE (modulus inf) contributes the cap's scale:
-    # the true ratio is at least as large.
-    top = math.log(OVERFLOW_CAP) if math.isinf(mod) else log_plus(mod)
-    return top / f
 
 
 def growth_report(m: MarkoffMap, table: FibTable, depth: int) -> GrowthReport:
@@ -138,34 +100,65 @@ def growth_report(m: MarkoffMap, table: FibTable, depth: int) -> GrowthReport:
     positive lower ratio is the signature of uniform exponential growth,
     a near-zero one of a bounded orbit somewhere in the ball.
 
-    One ``ball_walk`` visits every key: a vertex w with last letter c
-    anchors the region (w, c) and the three faces (w, {c, o}), and a
-    face's growth value is the sum of its two regions'.  The root's
-    three faces without colour 4 contain the base edge and are seeds, so
-    the root is read as if entered by the colour-4 base edge, like its
-    other end "4"; the colour-4 regions at both ends are seeds as well
-    and are skipped.  Regions win ties against faces, so ``argmin`` is
-    the first minimal key in sorted regions, then sorted faces.
+    One loop walks the ball in preorder from an explicit stack, children
+    popped in increasing colour, so words come in lexicographic order.
+    Each stack entry holds a vertex w, its last letter (0 at the root),
+    and the values and growth values of the four regions at w; a step
+    on colour c makes one ``MarkoffMap._move`` and sets the growth value
+    of colour c to the sum of the other three.  The root's growth values
+    come from the table.  The stack holds O(3 depth) entries.
+
+    A vertex w with last letter c anchors the region (w, c) and the
+    three faces (w, {c, o}), and a face's growth value is the sum of its
+    two regions'.  The root's three faces without colour 4 contain the
+    base edge and are seeds, so the root is read as if entered by the
+    colour-4 base edge, like its other end "4"; the colour-4 regions at
+    both ends are seeds as well and are skipped.  A value capped to HUGE
+    (modulus inf) counts at the cap's scale, log ``OVERFLOW_CAP``: the
+    true ratio is at least as large.  Regions win ties against faces, so
+    ``argmin`` is the first minimal key in sorted regions, then sorted
+    faces.
     """
     if depth < 2:
         raise ValueError("depth must be at least 2")
-    lam = {pair: m.boundary.lam(*pair) for pair in FACE_PAIRS}
-    hi = -math.inf
-    lo_r = lo_f = math.inf
-    arg_r = arg_f = None
-    for w, last, quad, grow in ball_walk(m, table, depth):
+    # The keys a vertex entered by colour c anchors, as 0-based slots of
+    # its quad: the region (c - 1, -1) and the faces (i, j) with lambda.
+    face_slots = {c: tuple((i - 1, j - 1, m.boundary.lam(i, j))
+                           for i, j in PAIRS_WITH[c]) for c in COLORS}
+    key_slots = {c: ((c - 1, -1, 0),) + face_slots[c] for c in COLORS}
+    log, inf, log_cap = math.log, math.inf, math.log(OVERFLOW_CAP)
+    move = m._move
+    lo, hi, arg = inf, -inf, None
+    stack = [(ROOT, 0, m.root,
+              tuple(table.region(RegionKey(ROOT, c)) for c in COLORS))]
+    pop, push = stack.pop, stack.append
+    while stack:
+        w, last, quad, grow = pop()
         c = last or BASE_EDGE.color
-        if w not in BASE_ENDS:
-            ratio = _log_ratio(quad[c - 1], grow[c - 1])
-            if ratio < lo_r:
-                lo_r, arg_r = ratio, RegionKey(w, c)
-            hi = max(hi, ratio)
-        for i, j in PAIRS_WITH[c]:
-            psi = _cap(face_value(quad[i - 1], quad[j - 1], lam[i, j]))
-            ratio = _log_ratio(psi, grow[i - 1] + grow[j - 1])
-            if ratio < lo_f:
-                lo_f, arg_f = ratio, FaceKey(w, (i, j))
-            hi = max(hi, ratio)
-    if lo_f < lo_r:
-        return GrowthReport(lo_f, hi, arg_f)
-    return GrowthReport(lo_r, hi, arg_r)
+        for i, j, lam in face_slots[c] if w in BASE_ENDS else key_slots[c]:
+            if j < 0:
+                mod, f = abs(quad[i]), grow[i]
+            else:
+                mod = abs(_cap(face_value(quad[i], quad[j], lam)))
+                f = grow[i] + grow[j]
+            ratio = (log_cap if mod == inf else log(mod) if mod > 1.0
+                     else 0.0) / f
+            # A region wins a tie against a face, else the first key does.
+            if ratio < lo or ratio == lo and j < 0 <= arg[2]:
+                lo, arg = ratio, (w, i, j)
+            if ratio > hi:
+                hi = ratio
+        if len(w) < depth:
+            g1, g2, g3, g4 = grow
+            # Pushed in decreasing colour, so popped in increasing colour.
+            if last != 4:
+                push((w + "4", 4, move(quad, 4), (g1, g2, g3, g1 + g2 + g3)))
+            if last != 3:
+                push((w + "3", 3, move(quad, 3), (g1, g2, g1 + g2 + g4, g4)))
+            if last != 2:
+                push((w + "2", 2, move(quad, 2), (g1, g1 + g3 + g4, g3, g4)))
+            if last != 1:
+                push((w + "1", 1, move(quad, 1), (g2 + g3 + g4, g2, g3, g4)))
+    w, i, j = arg
+    key = RegionKey(w, i + 1) if j < 0 else FaceKey(w, (i + 1, j + 1))
+    return GrowthReport(lo, hi, key)

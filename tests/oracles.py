@@ -30,15 +30,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from bqdomain.algebra import BoundaryData, face_value, moved_value, sigma
 from bqdomain.bq import (ArcOutcome, ArcResult, AttractingTree, BqParams,
                          BqVerdict, Status, Witness, face_witness)
-from bqdomain.fib import (FibTable, GrowthReport, ball_walk, keys_to_depth,
-                          log_plus)
+from bqdomain.fib import FibTable, GrowthReport, keys_to_depth
 from bqdomain.markoff import HUGE, OVERFLOW_CAP, MarkoffMap, Quad, _cap
 from bqdomain.neighbors import (TOL_REAL, TOL_SIGMA, WitnessKind, _threshold,
                                 dist_to_interval)
@@ -217,6 +216,37 @@ def base_keys() -> Tuple[List[RegionKey], List[FaceKey]]:
     """The simplices carrying the seed values 1 (regions) and 2 (faces)."""
     return ([RegionKey("", c) for c in (1, 2, 3)],
             [FaceKey("", p) for p in ((1, 2), (1, 3), (2, 3))])
+
+
+def log_plus(x: float) -> float:
+    return math.log(x) if x > 1.0 else 0.0
+
+
+def ball_walk(m: MarkoffMap, table: FibTable, depth: int) -> Iterator[
+        Tuple[str, int, Quad, Tuple[int, int, int, int]]]:
+    """Every vertex w of the depth ball in preorder, children in increasing
+    colour, so words come in lexicographic order: the walk of
+    ``fib.growth_report``, as a generator.
+
+    Yields (w, last, quad, grow): last is the last letter of w (0 at the
+    root), quad the values and grow the growth values of the four
+    regions at w.  Both are carried down the walk, one
+    ``MarkoffMap._move`` per step, and a move on colour c sets grow[c]
+    to the sum of the other three; the root's growth values come from
+    the table.
+    """
+    seeds = tuple(table.region(RegionKey("", c)) for c in COLORS)
+    stack = [("", 0, m.root, seeds)]
+    while stack:
+        w, last, quad, grow = stack.pop()
+        yield w, last, quad, grow
+        if len(w) < depth:
+            total = sum(grow)
+            for c in (4, 3, 2, 1):          # popped in increasing colour
+                if c != last:
+                    g = list(grow)
+                    g[c - 1] = total - grow[c - 1]
+                    stack.append((w + str(c), c, m._move(quad, c), tuple(g)))
 
 
 def upper_bound_holds(m: MarkoffMap, depth: int) -> bool:

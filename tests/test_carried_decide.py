@@ -202,6 +202,23 @@ def test_an_overflowed_descent_is_labelled_overflow(capsys):
     assert stops.count(huge) == 2 and len(stops) > 2
 
 
+def test_a_descent_with_no_seed_face_is_labelled_no_seed_face(capsys):
+    """A raw quad holding no HUGE (residual 74.7) whose descent stops with
+    no face in the level: Undecided on ``no_seed_face``, exit code 2."""
+    argv = ["check", "1,-2", "3", "3", "3", "0", "0", "0"]
+    assert cli.main(argv) == cli.EXIT_UNDECIDED
+    out = capsys.readouterr().out
+    assert "residual: 74.7" in out
+    assert "verdict: Undecided (budget: no_seed_face)" in out
+    q = MarkoffQuad((1 - 2j, 3, 3, 3), BoundaryData((0.0, 0.0, 0.0)),
+                    on_variety=False)
+    d = find_sink(KeyedMap(q), BqParams())
+    assert d.quad is not None and not d.seeds and HUGE not in d.quad
+    for decide in (decide_bq, decide_bq_reference):
+        v = decide(KeyedMap(q), BqParams())
+        assert (v.status, v.budget_hit) == (Status.UNDECIDED, "no_seed_face")
+
+
 def test_seeds_are_anchored_at_the_sink():
     rng = np.random.default_rng(99)
     params = BqParams()

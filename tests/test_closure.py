@@ -181,9 +181,9 @@ class TestOverflow:
     @pytest.mark.parametrize("argv", [
         ["check", "1.5e308,1.5e308", "3", "3", "3", "0", "0", "0"],
         ["check", "1.5e308,1.5e308", "1.9", "1.9", "3", "0", "0", "0"]],
-        ids=["no_seed", "huge_seed_quad"])
+        ids=["overflow_root", "huge_seed_quad"])
     def test_check_exits_undecided(self, argv, capsys):
         assert cli.main(argv) == cli.EXIT_UNDECIDED
         out, err = capsys.readouterr()
-        assert "verdict: Undecided" in out
+        assert "verdict: Undecided (budget: overflow)" in out
         assert err == ""

@@ -8,6 +8,7 @@ import pytest
 from bqdomain import cli
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.fib import FibTable, growth_report
+from bqdomain.markoff import MarkoffMap
 from conftest import in_bq_quad, random_markoff_map
 from oracles import KeyedMap, growth_report_reference, upper_bound_holds
 
@@ -40,9 +41,32 @@ def test_matches_reference_on_random_points(depth):
 
 
 @pytest.mark.parametrize("name", sorted(SPECIAL_QUADS))
-@pytest.mark.parametrize("depth", [2, 3, 6])
+@pytest.mark.parametrize("depth", [2, 3, 6, 8])
 def test_matches_reference_on_special_points(name, depth):
+    # t4 at depth 8 is the point and depth of ``bqdomain fib`` in the
+    # benchmark.
     assert_same_report(SPECIAL_QUADS[name], depth)
+
+
+class CountingMap(MarkoffMap):
+    """Counts the elementary moves made on it."""
+
+    def __init__(self, root_quad):
+        super().__init__(root_quad)
+        self.moves = 0
+
+    def _move(self, vals, i):
+        self.moves += 1
+        return super()._move(vals, i)
+
+
+@pytest.mark.parametrize("depth", [2, 5, 8])
+def test_one_move_per_edge_of_the_ball(depth):
+    """The ball has 1 + 2 (3^depth - 1) vertices; the walk moves once into
+    each vertex but the root (13,120 moves at depth 8)."""
+    m = CountingMap(in_bq_quad(4.0))
+    growth_report(m, FibTable(), depth)
+    assert m.moves == 2 * (3 ** depth - 1)
 
 
 def test_fib_command_output_at_depth_8(capsys):
