@@ -7,7 +7,7 @@ sum of two previously assigned faces.  F equals the cyclically reduced
 word length of the curve a key represents, and the ratio log+ |psi| / F
 measures exponential growth of a map against it.
 
-``FibTable`` computes F key by key and is the reference.  The
+``FibTable`` computes F of regions key by key and is the reference.  The
 diagnostic ``growth_report`` looks no key up: one loop walks the ball
 depth first and carries F and the map's values down the tree from the
 map's root quad.
@@ -22,8 +22,7 @@ from ._record import Record
 from .algebra import face_value
 from .markoff import OVERFLOW_CAP, MarkoffMap, _cap
 from .tree import (COLORS, PAIRS_WITH, ROOT, EdgeKey, FaceKey, RegionKey,
-                   ball_vertices, canonical_face, canonical_region, faces_at,
-                   regions_at)
+                   ball_vertices, canonical_region, faces_at, regions_at)
 
 BASE_EDGE = EdgeKey("4")
 
@@ -34,16 +33,14 @@ Key = Union[RegionKey, FaceKey]
 
 
 class FibTable(Record):
-    """Memoized region/face growth values relative to the root's colour-4
-    base edge ``BASE_EDGE``, computed key by key: the reference for the
-    values ``growth_report`` carries."""
+    """Memoized region growth values relative to the root's colour-4 base
+    edge ``BASE_EDGE``, computed key by key: the reference for the values
+    ``growth_report`` carries, and the source of the root's seeds."""
 
-    __slots__ = _fields = ("_regions", "_faces")
+    __slots__ = _fields = ("_regions",)
 
-    def __init__(self, _regions: Optional[Dict[RegionKey, int]] = None,
-                 _faces: Optional[Dict[FaceKey, int]] = None):
+    def __init__(self, _regions: Optional[Dict[RegionKey, int]] = None):
         self._regions = {} if _regions is None else _regions
-        self._faces = {} if _faces is None else _faces
 
     def region(self, r: RegionKey) -> int:
         got = self._regions.get(r)
@@ -55,26 +52,6 @@ class FibTable(Record):
             val = sum(self.region(canonical_region(r.anchor, c))
                       for c in COLORS if c != r.color)
         self._regions[r] = val
-        return val
-
-    def face(self, f: FaceKey) -> int:
-        got = self._faces.get(f)
-        if got is not None:
-            return got
-        i, j = f.colors
-        if f.anchor == "" and 4 not in f.colors:
-            val = 2
-        else:
-            # Step back along the last letter of the anchor (or the base
-            # edge color at the root): the face splits as the sum of the
-            # two faces pairing the remaining pair color with each
-            # complementary color.
-            c = int(f.anchor[-1]) if f.anchor else 4
-            o = i if j == c else j
-            k, l = [m for m in COLORS if m not in (i, j)]
-            val = (self.face(canonical_face(f.anchor, o, k))
-                   + self.face(canonical_face(f.anchor, o, l)))
-        self._faces[f] = val
         return val
 
 

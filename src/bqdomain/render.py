@@ -98,9 +98,11 @@ class PixelResult(NamedTuple):
 
 
 def pixel_value(config: SliceConfig, col: int, row: int) -> complex:
+    # offsets odd in the index about the middle: row h-1-r's is exactly
+    # minus row r's
     w, h = config.px
-    re = config.center.real + ((col + 0.5) / w - 0.5) * config.width
-    im = config.center.imag + (0.5 - (row + 0.5) / h) * config.height
+    re = config.center.real + ((2 * col + 1 - w) / (2 * w)) * config.width
+    im = config.center.imag + ((h - 1 - 2 * row) / (2 * h)) * config.height
     return complex(re, im)
 
 
@@ -167,21 +169,19 @@ def _render_rows(args) -> List[Tuple[int, bytes, float]]:
 
 
 def mirror_rows(config: SliceConfig) -> Dict[int, int]:
-    """{h-1-r: r} for each row r < h//2 of a real config whose mirror row
-    sweeps the conjugates of its values.
+    """{h-1-r: r} for each row r < h//2 of a real config: every fixed
+    value and the centre are real.
 
-    Complex conjugation commutes with the mapping class group action and,
-    bit for bit, with every operation of the decision (+, -, *, complex
-    division, abs, hypot and cmath.sqrt; no branch reads the sign of an
-    imaginary part), so the mirror row has row r's verdicts and
-    residuals.  Row centres are compared exactly, so a height whose
-    centres round unevenly shares only the rows that do mirror."""
-    h = config.px[1]
+    ``pixel_value`` puts row h-1-r at the exact conjugates of row r's
+    values.  Complex conjugation commutes with the mapping class group
+    action and, bit for bit, with every operation of the decision (+, -,
+    *, complex division, abs, hypot and cmath.sqrt; no branch reads the
+    sign of an imaginary part), so the mirror row has row r's verdicts
+    and residuals."""
     if config.center.imag or any(v.imag for v in config.fixed.values()):
         return {}
-    return {h - 1 - r: r for r in range(h // 2)
-            if pixel_value(config, 0, h - 1 - r).imag
-            == -pixel_value(config, 0, r).imag}
+    h = config.px[1]
+    return {h - 1 - r: r for r in range(h // 2)}
 
 
 def render_slice(config: SliceConfig, workers: int = 1
@@ -189,20 +189,19 @@ def render_slice(config: SliceConfig, workers: int = 1
     """Pixel bytes (without header) and the worst vertex-relation
     residual seen over the window.  A row of ``mirror_rows`` copies its
     partner's bytes, so each conjugate pair of rows is decided once."""
-    w, h = config.px
+    h = config.px[1]
     mirror = mirror_rows(config)
-    decided = [r for r in range(h) if r not in mirror]
+    # one row per batch at any worker count: in a pool a free worker takes
+    # the next row, so rows of uneven cost spread evenly
+    batches = [(config, [row]) for row in range(h) if row not in mirror]
     # a forked pool starts all its processes at once; extra ones get no row
-    workers = min(workers, len(decided))
+    workers = min(workers, len(batches))
     if workers <= 1:
-        chunks = [_render_rows((config, decided))]
+        chunks = map(_render_rows, batches)
     else:
         # imported here: the pool machinery is a sizeable share of the
         # package's import time and memory, and only this branch uses it
         from concurrent.futures import ProcessPoolExecutor
-        # one row per batch: a free worker takes the next row, so rows of
-        # uneven cost spread evenly
-        batches = [(config, [row]) for row in decided]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_render_rows, batches))
     rows: Dict[int, bytes] = {}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
-from functools import cached_property
 from typing import Dict, Iterator, Tuple
 
 from ._record import Frozen
@@ -45,29 +44,18 @@ class Automorphism(Frozen):
     """Images of (A,B,C); inverses of generators map to inverse words."""
 
     _fields = ("images",)
-    __slots__ = _fields + ("__dict__",)      # the dict holds _table
+    __slots__ = _fields + ("_table",)
 
     def __init__(self, images: Tuple[str, str, str]):
-        self._set(tuple(reduce_word(w) for w in images))
-
-    @cached_property
-    def _table(self) -> Dict[str, str]:
-        a, b, c = self.images
-        return {"A": a, "B": b, "C": c,
-                "a": invert(a), "b": invert(b), "c": invert(c)}
+        a, b, c = images = tuple(reduce_word(w) for w in images)
+        self._set(images)
+        object.__setattr__(self, "_table", {
+            "A": a, "B": b, "C": c,
+            "a": invert(a), "b": invert(b), "c": invert(c)})
 
     def apply(self, w: str) -> str:
-        # each image is reduced, so only the segment junctions cancel
         table = self._table
-        out: list = []
-        for ch in w:
-            seg = table[ch]
-            k, n = 0, len(seg)
-            while out and k < n and out[-1] == _INVERSE[seg[k]]:
-                out.pop()
-                k += 1
-            out.extend(seg[k:])
-        return "".join(out)
+        return reduce_word("".join(table[ch] for ch in w))
 
 
 IDENTITY = Automorphism(("A", "B", "C"))
@@ -148,7 +136,7 @@ def equal_in_out(f: Automorphism, g: Automorphism,
     """
     targets = tuple(f.apply(x) for x in GENS)
     candidates = itertools.chain(
-        (reduce_word(targets[0][:k] ) for k in range(len(targets[0]) + 1)),
+        (reduce_word(targets[0][:k]) for k in range(len(targets[0]) + 1)),
         _words_up_to(search_radius),
     )
     seen = set()

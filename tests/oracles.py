@@ -218,42 +218,63 @@ def base_keys() -> Tuple[List[RegionKey], List[FaceKey]]:
             [FaceKey("", p) for p in ((1, 2), (1, 3), (2, 3))])
 
 
+class FaceTable(FibTable):
+    """``fib.FibTable`` plus face growth values, each the sum of two faces
+    one step back, computed key by key: the reference for the face
+    values ``fib.growth_report`` derives from its regions."""
+
+    __slots__ = ("_faces",)
+    _fields = ("_regions", "_faces")
+
+    def __init__(self):
+        super().__init__()
+        self._faces = {}
+
+    def face(self, f: FaceKey) -> int:
+        got = self._faces.get(f)
+        if got is not None:
+            return got
+        i, j = f.colors
+        if f.anchor == "" and 4 not in f.colors:
+            val = 2
+        else:
+            # Step back along the last letter of the anchor (or the base
+            # edge color at the root): the face splits as the sum of the
+            # two faces pairing the remaining pair color with each
+            # complementary color.
+            c = int(f.anchor[-1]) if f.anchor else 4
+            o = i if j == c else j
+            k, l = [m for m in COLORS if m not in (i, j)]
+            val = (self.face(canonical_face(f.anchor, o, k))
+                   + self.face(canonical_face(f.anchor, o, l)))
+        self._faces[f] = val
+        return val
+
+
 def log_plus(x: float) -> float:
     return math.log(x) if x > 1.0 else 0.0
 
 
-def ball_walk(m: MarkoffMap, table: FibTable, depth: int) -> Iterator[
-        Tuple[str, int, Quad, Tuple[int, int, int, int]]]:
-    """Every vertex w of the depth ball in preorder, children in increasing
-    colour, so words come in lexicographic order: the walk of
-    ``fib.growth_report``, as a generator.
-
-    Yields (w, last, quad, grow): last is the last letter of w (0 at the
-    root), quad the values and grow the growth values of the four
-    regions at w.  Both are carried down the walk, one
-    ``MarkoffMap._move`` per step, and a move on colour c sets grow[c]
-    to the sum of the other three; the root's growth values come from
-    the table.
-    """
-    seeds = tuple(table.region(RegionKey("", c)) for c in COLORS)
-    stack = [("", 0, m.root, seeds)]
+def ball_walk(m: MarkoffMap, depth: int) -> Iterator[Quad]:
+    """The quad of every vertex of the depth ball in preorder, children in
+    increasing colour, so words come in lexicographic order: the walk of
+    ``fib.growth_report``, as a generator, carrying quads down the tree
+    with one ``MarkoffMap._move`` per step."""
+    stack = [("", 0, m.root)]
     while stack:
-        w, last, quad, grow = stack.pop()
-        yield w, last, quad, grow
+        w, last, quad = stack.pop()
+        yield quad
         if len(w) < depth:
-            total = sum(grow)
             for c in (4, 3, 2, 1):          # popped in increasing colour
                 if c != last:
-                    g = list(grow)
-                    g[c - 1] = total - grow[c - 1]
-                    stack.append((w + str(c), c, m._move(quad, c), tuple(g)))
+                    stack.append((w + str(c), c, m._move(quad, c)))
 
 
 def upper_bound_holds(m: MarkoffMap, depth: int) -> bool:
     """log+ of each quad value is controlled by the other three plus a
     universal additive constant, at every vertex of the ball."""
     slack = math.log(32.0)
-    for _, _, quad, _ in ball_walk(m, FibTable(), depth):
+    for quad in ball_walk(m, depth):
         logs = [log_plus(abs(q)) for q in quad]
         if any(logs[i] > sum(logs) - logs[i] + slack + 1e-9 for i in range(4)):
             return False
@@ -471,11 +492,11 @@ def brute_force_bq(quad, omega, depth: int = 14, K: Optional[float] = None,
                         pruned, kept_nan)
 
 
-def growth_report_reference(m: KeyedMap, table: FibTable,
+def growth_report_reference(m: KeyedMap, table: FaceTable,
                             depth: int) -> GrowthReport:
     """``fib.growth_report`` by keys: every region and face key of the
     depth ball, sorted regions then sorted faces, valued through the
-    memo (``eval_region``/``eval_face``) and the recursive ``FibTable``."""
+    memo (``eval_region``/``eval_face``) and the recursive ``FaceTable``."""
     if depth < 2:
         raise ValueError("depth must be at least 2")
     regions, faces = keys_to_depth(depth)

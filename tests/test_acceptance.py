@@ -27,10 +27,11 @@ from conftest import (NOT_BQ_FIXTURES, in_bq_fixtures, make_map,
                       not_bq_fixtures, random_markoff_map,
                       random_on_variety_point, sup_norm)
 from free_group import WordTable, induced_character_map, lift_point
-from oracles import (HInputs, KeyedMap, NeighborSeq, brute_force_bq,
-                     edge_surrounding, face_h_inputs_reference, face_in_level,
-                     face_side_region, fork_scan, h_value, h_value_sym,
-                     neighbors, points_toward, simulate_neighbors)
+from oracles import (FaceTable, HInputs, KeyedMap, NeighborSeq,
+                     brute_force_bq, edge_surrounding,
+                     face_h_inputs_reference, face_in_level, face_side_region,
+                     fork_scan, h_value, h_value_sym, neighbors,
+                     points_toward, simulate_neighbors)
 
 COORD_NAMES = ("a", "b", "c", "d", "x", "y", "z")
 
@@ -241,7 +242,7 @@ def test_criterion_07_word_lengths_match_growth_values():
     seconds."""
     from bqdomain.tree import canonical_region
     t0 = time.perf_counter()
-    words, fib = WordTable(), FibTable()
+    words, fib = WordTable(), FaceTable()
     regions, faces = keys_to_depth(8)
     for key in regions:
         assert words.word_rep(key).length == fib.region(key)

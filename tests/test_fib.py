@@ -9,14 +9,14 @@ from bqdomain.fib import FibTable, growth_report, keys_to_depth
 from bqdomain.tree import (COLORS, FaceKey, RegionKey, ball_vertices,
                            canonical_face, canonical_region)
 from conftest import in_bq_quad, make_map, random_markoff_map
-from oracles import base_keys, upper_bound_holds
+from oracles import FaceTable, base_keys, upper_bound_holds
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
 
 
 class TestTable:
     def test_base_values(self):
-        t = FibTable()
+        t = FaceTable()
         assert [t.region(RegionKey("", c)) for c in COLORS] == [1, 1, 1, 3]
         assert t.region(RegionKey("4", 4)) == 3
         for pair in ((1, 2), (1, 3), (2, 3)):
@@ -36,7 +36,7 @@ class TestTable:
                 assert t.region(r) == total
 
     def test_face_is_sum_of_bounding_regions(self):
-        t = FibTable()
+        t = FaceTable()
         for v in ball_vertices(4):
             for i in COLORS:
                 for j in COLORS:

@@ -10,7 +10,8 @@ from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.fib import FibTable, growth_report
 from bqdomain.markoff import MarkoffMap
 from conftest import in_bq_quad, random_markoff_map
-from oracles import KeyedMap, growth_report_reference, upper_bound_holds
+from oracles import (FaceTable, KeyedMap, growth_report_reference,
+                     upper_bound_holds)
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
 
@@ -27,7 +28,7 @@ SPECIAL_QUADS = {
 
 def assert_same_report(quad, depth):
     got = growth_report(KeyedMap(quad), FibTable(), depth)
-    want = growth_report_reference(KeyedMap(quad), FibTable(), depth)
+    want = growth_report_reference(KeyedMap(quad), FaceTable(), depth)
     assert got.argmin == want.argmin
     assert got.kappa_lower.hex() == want.kappa_lower.hex()
     assert got.kappa_upper.hex() == want.kappa_upper.hex()

@@ -1,16 +1,19 @@
 """A real slice is rendered once per conjugate pair of rows.
 
-Each config renders at 1 and 2 workers to the bytes and worst residual
-of deciding every row, ``_render_rows`` over all of them in row order.
-A config with a complex fixed coordinate or an off-axis centre decides
-every pixel, and the frozen 16x16 slice decides half of them.
+Pixel centres are odd in the row about the middle, so on a real config
+of any height h, rows r and h-1-r sweep exact conjugates and all h//2
+pairs are shared.  Each config renders at 1 and 2 workers to the bytes
+and worst residual of deciding every row, ``_render_rows`` over all of
+them in row order.  A config with a complex fixed coordinate or an
+off-axis centre decides every pixel, and the frozen 16x16 slice decides
+half of them.
 """
 
 import pytest
 
 from bqdomain import render
 from bqdomain.render import (SliceConfig, _render_rows, mirror_rows,
-                             render_slice)
+                             pixel_value, render_slice)
 
 from conftest import SLICE_DOC
 
@@ -23,9 +26,10 @@ def small(**over):
 
 MIRRORED = {
     "odd_width": small(px=[5, 4]),
-    # the only odd height whose pair of row centres is a bitwise mirror
+    # an odd height: its middle row is its own mirror and is decided
     "odd_height": small(px=[4, 3]),
-    # 3 of the 5 pairs of row centres are bitwise mirrors
+    # a height that is not a power of two, so its row centres round: all
+    # 5 pairs still mirror
     "partial": small(px=[3, 10]),
     "raw": small(mode="raw", fixed={"b": 3, "c": 3, "d": 1.5,
                                     "x": 0, "y": 0, "z": 0}),
@@ -69,7 +73,7 @@ def test_configs_mirror_as_named():
             for name, config in {**MIRRORED, **FALLBACK}.items()} == {
         "odd_width": [(2, 1), (3, 0)],
         "odd_height": [(2, 0)],
-        "partial": [(6, 3), (7, 2), (8, 1)],
+        "partial": [(5, 4), (6, 3), (7, 2), (8, 1), (9, 0)],
         "raw": [(2, 1), (3, 0)],
         "omega": [(2, 1), (3, 0)],
         "complex_fixed": [],
@@ -92,3 +96,42 @@ def test_frozen_slice_decides_half_its_pixels(monkeypatch):
     render_slice(config, workers=1)
     assert len(calls) == 128
     assert {r for _, r in calls} == set(range(8))
+
+
+# Real windows (centre, width, height) whose offsets round at most sizes.
+REAL_WINDOWS = [(0, 12.0, 12.0), (0.5, 7.1, 0.3), (-1.25, 1e-3, 3.7)]
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("window", REAL_WINDOWS)
+def test_every_real_height_mirrors_every_pair(window):
+    center, width, height = window
+    for h in range(1, 65):
+        config = small(px=[7, h], center=center, width=width, height=height)
+        assert mirror_rows(config) == {h - 1 - r: r for r in range(h // 2)}
+        for r in range(h // 2):
+            for col in (0, 3, 6):
+                assert bits(pixel_value(config, col, h - 1 - r)) == \
+                    bits(pixel_value(config, col, r).conjugate())
+
+
+@pytest.mark.parametrize("window", REAL_WINDOWS + [([0.75, -2.5], 5.0, 0.7)])
+def test_power_of_two_centres_are_the_half_offset_centres(window):
+    """At power-of-two sizes every offset is exact, so the centres are
+    the ones ``center + ((k + 0.5) / n - 0.5) * size`` gives, and the
+    frozen slice keeps its bytes."""
+    center, width, height = window
+    for n in (1, 2, 4, 16, 64):
+        config = small(px=[n, n], center=center, width=width, height=height)
+        c = config.center
+        for k in range(n):
+            want = complex(c.real + ((k + 0.5) / n - 0.5) * width,
+                           c.imag + (0.5 - (k + 0.5) / n) * height)
+            assert bits(pixel_value(config, k, k)) == bits(want)
+    frozen = SliceConfig.from_json(SLICE_DOC)
+    assert pixel_value(frozen, 0, 0) == -5.625 + 5.625j
+    assert pixel_value(frozen, 15, 15) == 5.625 - 5.625j
+    assert pixel_value(frozen, 7, 8) == -0.375 - 0.375j

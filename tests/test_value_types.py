@@ -60,7 +60,7 @@ CASES = {
     GrowthReport: (dict.fromkeys(["kappa_lower", "kappa_upper", "argmin"],
                                  REQUIRED), (0.5, 1.5, RegionKey("", 1)),
                    0.25, False),
-    FibTable: ({"_regions": {}, "_faces": {}}, (), {RegionKey("", 1): 1},
+    FibTable: ({"_regions": {}}, (), {RegionKey("", 1): 1},
                False),
     SliceConfig: ({"fixed": REQUIRED, "varying": REQUIRED,
                    "center": REQUIRED, "width": REQUIRED, "height": REQUIRED,

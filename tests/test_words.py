@@ -1,11 +1,11 @@
 """Curve representatives: base words and the length/growth match."""
 
-from bqdomain.fib import FibTable
 from bqdomain.torelli import invert, reduce_word
 from bqdomain.tree import (COLORS, ball_vertices, canonical_face,
                            canonical_region)
 from free_group import (BASE_FACE_WORD, BASE_REGION_WORD, WordTable,
                         cyclic_reduce)
+from oracles import FaceTable
 
 
 class TestFreeGroupOps:
@@ -43,7 +43,7 @@ class TestBaseWords:
 class TestLengthMatchesGrowth:
     def test_regions_and_faces_to_depth_four(self):
         table = WordTable()
-        fib = FibTable()
+        fib = FaceTable()
         for v in ball_vertices(4):
             for c in COLORS:
                 key = canonical_region(v, c)
