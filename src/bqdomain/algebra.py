@@ -111,7 +111,9 @@ class MarkoffQuad(Frozen):
         self._set(values, boundary, on_variety)
 
     def __getitem__(self, color: int) -> complex:
-        return self.values[color - 1]
+        if 1 <= color <= 4:
+            return self.values[color - 1]
+        raise ValueError("bad color %r" % (color,))
 
 
 class DerivedBoundary(NamedTuple):
@@ -177,6 +179,9 @@ def solve_fourth(a: complex, b: complex, c: complex,
     reals), so results are reproducible.  The two roots sum to
     y*a + z*b + x*c - a*b*c.
     """
+    if not isinstance(which_root, RootChoice):
+        raise ValueError("which_root must be a RootChoice, got %r"
+                         % (which_root,))
     x, y, z = boundary.omega
     B = a * b * c - y * a - z * b - x * c
     C = (a * a + b * b + c * c - x * a * b - y * b * c - z * a * c

@@ -40,8 +40,11 @@ class BqParams(Frozen):
                               or not isinstance(K, numbers.Real)
                               or not K * K <= sys.float_info.max):
             raise ValueError("K must be real with K*K finite, got %r" % (K,))
-        self._set(K, max_descent_steps, max_faces, max_arc_steps,
-                  max_total_edges)
+        budgets = max_descent_steps, max_faces, max_arc_steps, max_total_edges
+        if any(type(n) is not int or n < 0 for n in budgets):
+            raise ValueError("%s must be non-negative integers, got %r"
+                             % (", ".join(self._fields[1:]), budgets))
+        self._set(K, *budgets)
 
     def level(self, m: MarkoffMap) -> float:
         k = 2.0 + m.boundary.M if self.K is None else self.K
@@ -79,20 +82,22 @@ class BqVerdict(NamedTuple):
     steps_used: int = 0
 
 
-def _witness(kind: WitnessKind, f: FaceKey, psi: complex) -> Witness:
-    """The witness of kind at f, psi being f's value; a band witness
-    carries it."""
-    return Witness(kind, f, psi if kind is WitnessKind.BQ1_VIOLATION
-                   else None)
-
-
 def face_witness(m: MarkoffMap, f: FaceKey, quad: Quad) -> Optional[Witness]:
     """Band or sigma witness at f, if any (``face_obstruction``), from the
     quad at a vertex on f's boundary; a band witness carries the face
     value."""
     i, j = f.colors
     psi, kind = face_obstruction(m.boundary, i, j, quad[i - 1], quad[j - 1])
-    return None if kind is None else _witness(kind, f, psi)
+    return None if kind is None else Witness(
+        kind, f, psi if kind is WitnessKind.BQ1_VIOLATION else None)
+
+
+def _stop(steps: int, witness: Optional[Witness],
+          budget: Optional[str]) -> BqVerdict:
+    """NotBQ on a stop's witness, else Undecided on the budget it names."""
+    if witness is None:
+        return BqVerdict(Status.UNDECIDED, budget_hit=budget, steps_used=steps)
+    return BqVerdict(Status.NOT_BQ, witness=witness, steps_used=steps)
 
 
 # The list defaults here and in ArcResult are shared: never append to one.
@@ -117,9 +122,11 @@ _CROSSED = {c: itemgetter(*(n for n, q in enumerate(FACE_PAIRS) if c in q))
 def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
     """Steepest descent from the root toward small-modulus regions.
 
-    Stops at a vertex with no strictly outgoing edge, at one already
-    touching a face below the level threshold, or at the first face on
-    the way that shows a band or sigma witness, the only face keyed.
+    Stops with ``seeds`` at a vertex touching a face below the level
+    threshold, or else names its stop: the first face on the way with a
+    band or sigma witness (the only face keyed), a vertex with no strictly
+    outgoing edge (``budget_hit`` "overflow" if its quad holds HUGE, else
+    "no_seed_face"), or "max_descent_steps".
     The quad is carried, one move per child edge tried; the edge back,
     crossed because it made its value strictly smaller, is not outgoing,
     so it is never tried.
@@ -150,7 +157,7 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
             ai, aj = quad[i - 1], quad[j - 1]
             psi, kind = face_obstruction(b, i, j, ai, aj)
             if kind is not None:
-                w = _witness(kind, canonical_face(v, i, j), psi)
+                w = face_witness(m, canonical_face(v, i, j), quad)
                 return DescentResult(vertex=v, quad=quad, witness=w,
                                      steps=step)
             if (abs(ai) < K or abs(aj) < K) and abs(psi) < KKM:
@@ -166,7 +173,9 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
                 if far_mod < abs(quad[c - 1]):
                     down.append((far_mod, c, far))
         if not down:
-            return DescentResult(vertex=v, quad=quad, steps=step)
+            stop = "overflow" if HUGE in quad else "no_seed_face"
+            return DescentResult(vertex=v, quad=quad, budget_hit=stop,
+                                 steps=step)
         _, back, quad = min(down)      # steepest; ties to the smaller colour
         v += str(back)
         screen = PAIRS_WITH[back]
@@ -175,9 +184,10 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
 
 
 class ArcOutcome(Enum):
+    """How an arc walk ends; an Undecided outcome's value names the stop."""
     FINITE = "finite"
     INFINITE = "infinite"
-    BUDGET = "budget"
+    BUDGET = "max_arc_steps"
     OVERFLOW = "overflow"     # a value or the threshold overflowed
 
 
@@ -286,11 +296,12 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     """Decide membership with a certificate or witness.
 
     InBQ carries the closed-up attracting tree; NotBQ carries a face
-    witness; Undecided reports which budget ran out, or "overflow" when
-    the arc walk overflows or the descent stops at a quad holding HUGE
-    with no seed (no edge leads down from it).  Each popped face runs the
-    band and sigma test once: in ``h_star`` when its arc is finite, and
-    through ``face_witness`` when the closure stops at it.
+    witness; Undecided names a budget, or "overflow".  Each phase names
+    its own stops and ``_stop`` makes each one the verdict: ``find_sink``
+    in its result, the arc walk by its ``ArcOutcome`` (an INFINITE arc is
+    a witness), the closure at "max_faces" and "max_total_edges".  Each
+    popped face runs the band and sigma test once: in ``h_star`` when its
+    arc is finite, else through ``face_witness`` as the closure stops.
 
     A closure face is its anchor's node in a ``tree.Trie`` and its color
     pair.  ``seen`` keys it by one int, 6 * node + the pair's index in
@@ -315,20 +326,9 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     step in when its pair lacks the vertex's last letter.
     """
     K = params.level(m)
-    descent = find_sink(m, params)
-    steps = descent.steps
-    if descent.witness is not None:
-        return BqVerdict(Status.NOT_BQ, witness=descent.witness,
-                         steps_used=steps)
-    if descent.budget_hit is not None:
-        return BqVerdict(Status.UNDECIDED, budget_hit=descent.budget_hit,
-                         steps_used=steps)
-
-    v0, q0, seeds = descent.vertex, descent.quad, descent.seeds
+    v0, q0, witness, budget, steps, seeds = find_sink(m, params)
     if not seeds:
-        budget = "overflow" if HUGE in q0 else "no_seed_face"
-        return BqVerdict(Status.UNDECIDED, budget_hit=budget,
-                         steps_used=steps)
+        return _stop(steps, witness, budget)
     trie = Trie()
     sink = trie.node(v0)
     # A screen entry is (i, j, lambda_ij, n), one per face pair, n its
@@ -351,33 +351,22 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         x, p, anchor_quad = queue.pop()
         f = TrieFace(trie, x, p)
         steps += 1
+        if len(seen) > max_faces:
+            return _stop(steps, face_witness(m, f.key(), anchor_quad),
+                         "max_faces")
         # A band or sigma face's walk ends at once, INFINITE or (on a HUGE
         # anchor quad) OVERFLOW, so a face with a finite arc needs no witness.
-        over_budget = len(seen) > max_faces
-        arc = None if over_budget else \
-            attracting_arc(m, f, anchor_quad, params)
-        if over_budget or arc.outcome is not ArcOutcome.FINITE:
+        arc = attracting_arc(m, f, anchor_quad, params)
+        if arc.outcome is not ArcOutcome.FINITE:
             w = face_witness(m, f.key(), anchor_quad)
-            if w is not None:
-                return BqVerdict(Status.NOT_BQ, witness=w, steps_used=steps)
-            if over_budget:
-                return BqVerdict(Status.UNDECIDED, budget_hit="max_faces",
-                                 steps_used=steps)
-            if arc.outcome is ArcOutcome.INFINITE:
-                return BqVerdict(
-                    Status.NOT_BQ,
-                    witness=Witness(WitnessKind.INFINITE_ARC, f.key()),
-                    steps_used=steps)
-            budget = "max_arc_steps" if arc.outcome is ArcOutcome.BUDGET \
-                else "overflow"
-            return BqVerdict(Status.UNDECIDED, budget_hit=budget,
-                             steps_used=steps)
+            if w is None and arc.outcome is ArcOutcome.INFINITE:
+                w = Witness(WitnessKind.INFINITE_ARC, f.key())
+            return _stop(steps, w, arc.outcome.value)
         _, n1, n2, _, quads = arc      # locals: a NamedTuple read is slower
         arcs.append((f, n1, n2))
         total_edges += max(0, n2 - n1 + 1)
         if total_edges > max_total_edges:
-            return BqVerdict(Status.UNDECIDED, budget_hit="max_total_edges",
-                             steps_used=steps)
+            return _stop(steps, None, "max_total_edges")
         # Screen each window vertex but f's anchor on the carried quad and
         # moduli.  An edge of color c keeps every face whose pair lacks c,
         # with both region values bitwise unchanged, so only c's modulus

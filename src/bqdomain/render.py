@@ -52,6 +52,8 @@ class SliceConfig(Frozen):
             raise ValueError("window must have positive finite size")
         if mode not in ("raw", "solve_plus", "solve_minus"):
             raise ValueError("unknown mode %r" % mode)
+        if mode != "raw" and varying == "d":     # solving would overwrite it
+            raise ValueError("mode %s solves for d, so d cannot vary" % mode)
         self._set(fixed, varying, center, width, height, px, params, mode)
 
     @classmethod
@@ -72,11 +74,10 @@ class SliceConfig(Frozen):
             return complex(*pair(v if isinstance(v, list) else [v, 0]))
         if not (isinstance(doc, dict) and isinstance(doc.get("fixed"), dict)):
             raise ValueError("the config and its fixed must be JSON objects")
-        budgets = doc.get("budgets", {})
-        if not isinstance(budgets, dict) or any(
-                k not in BUDGETS or type(v) is not int or v < 0
-                for k, v in budgets.items()):
-            raise ValueError("budgets must map %s to non-negative integers"
+        budgets = doc.get("budgets", {})       # BqParams checks the values
+        if not isinstance(budgets, dict) or any(k not in BUDGETS
+                                                for k in budgets):
+            raise ValueError("budgets must be an object of %s"
                              % ", ".join(BUDGETS))
         params = BqParams(K=doc.get("k_override"), **budgets)
         px = doc["px"]

@@ -60,6 +60,12 @@ class TestSolveFourth:
         vieta = y * a + z * b + x * c - a * b * c
         assert abs(dp + dm - vieta) < 1e-9 * scale
 
+    @pytest.mark.parametrize("which", ["plus", "minus", None, 1])
+    def test_rejects_a_root_that_is_not_a_root_choice(self, which):
+        # "plus" would otherwise fall through to the MINUS root
+        with pytest.raises(ValueError):
+            solve_fourth(1, 1, 1, ZERO, which)
+
 
 class TestMarkoffQuad:
     def test_rejects_off_variety(self):
@@ -73,6 +79,12 @@ class TestMarkoffQuad:
     def test_indexing_by_color(self):
         q = MarkoffQuad((0, 0, 0, 2), ZERO)
         assert (q[1], q[2], q[3], q[4]) == (0, 0, 0, 2)
+
+    @pytest.mark.parametrize("color", [0, -1, 5])
+    def test_rejects_a_color_outside_one_to_four(self, color):
+        # [0] and [-1] would otherwise read a4 and a3
+        with pytest.raises(ValueError):
+            MarkoffQuad((0, 0, 0, 2), ZERO)[color]
 
     def test_values_past_float_range_raise_value_error(self):
         # finite parts whose modulus, fourth power or residual overflows

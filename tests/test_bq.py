@@ -41,6 +41,15 @@ class TestParams:
     def test_accepts_finite_real_k(self, k):
         assert BqParams(K=k).K == k
 
+    @pytest.mark.parametrize("budget", ["max_descent_steps", "max_faces",
+                                        "max_arc_steps", "max_total_edges"])
+    def test_budgets_are_non_negative_ints(self, budget):
+        # "5" would fail mid-decide, -3 stop at the first pop, True count 1
+        for n in ("5", -3, True, 1.0, None):
+            with pytest.raises(ValueError):
+                BqParams(**{budget: n})
+        assert getattr(BqParams(**{budget: 0}), budget) == 0
+
 
 class TestLevelPredicates:
     def test_face_needs_small_region_and_small_value(self):

@@ -61,6 +61,13 @@ def record(v):
             v.tree and sorted(v.tree.edges))
 
 
+def one_stop(d) -> bool:
+    """A descent ends in exactly one way: with seeds, with a witness, or
+    with the budget it names."""
+    return (d.seeds != []) + (d.witness is not None) \
+        + (d.budget_hit is not None) == 1
+
+
 def random_complex(rng, scale):
     return complex(*rng.uniform(-scale, scale, 2))
 
@@ -158,6 +165,7 @@ def agree(monkeypatch, makes, params):
 def test_frozen_point_matches_the_reference_and_keeps_the_memo_at_root(
         monkeypatch, make):
     agree(monkeypatch, [make], BqParams())
+    assert one_stop(find_sink(make(), BqParams()))
 
 
 def test_seeded_pops_match_the_reference(monkeypatch):
@@ -195,6 +203,7 @@ def test_an_overflowed_descent_is_labelled_overflow(capsys):
             if d.quad is None or d.witness or d.seeds or HUGE not in d.quad:
                 continue
             stops.append(q)
+            assert d.budget_hit == "overflow", q
             for decide in (decide_bq, decide_bq_reference):
                 v = decide(KeyedMap(q), params)
                 assert (v.status, v.budget_hit) \
@@ -214,6 +223,7 @@ def test_a_descent_with_no_seed_face_is_labelled_no_seed_face(capsys):
                     on_variety=False)
     d = find_sink(KeyedMap(q), BqParams())
     assert d.quad is not None and not d.seeds and HUGE not in d.quad
+    assert d.budget_hit == "no_seed_face"
     for decide in (decide_bq, decide_bq_reference):
         v = decide(KeyedMap(q), BqParams())
         assert (v.status, v.budget_hit) == (Status.UNDECIDED, "no_seed_face")
@@ -241,7 +251,8 @@ def test_descent_seeds_and_witnesses_match_a_full_screen():
     """The descent screens only the pairs holding the colour just crossed,
     yet it returns the sink's in-level faces as seeds, in FACE_PAIRS
     order, and stops at the first witness that a screen of all six
-    pairs finds at its last vertex.  The moved band points reach a
+    pairs finds at its last vertex, and otherwise ends on seeds or a named
+    budget, never two of the three.  The moved band points reach a
     witness below the root."""
     rng = np.random.default_rng(99)
     quads = [moved_point(rng) for _ in range(300)] + seeded_quads() + \
@@ -251,6 +262,7 @@ def test_descent_seeds_and_witnesses_match_a_full_screen():
     for q in quads:
         m = KeyedMap(q)
         d = find_sink(m, params)
+        assert one_stop(d), q
         v = d.vertex
         if v is None or d.witness is not None:
             assert d.seeds == []

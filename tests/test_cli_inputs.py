@@ -5,8 +5,9 @@ not two numbers, a config or ``fixed`` that is not a JSON object, a
 window size that is not a real number, and a level threshold K
 (``--k``, ``k_override``) that is not a real number with a finite
 square, a render worker count (``--threads``) below one, a torelli
-trial count (``--trials``) below one, and a boundary trace whose parts
-are finite but whose modulus is past float range."""
+trial count (``--trials``) below one, a boundary trace whose parts are
+finite but whose modulus is past float range, and a solve-mode slice
+that varies d."""
 
 import json
 import math
@@ -82,14 +83,18 @@ def test_render_rejects_bad_pairs(change, tmp_path, capsys):
 
 # A list where an object belongs or a size past float range must not crash
 # render with exit 1, and a bool, a string, NaN or infinity must not be
-# read as the window's size.
+# read as the window's size.  A solve mode overwrites d at every pixel,
+# so varying d would render one point.
 @pytest.mark.parametrize("doc", [
     [], dict(SLICE, fixed=[]), dict(SLICE, width=True),
     dict(SLICE, width="12"), dict(SLICE, height=True),
     dict(SLICE, height="12"), dict(SLICE, width=10**400),
-    dict(SLICE, width=math.inf), dict(SLICE, height=math.nan)],
+    dict(SLICE, width=math.inf), dict(SLICE, height=math.nan),
+    dict(SLICE, varying="d",
+         fixed={"a": 0, "b": 3, "c": 3, "x": 0, "y": 0, "z": 0})],
     ids=["doc_list", "fixed_list", "width_true", "width_str", "height_true",
-         "height_str", "width_huge_int", "width_inf", "height_nan"])
+         "height_str", "width_huge_int", "width_inf", "height_nan",
+         "solve_varies_d"])
 def test_render_rejects_bad_shapes(doc, tmp_path, capsys):
     with pytest.raises(ValueError):
         SliceConfig.from_json(doc)

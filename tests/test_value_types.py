@@ -102,7 +102,8 @@ def test_value_type_contract(cls):
 
 @pytest.mark.parametrize("value", [
     BqParams(K=9.0, max_faces=17),
-    SliceConfig(FIXED, "d", 1 + 2j, 8.0, 4.0, (4, 2), BqParams(max_faces=5),
+    SliceConfig({"b": 0, "c": 0, "d": 0, "x": 0, "y": 0, "z": 0}, "a",
+                1 + 2j, 8.0, 4.0, (4, 2), BqParams(max_faces=5),
                 "solve_plus")], ids=["BqParams", "SliceConfig"])
 def test_render_pool_arguments_pickle(value):
     back = pickle.loads(pickle.dumps(value))
