@@ -13,6 +13,7 @@ only saturation.
 from __future__ import annotations
 
 import cmath
+import math
 from enum import Enum
 from typing import NamedTuple, Tuple
 
@@ -167,6 +168,14 @@ def quad_residual(values, boundary: BoundaryData) -> complex:
            + z * (a1 * a3 + a2 * a4)
            + 4 - x * x - y * y - z * z - x * y * z)
     return lhs - rhs
+
+
+def residual_modulus(values, boundary: BoundaryData) -> float:
+    """|quad_residual|, or inf when it is not finite: a part is NaN or
+    infinite, or the modulus of finite parts is past float range."""
+    r = quad_residual(values, boundary)
+    m = math.hypot(r.real, r.imag)
+    return m if math.isfinite(m) else math.inf
 
 
 def solve_fourth(a: complex, b: complex, c: complex,

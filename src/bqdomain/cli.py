@@ -12,7 +12,7 @@ import math
 import sys
 from typing import List, Optional
 
-from .algebra import CharacterPoint, MarkoffQuad, vertex_residual
+from .algebra import CharacterPoint, MarkoffQuad, residual_modulus
 from .bq import BqParams, Status, decide_bq
 from .markoff import MarkoffMap
 
@@ -40,9 +40,8 @@ def _map_for(pt: CharacterPoint) -> MarkoffMap:
 def cmd_check(args) -> int:
     pt = CharacterPoint(*args.coords)
     verdict = decide_bq(_map_for(pt), BqParams(K=args.k))
-    r = vertex_residual(pt)
-    residual = math.hypot(r.real, r.imag)
-    if math.isfinite(residual):
+    residual = residual_modulus(pt.quad, pt.omega)
+    if residual < math.inf:
         print("residual: %.3g" % residual)
     else:
         print("residual: not finite (a coordinate is too large)")

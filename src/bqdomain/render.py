@@ -1,32 +1,30 @@
 """Deterministic slice rendering to binary PPM.
 
 A slice fixes six of the seven trace coordinates, sweeps the seventh
-over a rectangular window, runs the membership test per pixel, and
-paints by verdict.  Pixels are pure functions of the config, and the
-output buffer is assembled by pixel index, so the bytes are identical
-for any worker count.  A real slice is its own complex conjugate, so
-each conjugate pair of rows is decided once (``mirror_rows``).
+over a rectangular window, and paints each pixel from its verdict:
+``classify_pixel`` decides the pixel's point with ``decide_bq`` and
+measures its vertex-relation residual by ``check``'s rule
+(``residual_modulus``), and ``pixel_rgb``, the one palette rule, maps
+the verdict to a colour.  Pixels are pure functions of the config, and
+the output buffer is assembled by pixel index, so the bytes are
+identical for any worker count.  A real slice is its own complex
+conjugate, so each conjugate pair of rows is decided once
+(``mirror_rows``).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, Tuple
 
 from ._record import Frozen, require_finite
-from .algebra import (BoundaryData, MarkoffQuad, RootChoice, quad_residual,
-                      solve_fourth)
+from .algebra import (BoundaryData, CharacterPoint, MarkoffQuad, RootChoice,
+                      residual_modulus, solve_fourth)
 from .bq import BqParams, BqVerdict, Status, WitnessKind, decide_bq
 from .markoff import MarkoffMap
 
-COORDS = ("a", "b", "c", "d", "x", "y", "z")
-
-TAG_NOTBQ_BQ1 = 0
-TAG_NOTBQ_SIGMA = 1
-TAG_NOTBQ_ARC = 2
-TAG_UNDECIDED = 3
-TAG_IN_BQ = 4
+COORDS = CharacterPoint._fields
 
 # The BqParams fields a config's "budgets" may set.
 BUDGETS = [f for f in BqParams._fields if f.startswith("max_")]
@@ -92,12 +90,6 @@ class SliceConfig(Frozen):
                    mode=doc.get("mode", "raw"))
 
 
-class PixelResult(NamedTuple):
-    tag: int
-    steps_used: int
-    residual: float = 0.0
-
-
 def pixel_value(config: SliceConfig, col: int, row: int) -> complex:
     # offsets odd in the index about the middle: row h-1-r's is exactly
     # minus row r's
@@ -119,40 +111,30 @@ def point_coords(config: SliceConfig, value: complex) -> Dict[str, complex]:
     return coords
 
 
-def verdict_tag(v: BqVerdict) -> int:
+def classify_pixel(config: SliceConfig, col: int, row: int
+                   ) -> Tuple[BqVerdict, float]:
+    """The verdict at pixel (col, row) and its ``residual_modulus``."""
+    pt = CharacterPoint(**point_coords(config, pixel_value(config, col, row)))
+    boundary = pt.omega
+    quad = MarkoffQuad(pt.quad, boundary, on_variety=False)
+    return (decide_bq(MarkoffMap(quad), config.params),
+            residual_modulus(pt.quad, boundary))
+
+
+def pixel_rgb(v: BqVerdict) -> Tuple[int, int, int]:
+    """Black InBQ, white Undecided; a NotBQ pixel by its witness kind:
+    blue band, green sigma, red arc, and band and arc darken with the
+    steps spent."""
     if v.status is Status.IN_BQ:
-        return TAG_IN_BQ
-    if v.status is Status.UNDECIDED:
-        return TAG_UNDECIDED
-    kind = v.witness.kind
-    if kind is WitnessKind.BQ1_VIOLATION:
-        return TAG_NOTBQ_BQ1
-    if kind is WitnessKind.SIGMA_ZERO:
-        return TAG_NOTBQ_SIGMA
-    return TAG_NOTBQ_ARC
-
-
-def classify_pixel(config: SliceConfig, col: int, row: int) -> PixelResult:
-    coords = point_coords(config, pixel_value(config, col, row))
-    boundary = BoundaryData((coords["x"], coords["y"], coords["z"]))
-    values = (coords["a"], coords["b"], coords["c"], coords["d"])
-    quad = MarkoffQuad(values, boundary, on_variety=False)
-    verdict = decide_bq(MarkoffMap(quad), config.params)
-    return PixelResult(verdict_tag(verdict), verdict.steps_used,
-                       abs(quad_residual(values, boundary)))
-
-
-def pixel_rgb(r: PixelResult) -> Tuple[int, int, int]:
-    scale = min(191, r.steps_used)
-    if r.tag == TAG_IN_BQ:
         return (0, 0, 0)
-    if r.tag == TAG_UNDECIDED:
+    if v.status is Status.UNDECIDED:
         return (255, 255, 255)
-    if r.tag == TAG_NOTBQ_BQ1:
-        return (0, 0, 255 - scale)
-    if r.tag == TAG_NOTBQ_SIGMA:
+    shade = 255 - min(191, v.steps_used)
+    if v.witness.kind is WitnessKind.BQ1_VIOLATION:
+        return (0, 0, shade)
+    if v.witness.kind is WitnessKind.SIGMA_ZERO:
         return (0, 255, 0)
-    return (255 - scale, 0, 0)
+    return (shade, 0, 0)
 
 
 def _render_rows(args) -> List[Tuple[int, bytes, float]]:
@@ -162,9 +144,9 @@ def _render_rows(args) -> List[Tuple[int, bytes, float]]:
         buf = bytearray()
         worst = 0.0
         for col in range(config.px[0]):
-            r = classify_pixel(config, col, row)
-            buf.extend(pixel_rgb(r))
-            worst = max(worst, r.residual)
+            verdict, residual = classify_pixel(config, col, row)
+            buf.extend(pixel_rgb(verdict))
+            worst = max(worst, residual)
         out.append((row, bytes(buf), worst))
     return out
 

@@ -18,8 +18,7 @@ from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice, Theta,
 from bqdomain.bq import BqParams, Status, decide_bq
 from bqdomain.fib import FibTable, growth_report, keys_to_depth
 from bqdomain.markoff import HUGE
-from bqdomain.render import (TAG_IN_BQ, TAG_UNDECIDED, SliceConfig,
-                             classify_pixel, render_slice)
+from bqdomain.render import SliceConfig, classify_pixel, render_slice
 from bqdomain.torelli import (MAGNUS, TAU, character_agree, equal_in_out,
                               factored)
 from bqdomain.tree import EdgeKey, ball_vertices, canonical_face, faces_at
@@ -302,20 +301,12 @@ def test_criterion_09_renderer_determinism_and_symmetry():
     assert body1 == body4 == body4b
     assert res1 == res4
 
-    def status_class(tag: int) -> str:
-        if tag == TAG_IN_BQ:
-            return "in"
-        if tag == TAG_UNDECIDED:
-            return "undecided"
-        return "out"
-
     w, h = config.px
-    tags = [[classify_pixel(config, col, row).tag for col in range(w)]
-            for row in range(h)]
+    status = [[classify_pixel(config, col, row)[0].status
+               for col in range(w)] for row in range(h)]
     for row in range(h):
         for col in range(w):
-            mirrored = tags[h - 1 - row][w - 1 - col]
-            assert status_class(tags[row][col]) == status_class(mirrored)
+            assert status[row][col] is status[h - 1 - row][w - 1 - col]
 
 
 def test_criterion_10_growth_diagnostic_separates_fixtures():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from bqdomain.algebra import (BoundaryData, CharacterPoint, DerivedBoundary,
                               MarkoffQuad, RootChoice, Theta, elementary_move,
                               face_value, involution_theta, quad_residual,
-                              sigma, solve_fourth, vertex_residual)
+                              residual_modulus, sigma, solve_fourth,
+                              vertex_residual)
 from conftest import random_on_variety_point, sup_norm
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
@@ -34,6 +35,18 @@ class TestVertexResidual:
         pt = CharacterPoint(1.5, -0.5, 2.0, 0.25, 0.1, 0.2, 0.3)
         assert vertex_residual(pt) == quad_residual(
             pt.quad, BoundaryData((pt.x, pt.y, pt.z)))
+
+    # a finite modulus as is; inf for a modulus past float range (abs()
+    # raised OverflowError) and for a NaN part (max() dropped it)
+    @pytest.mark.parametrize("values, omega, want", [
+        ((1, 1, 1, 1), (0, 0, 0), 1.0),
+        ((3j, 0, 0, 0), (0, 0, 0), 13.0),
+        ((1.0162674857624154e+154 + 4.209517756015988e+153j,) * 2 + (0, 0),
+         (0, 0, 0), float("inf")),
+        ((1e200, 1e200, 0, 0), (1, 0, 0), float("inf"))],
+        ids=["one", "complex", "past_float_range", "nan_part"])
+    def test_residual_modulus(self, values, omega, want):
+        assert residual_modulus(values, BoundaryData(omega)) == want
 
 
 class TestSolveFourth:

@@ -6,8 +6,8 @@ window size that is not a real number, and a level threshold K
 (``--k``, ``k_override``) that is not a real number with a finite
 square, a render worker count (``--threads``) below one, a torelli
 trial count (``--trials``) below one, a boundary trace whose parts are
-finite but whose modulus is past float range, and a solve-mode slice
-that varies d."""
+finite but whose modulus is past float range, a solve-mode slice that
+varies d, and a vertex-relation residual that is not finite."""
 
 import json
 import math
@@ -29,6 +29,28 @@ def test_check_reports_overflowing_residual(capsys):
     assert "nan" not in out
     assert "residual: not finite (a coordinate is too large)" in out
     assert err == ""
+
+
+# check and render read one residual rule: a residual whose parts are
+# finite but whose modulus is past float range, or whose part is NaN,
+# reads inf.  abs() raised OverflowError on the first, so render exited
+# 1, NotBQ's code; max() dropped the NaN of the second and reported 0.
+TOO_LARGE = [1.0162674857624154e+154, 4.209517756015988e+153]
+
+
+@pytest.mark.parametrize("fixed", [
+    {"a": TOO_LARGE, "b": TOO_LARGE, "c": 0, "x": 0, "y": 0, "z": 0},
+    {"a": 1e200, "b": 1e200, "c": 0, "x": 1, "y": 0, "z": 0}],
+    ids=["modulus_past_float_range", "nan_part"])
+def test_render_reports_non_finite_residual(fixed, tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.ppm"
+    cfg.write_text(json.dumps({"fixed": fixed, "varying": "d",
+                               "center": [0, 0], "width": 1, "height": 1,
+                               "px": 2}))
+    assert cli.main(["render", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "max residual inf" in capsys.readouterr().out
+    assert (tmp_path / "o.ppm.report.txt").read_text() \
+        == "max |vertex relation residual| over window: inf\n"
 
 
 def render_exits_usage(doc, tmp_path, capsys):

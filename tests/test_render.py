@@ -6,10 +6,13 @@ import math
 
 import pytest
 
+from bqdomain.bq import (AttractingTree, BqVerdict, Status, Witness,
+                         WitnessKind)
 from bqdomain.cli import main
-from bqdomain.render import (TAG_IN_BQ, TAG_NOTBQ_BQ1, SliceConfig,
-                             classify_pixel, pixel_rgb, pixel_value,
-                             point_coords, render_slice, write_ppm)
+from bqdomain.render import (SliceConfig, classify_pixel, pixel_rgb,
+                             pixel_value, point_coords, render_slice,
+                             write_ppm)
+from bqdomain.tree import FaceKey
 from conftest import IN_BQ_T_VALUES, in_bq_quad
 
 SIX_FIXED = {"a": 0, "b": 0, "c": 0, "x": 0, "y": 0, "z": 0}
@@ -82,23 +85,60 @@ class TestPixelMath:
 
 
 class TestClassify:
+    """A pixel's verdict; ``test_palette`` paints it the colour in the
+    test's name."""
+
     def test_member_pixel_black(self):
         t = IN_BQ_T_VALUES[0]
         d = in_bq_quad(t)[4]
         cfg = small_config(
             fixed={"a": t, "b": t, "c": t, "x": 0, "y": 0, "z": 0},
             px=(1, 1), center=complex(d), width=1e-6, height=1e-6)
-        res = classify_pixel(cfg, 0, 0)
-        assert res.tag == TAG_IN_BQ
-        assert pixel_rgb(res) == (0, 0, 0)
+        verdict, residual = classify_pixel(cfg, 0, 0)
+        assert verdict.status is Status.IN_BQ
+        assert residual < 1e-6
 
     def test_band_pixel_blue(self):
         cfg = small_config(px=(1, 1), center=2 + 0j,
                            width=1e-6, height=1e-6)
-        res = classify_pixel(cfg, 0, 0)
-        assert res.tag == TAG_NOTBQ_BQ1
-        r, g, b = pixel_rgb(res)
-        assert (r, g) == (0, 0) and b > 0
+        verdict, _ = classify_pixel(cfg, 0, 0)
+        assert verdict.status is Status.NOT_BQ
+        assert verdict.witness.kind is WitnessKind.BQ1_VIOLATION
+
+
+FACE = FaceKey("", (1, 2))
+BUDGETS = ["max_descent_steps", "overflow", "no_seed_face", "max_arc_steps",
+           "max_faces", "max_total_edges"]
+
+
+def verdicts(status_or_kind, steps):
+    """Every verdict of a status, under each budget when Undecided, or
+    the NotBQ verdict of a witness kind, that spent the given steps."""
+    if status_or_kind is Status.IN_BQ:
+        return [BqVerdict(Status.IN_BQ, AttractingTree(), steps_used=steps)]
+    if status_or_kind is Status.UNDECIDED:
+        return [BqVerdict(Status.UNDECIDED, budget_hit=b, steps_used=steps)
+                for b in BUDGETS]
+    return [BqVerdict(Status.NOT_BQ, witness=Witness(status_or_kind, FACE),
+                      steps_used=steps)]
+
+
+# status or witness kind -> its colour at a shade; the shade is
+# 255 - min(191, steps_used)
+PALETTE = {Status.IN_BQ: lambda s: (0, 0, 0),
+           Status.UNDECIDED: lambda s: (255, 255, 255),
+           WitnessKind.BQ1_VIOLATION: lambda s: (0, 0, s),
+           WitnessKind.SIGMA_ZERO: lambda s: (0, 255, 0),
+           WitnessKind.INFINITE_ARC: lambda s: (s, 0, 0)}
+
+
+@pytest.mark.parametrize("steps, shade", [(0, 255), (5, 250), (191, 64),
+                                          (500, 64)])
+@pytest.mark.parametrize("status_or_kind", list(PALETTE),
+                         ids=lambda k: k.value)
+def test_palette(status_or_kind, steps, shade):
+    for verdict in verdicts(status_or_kind, steps):
+        assert pixel_rgb(verdict) == PALETTE[status_or_kind](shade)
 
 
 class TestRender:

@@ -4,7 +4,7 @@ Complex conjugation commutes with the mapping class group action, and
 every operation ``decide_bq`` applies commutes with it bitwise, so at
 the conjugate of a point with real b, c and boundary traces it returns
 the same record, with the conjugate witness value.  On the render slice
-a -> -a also keeps every pixel's tag.
+a -> -a also keeps every pixel's colour.
 """
 
 import numpy as np
@@ -13,7 +13,8 @@ from bqdomain.algebra import (BoundaryData, MarkoffQuad, RootChoice,
                               solve_fourth)
 from bqdomain.bq import BqParams, decide_bq
 from bqdomain.markoff import MarkoffMap
-from bqdomain.render import SliceConfig, classify_pixel, pixel_value
+from bqdomain.render import (SliceConfig, classify_pixel, pixel_rgb,
+                             pixel_value)
 
 from conftest import SLICE_DOC, slice_map
 from test_carried_decide import record
@@ -68,8 +69,8 @@ def test_decide_bq_commutes_with_conjugation():
 
 def test_slice_tags_are_symmetric_under_negating_a():
     w, h = SLICE.px
-    tags = {(col, row): classify_pixel(SLICE, col, row).tag
-            for row in range(h) for col in range(w)}
-    assert len(set(tags.values())) > 1
-    assert all(tag == tags[w - 1 - col, h - 1 - row]
-               for (col, row), tag in tags.items())
+    colours = {(col, row): pixel_rgb(classify_pixel(SLICE, col, row)[0])
+               for row in range(h) for col in range(w)}
+    assert len(set(colours.values())) > 1
+    assert all(rgb == colours[w - 1 - col, h - 1 - row]
+               for (col, row), rgb in colours.items())

@@ -17,7 +17,7 @@ from bqdomain.bq import (ArcOutcome, ArcResult, AttractingTree, BqParams,
                          BqVerdict, DescentResult, Status, Witness,
                          WitnessKind)
 from bqdomain.fib import FibTable, GrowthReport
-from bqdomain.render import PixelResult, SliceConfig
+from bqdomain.render import SliceConfig
 from bqdomain.torelli import Automorphism
 from bqdomain.tree import FaceKey, RegionKey
 from free_group import WordRep
@@ -67,8 +67,6 @@ CASES = {
                    "px": REQUIRED, "params": BqParams(), "mode": "raw"},
                   (FIXED, "d", 0j, 8.0, 8.0, (4, 4)),
                   dict(FIXED, a=1), True),
-    PixelResult: ({"tag": REQUIRED, "steps_used": REQUIRED,
-                   "residual": 0.0}, (4, 7), 3, True),
     WordRep: ({"key": REQUIRED, "word": REQUIRED}, (FACE, "Ab"),
               FaceKey("", (1, 3)), True),
     Automorphism: ({"images": REQUIRED}, (("A", "B", "C"),),

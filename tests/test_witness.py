@@ -4,8 +4,8 @@
 and ``h_star`` both call it, and the closure in ``decide_bq`` looks a
 witness up only when a face's arc walk does not end finite.  These tests
 pin every exit of ``decide_bq``'s closure, count the sigma evaluations,
-and check the render colours of the two NotBQ kinds that only the
-closure or a vanishing sigma produce.
+and pin the verdicts of the two NotBQ kinds that only the closure or a
+vanishing sigma produce, which ``test_render.test_palette`` paints.
 """
 
 import cmath
@@ -15,8 +15,6 @@ import pytest
 from bqdomain import neighbors
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import BqParams, Status, WitnessKind, decide_bq, find_sink
-from bqdomain.render import (TAG_NOTBQ_ARC, TAG_NOTBQ_SIGMA, PixelResult,
-                             pixel_rgb, verdict_tag)
 from bqdomain.markoff import MarkoffMap
 from bqdomain.tree import FaceKey
 
@@ -92,15 +90,15 @@ def test_sigma_once_per_popped_face(a, monkeypatch):
 
 
 class TestRenderColours:
+    """The verdicts that ``test_render.test_palette`` paints green, and
+    red shaded by 5 steps."""
+
     def test_sigma_zero_is_green(self):
         v = decide_bq(raw_map(*SIGMA_ZERO))
+        assert v.status is Status.NOT_BQ
         assert v.witness.kind is WitnessKind.SIGMA_ZERO
-        tag = verdict_tag(v)
-        assert tag == TAG_NOTBQ_SIGMA == 1
-        assert pixel_rgb(PixelResult(tag, v.steps_used)) == (0, 255, 0)
 
     def test_infinite_arc_is_red_by_steps(self):
         v = decide_bq(raw_map(*INFINITE_ARC))
-        tag = verdict_tag(v)
-        assert tag == TAG_NOTBQ_ARC == 2
-        assert pixel_rgb(PixelResult(tag, v.steps_used)) == (250, 0, 0)
+        assert v.status is Status.NOT_BQ
+        assert (v.witness.kind, v.steps_used) == (WitnessKind.INFINITE_ARC, 5)
