@@ -304,13 +304,20 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     arc is finite, else through ``face_witness`` as the closure stops.
 
     A closure face is its anchor's node in a ``tree.Trie`` and its color
-    pair.  ``seen`` keys it by one int, 6 * node + the pair's index in
-    ``FACE_PAIRS``; the queue holds it as a plain (node, pair, anchor quad)
-    tuple, and only a face that pops becomes a ``tree.TrieFace``, whose
-    string anchor is the node's word, built by ``Trie.word`` only when
-    read.  Keys are built only for the verdict returned: the witness
-    face, or the arc bounds, in pop order so that each anchor read walks
-    only the letters past its source's, and then the edges.
+    pair's index in ``FACE_PAIRS``.  It is seen when that index's bit is
+    set in the node's byte of ``Trie.flags``, and an int counts the faces
+    seen for "max_faces".  The queue and the arc log are flat lists: the
+    queue holds a face as three items, node, pair index and anchor quad,
+    and the log a popped face as four, node, pair index, n1 and n2.  So
+    a queued face costs one bit, three list slots and the node int, plus
+    22 bytes of trie when its node is new; its anchor quad is the window
+    quad it was met at, shared with every face met there.  Only a face
+    that pops becomes a ``tree.TrieFace``, to be handed to
+    ``attracting_arc``; its string anchor is the node's word, built by
+    ``Trie.word`` only when read.  Keys are built from those words only
+    for the verdict returned: the witness face, or the arc bounds, in pop
+    order so that each anchor read walks only the letters past its
+    source's, and then the edges.
 
     The window screen rests on one invariant: after a face's screen,
     every in-level face at every vertex of its window is in ``seen``.  At
@@ -332,7 +339,8 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     trie = Trie()
     sink = trie.node(v0)
     # A screen entry is (i, j, lambda_ij, n), one per face pair, n its
-    # index in FACE_PAIRS; a face is keyed in seen by 6 * node + n.
+    # index in FACE_PAIRS; the face of pair n at node y is seen when bit n
+    # of seen[y] is set.
     lam = m.boundary.lam_table
     pairs = [(i, j, lam[i - 1][j - 1], n)
              for n, (i, j) in enumerate(FACE_PAIRS)]
@@ -340,18 +348,22 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     crossed = {c: get(pairs) for c, get in _CROSSED.items()}
     KKM = K * K + m.boundary.M
     max_faces, max_total_edges = params.max_faces, params.max_total_edges
-    seen: Set[int] = {6 * sink + FACE_PAIRS.index(p) for p in seeds}
-    # (node, pair, quad at its anchor), the seeds in sorted order; the
-    # face is built when it pops.
-    queue: List[Tuple[int, Tuple[int, int], Quad]] = \
-        [(sink, p, q0) for p in seeds]
-    arcs: List[Tuple[TrieFace, int, int]] = []     # in pop order
+    seen, n_seen = trie.flags, len(seeds)
+    # Three items a face: node, pair index, quad at its anchor.  The seeds
+    # go in FACE_PAIRS order, so the last one pops first.
+    queue: list = []
+    for p in seeds:
+        t = FACE_PAIRS.index(p)
+        seen[sink] |= 1 << t
+        queue += sink, t, q0
+    arcs: List[int] = []           # node, pair index, n1, n2; in pop order
     total_edges = 0
     while queue:
-        x, p, anchor_quad = queue.pop()
+        anchor_quad, t, x = queue.pop(), queue.pop(), queue.pop()
+        p = FACE_PAIRS[t]
         f = TrieFace(trie, x, p)
         steps += 1
-        if len(seen) > max_faces:
+        if n_seen > max_faces:
             return _stop(steps, face_witness(m, f.key(), anchor_quad),
                          "max_faces")
         # A band or sigma face's walk ends at once, INFINITE or (on a HUGE
@@ -363,7 +375,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                 w = Witness(WitnessKind.INFINITE_ARC, f.key())
             return _stop(steps, w, arc.outcome.value)
         _, n1, n2, _, quads = arc      # locals: a NamedTuple read is slower
-        arcs.append((f, n1, n2))
+        arcs += x, t, n1, n2
         total_edges += max(0, n2 - n1 + 1)
         if total_edges > max_total_edges:
             return _stop(steps, None, "max_total_edges")
@@ -404,13 +416,15 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         lo, hi = min(0, min(hits)[0]), max(0, hits[-1][0])
         nodes = trie.ray(x, l, k, -lo)[:0:-1] + trie.ray(x, k, l, hi)
         for s, t in hits:
-            y = nodes[s - lo]
-            g = 6 * y + t
-            if g not in seen:
-                seen.add(g)
-                queue.append((y, FACE_PAIRS[t], quads[s - n1]))
+            y, bit = nodes[s - lo], 1 << t
+            if not seen[y] & bit:
+                seen[y] |= bit
+                n_seen += 1
+                queue += y, t, quads[s - n1]
     # Keys are built once, for the certificate that is returned.
-    bounds = {f.key(): (n1, n2) for f, n1, n2 in arcs}
+    log = iter(arcs)
+    bounds = {FaceKey(trie.word(x), FACE_PAIRS[t]): (n1, n2)
+              for x, t, n1, n2 in zip(log, log, log, log)}
     edges = set()
     for f, (n1, n2) in bounds.items():
         edges.update(arc_edges(f, n1, n2))

@@ -21,15 +21,19 @@ values along it (see ``bq.attracting_arc``).
 The closure in ``bq.decide_bq`` meets faces whose anchors run to
 thousands of letters, so it names vertices by int nodes of a ``Trie``
 instead of by word: a node is one child step from its parent, and a
-face is the pair (anchor node, colors), O(1) to build and to hash.  A
-face that the closure pops is handed on as a ``TrieFace`` carrying that
-pair; its string ``anchor`` is the node's word, which ``Trie.word``
-builds only when read.  The key builders here are for the few vertices
-and faces that need a name: the keys a verdict or a report returns.
+face is the pair (anchor node, colors), O(1) to build.  The trie keeps
+its nodes in typed arrays, 22 bytes a node: the parent, the last letter,
+four child slots and one byte of flags for its user (the closure keeps
+there which of the node's six faces it has seen).  A face that the
+closure pops is handed on as a ``TrieFace`` carrying that pair; its
+string ``anchor`` is the node's word, which ``Trie.word`` builds only
+when read.  The key builders here are for the few vertices and faces
+that need a name: the keys a verdict or a report returns.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, List, NamedTuple, Tuple
 
 COLORS = (1, 2, 3, 4)
@@ -112,31 +116,41 @@ def faces_at(v: VertexWord) -> List[FaceKey]:
 # Byte values 1..4 to the digits "1".."4", for joining letters into a word.
 _DIGITS = bytes.maketrans(b"\1\2\3\4", b"1234")
 
+# A new node's four empty child slots, as the bytes of array("i").
+_NO_KIDS = bytes(4 * array("i").itemsize)
+
 
 class Trie:
     """Reduced words interned as int nodes, grown one letter at a time.
 
     Node 0 is the root, and node x is the word of ``parent[x]`` followed
-    by ``letter[x]``.  A child is one dict lookup, and a node's word is
+    by ``letter[x]``.  Node x's child by letter c is ``_kids[4 * x + c]``,
+    0 for none (the root is no node's child), so a child is one read of
+    an int array with four slots a node.  ``flags`` holds one byte per
+    node for the trie's user, 0 when the node is made.  A node's word is
     built only when ``word`` reads it, and kept.
     """
 
     def __init__(self):
-        self.parent, self.letter = [0], [0]
-        self._kids = {}
+        self.parent, self.letter = array("i", [0]), bytearray(1)
+        self.flags = bytearray(1)
+        self._kids = array("i", [0] * 5)     # slot 0 is read by no node
         self._words = {0: ""}
 
     def walk(self, x: int, letters) -> List[int]:
         """The nodes 0, 1, ... letters past x, one child step each."""
-        kids, parent, letter = self._kids, self.parent, self.letter
+        kids, parent, letter, flags = \
+            self._kids, self.parent, self.letter, self.flags
         out = [x]
         for c in letters:
-            key = 5 * x + c
-            y = kids.get(key)
-            if y is None:
-                y = kids[key] = len(parent)
+            slot = 4 * x + c
+            y = kids[slot]
+            if not y:
+                y = kids[slot] = len(parent)
                 parent.append(x)
                 letter.append(c)
+                flags.append(0)
+                kids.frombytes(_NO_KIDS)
             out.append(y)
             x = y
         return out

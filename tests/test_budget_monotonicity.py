@@ -1,0 +1,46 @@
+"""A verdict reached within its budgets keeps its record under larger
+ones.
+
+The closure's order reads no budget, and each budget only cuts a
+decision short, so a verdict with no ``budget_hit`` (every InBQ, and
+every NotBQ) must come out bitwise the same at ten times each budget:
+status, steps, witness, arc bounds in pop order and edges.  A larger
+budget may turn an Undecided verdict into a decided one, never one
+decided verdict into another.
+"""
+
+from bqdomain.bq import BqParams, Status, decide_bq
+
+from oracles import KeyedMap
+from test_carried_decide import SMALL, frozen_maps, record, seeded_quads
+
+
+def tenfold(params: BqParams) -> BqParams:
+    return BqParams(params.K, *(10 * getattr(params, name)
+                                for name in BqParams._fields[1:]))
+
+
+def decided_records_hold(makes, params: BqParams):
+    """The number of verdicts of each status; each decided one checked
+    against its tenfold-budget record."""
+    big, counts = tenfold(params), {s: 0 for s in Status}
+    for make in makes:
+        v = decide_bq(make(), params)
+        counts[v.status] += 1
+        if v.budget_hit is None:
+            assert record(decide_bq(make(), big)) == record(v), make()
+    return counts
+
+
+def test_frozen_points_keep_their_records_at_tenfold_budgets():
+    counts = decided_records_hold([p.values[0] for p in frozen_maps()],
+                                  BqParams())
+    assert counts == {Status.IN_BQ: 12, Status.NOT_BQ: 10,
+                      Status.UNDECIDED: 3}
+
+
+def test_seeded_points_keep_their_records_at_tenfold_budgets():
+    counts = decided_records_hold(
+        [lambda q=q: KeyedMap(q) for q in seeded_quads()], SMALL)
+    assert counts == {Status.IN_BQ: 200, Status.NOT_BQ: 90,
+                      Status.UNDECIDED: 110}
