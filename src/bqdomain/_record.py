@@ -3,6 +3,7 @@
 assignment.  Unlike ``dataclasses`` they generate no source at import."""
 
 import math
+from itertools import repeat
 
 
 def require_finite(*values: complex) -> None:
@@ -31,8 +32,8 @@ class Frozen(Record):
     __slots__ = ()
 
     def _set(self, *values) -> None:        # for __init__ only
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        # The slots in order; any() runs the map out, as each call is None.
+        any(map(object.__setattr__, repeat(self), self.__slots__, values))
 
     def __hash__(self):
         return hash(self._values())

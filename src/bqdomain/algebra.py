@@ -23,27 +23,20 @@ DEFAULT_ON_VARIETY_TOL = 1e-9
 
 
 class CharacterPoint(Frozen):
-    """A septuple (a,b,c,d,x,y,z) of trace coordinates."""
+    """A septuple (a,b,c,d,x,y,z) of trace coordinates, and ``omega``,
+    the ``BoundaryData`` of (x,y,z), built once with the point."""
 
-    __slots__ = _fields = ("a", "b", "c", "d", "x", "y", "z")
+    _fields = ("a", "b", "c", "d", "x", "y", "z")
+    __slots__ = _fields + ("omega",)
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex,
                  x: complex, y: complex, z: complex):
         require_finite(a, b, c, d, x, y, z)
-        self._set(a, b, c, d, x, y, z)
-
-    @property
-    def omega(self) -> "BoundaryData":
-        return BoundaryData((self.x, self.y, self.z))
+        self._set(a, b, c, d, x, y, z, BoundaryData((x, y, z)))
 
     @property
     def quad(self) -> Tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
-
-
-# color i -> the three other colors, in order.
-_OTHER_COLORS = {i: tuple(j for j in (1, 2, 3, 4) if j != i)
-                 for i in (1, 2, 3, 4)}
 
 
 class BoundaryData(Frozen):
@@ -52,27 +45,29 @@ class BoundaryData(Frozen):
     repr and pickling use omega alone."""
 
     _fields = ("omega",)
-    __slots__ = _fields + ("M", "lam_table", "move_terms")
+    __slots__ = _fields + ("M", "lam_table", "move_terms", "lam_rows")
 
     def __init__(self, omega: Tuple[complex, complex, complex]):
         require_finite(*omega)
-        self._set(omega)
         x, y, z = omega
-        # lam_table[i-1][j-1] is lambda_ij (None when i == j), and
-        # move_terms[i] holds (j, lambda_ij) for the three other colors j,
-        # the coefficients of ``moved_value``.
-        lam = ((None, x, z, y), (x, None, y, z), (z, y, None, x),
-               (y, z, x, None))
-        init = object.__setattr__
         try:
-            init(self, "M", max(abs(v) for v in omega))
+            M = max(abs(x), abs(y), abs(z))
         except OverflowError:
             raise ValueError("boundary trace past float range: %r"
                              % (omega,)) from None
-        init(self, "lam_table", lam)
-        init(self, "move_terms", {
-            i: tuple((j, lam[i - 1][j - 1]) for j in others)
-            for i, others in _OTHER_COLORS.items()})
+        # The tables are written out from the pairing rule of ``lam``.
+        # lam_table[i-1][j-1] is lambda_ij (None when i == j);
+        # move_terms[i] holds (j, lambda_ij) for the three other colors j,
+        # the coefficients of ``moved_value``; and lam_rows[i, j], for
+        # i < j and k the smaller of the two other colors, is
+        # (lambda_ij, lambda_ik, lambda_jk), the row that
+        # ``neighbors.face_obstruction`` and ``h_star`` read.
+        self._set(omega, M, ((None, x, z, y), (x, None, y, z),
+                             (z, y, None, x), (y, z, x, None)),
+                  {1: ((2, x), (3, z), (4, y)), 2: ((1, x), (3, y), (4, z)),
+                   3: ((1, z), (2, y), (4, x)), 4: ((1, y), (2, z), (3, x))},
+                  {(1, 2): (x, z, y), (1, 3): (z, x, y), (1, 4): (y, x, z),
+                   (2, 3): (y, x, z), (2, 4): (z, x, y), (3, 4): (x, z, y)})
 
     def lam(self, i: int, j: int) -> complex:
         """lambda_{ij} for an unordered pair of colors i,j in 1..4.

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from array import array
 from enum import Enum
+from itertools import repeat
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -24,8 +26,9 @@ from ._record import Frozen, Record
 from .algebra import moved_value
 from .markoff import HUGE, OVERFLOW_CAP, MarkoffMap, Quad
 from .neighbors import WitnessKind, face_obstruction, h_star
-from .tree import (COLORS, EDGE_COLORS, FACE_PAIRS, PAIRS_WITH, EdgeKey,
-                   FaceKey, Trie, TrieFace, VertexWord, canonical_face)
+from .tree import (COLORS, EDGE_COLORS, EDGE_LETTERS, FACE_PAIRS, PAIRS_WITH,
+                   EdgeKey, FaceKey, Trie, TrieFace, VertexWord,
+                   canonical_face)
 
 
 class BqParams(Frozen):
@@ -110,11 +113,11 @@ class DescentResult(NamedTuple):
     seeds: List[Tuple[int, int]] = []
 
 
-# The pairs screened at a face's first window vertex (all but its own),
-# and after crossing an edge of colour c (``PAIRS_WITH[c]``), as getters
-# of their entries from a sequence of one entry per pair of FACE_PAIRS.
-_FIRST = {p: itemgetter(*(n for n, q in enumerate(FACE_PAIRS) if q != p))
-          for p in FACE_PAIRS}
+# The pairs screened at the first window vertex of a face of pair index t
+# (all but its own, ``_FIRST[t]``), and after crossing an edge of colour c
+# (``PAIRS_WITH[c]``), as getters of their entries from a sequence of one
+# entry per pair of FACE_PAIRS.
+_FIRST = [itemgetter(*(n for n in range(6) if n != t)) for t in range(6)]
 _CROSSED = {c: itemgetter(*(n for n, q in enumerate(FACE_PAIRS) if c in q))
             for c in COLORS}
 
@@ -275,21 +278,24 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
             quads.append(tuple(cur))
         rays.append((quads, window))
     (pos_quads, hi), (neg_quads, lo) = rays
-    return ArcResult(ArcOutcome.FINITE, n1=-lo, n2=hi - 1, steps=steps,
-                     quads=neg_quads[lo:0:-1] + pos_quads[:hi + 1])
+    return ArcResult(ArcOutcome.FINITE, -lo, hi - 1, steps,
+                     neg_quads[lo:0:-1] + pos_quads[:hi + 1])
 
 
 def arc_edges(f: FaceKey, n1: int, n2: int) -> List[EdgeKey]:
     """Boundary edges n = n1, ..., n2 of f, in that order; edge n joins
     positions n and n + 1.  Edge n < 0 is named by the anchor plus the
     first -n letters of the negative ray's string l, k, l, ..., and edge
-    n >= 0 by the anchor plus the first n + 1 of the positive ray's."""
-    k, l = f.edge_colors
-    a = f.anchor
-    neg = ("%d%d" % (l, k)) * ((1 - n1) // 2)
-    pos = ("%d%d" % (k, l)) * ((n2 + 2) // 2)
-    return [EdgeKey(a + neg[:-n]) for n in range(n1, min(0, n2 + 1))] + \
-        [EdgeKey(a + pos[:n + 1]) for n in range(max(0, n1), n2 + 1)]
+    n >= 0 by the anchor plus the first n + 1 of the positive ray's.
+    The words are prefixes of the two rays' words, and each key is made
+    by ``tuple.__new__``, which is what ``EdgeKey(word)`` calls."""
+    a, kl = f.anchor, EDGE_LETTERS[f.colors]
+    m = len(a)
+    neg = a + kl[::-1] * ((1 - n1) // 2)
+    pos = a + kl * ((n2 + 2) // 2)
+    words = [neg[:m - n] for n in range(n1, min(0, n2 + 1))] + \
+        [pos[:m + n + 1] for n in range(max(0, n1), n2 + 1)]
+    return list(map(tuple.__new__, repeat(EdgeKey), zip(words)))
 
 
 def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
@@ -306,11 +312,12 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     A closure face is its anchor's node in a ``tree.Trie`` and its color
     pair's index in ``FACE_PAIRS``.  It is seen when that index's bit is
     set in the node's byte of ``Trie.flags``, and an int counts the faces
-    seen for "max_faces".  The queue and the arc log are flat lists: the
-    queue holds a face as three items, node, pair index and anchor quad,
-    and the log a popped face as four, node, pair index, n1 and n2.  So
-    a queued face costs one bit, three list slots and the node int, plus
-    22 bytes of trie when its node is new; its anchor quad is the window
+    seen for "max_faces".  The queue is three stacks, popped together:
+    the nodes in an ``array("i")``, the pair indices in a ``bytearray``
+    and the anchor quads in a list.  The arc log is an ``array("i")``
+    holding a popped face as four ints, node, pair index, n1 and n2.  So
+    a queued face costs one bit, 4 + 1 bytes and one list slot, plus 22
+    bytes of trie when its node is new; its anchor quad is the window
     quad it was met at, shared with every face met there.  Only a face
     that pops becomes a ``tree.TrieFace``, to be handed to
     ``attracting_arc``; its string anchor is the node's word, built by
@@ -344,22 +351,21 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     lam = m.boundary.lam_table
     pairs = [(i, j, lam[i - 1][j - 1], n)
              for n, (i, j) in enumerate(FACE_PAIRS)]
-    first = {p: get(pairs) for p, get in _FIRST.items()}
     crossed = {c: get(pairs) for c, get in _CROSSED.items()}
     KKM = K * K + m.boundary.M
     max_faces, max_total_edges = params.max_faces, params.max_total_edges
     seen, n_seen = trie.flags, len(seeds)
-    # Three items a face: node, pair index, quad at its anchor.  The seeds
-    # go in FACE_PAIRS order, so the last one pops first.
-    queue: list = []
-    for p in seeds:
-        t = FACE_PAIRS.index(p)
-        seen[sink] |= 1 << t
-        queue += sink, t, q0
-    arcs: List[int] = []           # node, pair index, n1, n2; in pop order
+    # A face is queued as its node, its pair index and the quad at its
+    # anchor, one item on each stack.  The seeds go in FACE_PAIRS order,
+    # so the last one pops first.
+    queued_pairs = bytearray(map(FACE_PAIRS.index, seeds))
+    queued_nodes, queued_quads = array("i", [sink] * n_seen), [q0] * n_seen
+    seen[sink] = sum(1 << t for t in queued_pairs)
+    arcs = array("i")              # node, pair index, n1, n2; in pop order
     total_edges = 0
-    while queue:
-        anchor_quad, t, x = queue.pop(), queue.pop(), queue.pop()
+    while queued_nodes:
+        x, t = queued_nodes.pop(), queued_pairs.pop()
+        anchor_quad = queued_quads.pop()
         p = FACE_PAIRS[t]
         f = TrieFace(trie, x, p)
         steps += 1
@@ -375,7 +381,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                 w = Witness(WitnessKind.INFINITE_ARC, f.key())
             return _stop(steps, w, arc.outcome.value)
         _, n1, n2, _, quads = arc      # locals: a NamedTuple read is slower
-        arcs += x, t, n1, n2
+        arcs.extend((x, t, n1, n2))
         total_edges += max(0, n2 - n1 + 1)
         if total_edges > max_total_edges:
             return _stop(steps, None, "max_total_edges")
@@ -388,7 +394,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         # HUGE, never in level, even below K*K + M.  A hit is (its anchor's
         # position, its pair's index).
         kl = k, l = EDGE_COLORS[p]
-        screen = first[p]
+        screen = _FIRST[t](pairs)
         mods, c = list(map(abs, quads[0])), k
         hits = []
         for n, quad in zip(range(n1, n2 + 2), quads):
@@ -420,10 +426,13 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
             if not seen[y] & bit:
                 seen[y] |= bit
                 n_seen += 1
-                queue += y, t, quads[s - n1]
-    # Keys are built once, for the certificate that is returned.
+                queued_nodes.append(y)
+                queued_pairs.append(t)
+                queued_quads.append(quads[s - n1])
+    # Keys are built once, for the certificate that is returned, by the
+    # tuple.__new__ that FaceKey(...) would call.
     log = iter(arcs)
-    bounds = {FaceKey(trie.word(x), FACE_PAIRS[t]): (n1, n2)
+    bounds = {tuple.__new__(FaceKey, (trie.word(x), FACE_PAIRS[t])): (n1, n2)
               for x, t, n1, n2 in zip(log, log, log, log)}
     edges = set()
     for f, (n1, n2) in bounds.items():

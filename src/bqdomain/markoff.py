@@ -44,7 +44,7 @@ class MarkoffMap:
         self.boundary: BoundaryData = root_quad.boundary
         self.root_quad = root_quad
         # The capped root quad, where every carried walk starts.
-        self.root: Quad = tuple(_cap(v) for v in root_quad.values)
+        self.root: Quad = tuple(map(_cap, root_quad.values))
         self._move_terms = self.boundary.move_terms
 
     def _move(self, vals, i: int):

@@ -37,16 +37,14 @@ TOL_SIGMA = 1e-12
 
 def face_obstruction(boundary: BoundaryData, i: int, j: int, ai: complex,
                      aj: complex) -> Tuple[complex, Optional[WitnessKind]]:
-    """Face value psi of face {i,j}, capped, and its obstruction:
+    """Face value psi of face {i,j}, i < j, capped, and its obstruction:
     BQ1_VIOLATION when psi is on the band [-2,2], SIGMA_ZERO when sigma
     vanishes, else None.  Either makes H* infinite; HUGE shows neither."""
-    li, lj = boundary.lam_table[i - 1], boundary.lam_table[j - 1]
-    k = EDGE_COLORS[i, j][0]
-    psi = _cap(face_value(ai, aj, li[j - 1]))
+    lij, lik, ljk = boundary.lam_rows[i, j]
+    psi = _cap(face_value(ai, aj, lij))
     if abs(psi) <= 2.0 + TOL_REAL and dist_to_interval(psi) <= TOL_REAL:
         return psi, WitnessKind.BQ1_VIOLATION
-    if abs(_cap(sigma(ai, aj, psi, li[j - 1], li[k - 1], lj[k - 1]))) \
-            <= TOL_SIGMA:
+    if abs(_cap(sigma(ai, aj, psi, lij, lik, ljk))) <= TOL_SIGMA:
         return psi, WitnessKind.SIGMA_ZERO
     return psi, None
 
@@ -98,10 +96,10 @@ def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
     # quadratic there, with the sign that makes T the product AB of the
     # two geometric modes (and hence sigma/(X^2-4)^2).
     k, l = EDGE_COLORS[i, j]
-    li, lj = boundary.lam_table[i - 1], boundary.lam_table[j - 1]
+    _, lik, ljk = boundary.lam_rows[i, j]
     ak, al = quad[k - 1], quad[l - 1]
-    Q = li[k - 1] * ai + lj[k - 1] * aj
-    R = lj[k - 1] * ai + li[k - 1] * aj
+    Q = lik * ai + ljk * aj
+    R = ljk * ai + lik * aj
     S = Q * ak + R * al - ak * ak - al * al - psi * ak * al
     # The multiplier: the root of lam + 1/lam = X^2 - 2 with |lam| >= 1.
     # H is infinite when |lam| is one.  It would be for X within 1e-12 of

@@ -199,7 +199,9 @@ def render_slice(config: SliceConfig, workers: int = 1
 
 def write_ppm(path: str, config: SliceConfig, body: bytes) -> None:
     w, h = config.px
-    assert len(body) == 3 * w * h
+    if len(body) != 3 * w * h:
+        raise ValueError("body has %d bytes, want 3 * %d * %d"
+                         % (len(body), w, h))
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (w, h))
         fh.write(body)

@@ -48,8 +48,7 @@ class Automorphism(Frozen):
 
     def __init__(self, images: Tuple[str, str, str]):
         a, b, c = images = tuple(reduce_word(w) for w in images)
-        self._set(images)
-        object.__setattr__(self, "_table", {
+        self._set(images, {
             "A": a, "B": b, "C": c,
             "a": invert(a), "b": invert(b), "c": invert(c)})
 

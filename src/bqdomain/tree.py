@@ -73,8 +73,10 @@ class RegionKey(NamedTuple):
 EDGE_COLORS = {(i, j): tuple(c for c in COLORS if c not in (i, j))
                for i in COLORS for j in COLORS if i != j}
 
-# The letters a canonical face key strips from the end of its word.
-_FACE_STRIP = {p: "%d%d" % ks for p, ks in EDGE_COLORS.items()}
+# The edge colors k, l of each ordered pair as a word: the letters a
+# canonical face key strips from the end of its word, and the first two
+# letters of the face's positive ray.
+EDGE_LETTERS = {p: "%d%d" % ks for p, ks in EDGE_COLORS.items()}
 
 
 class FaceKey(NamedTuple):
@@ -102,7 +104,7 @@ def canonical_face(v: VertexWord, i: int, j: int) -> FaceKey:
     if i == j:
         raise ValueError("face colors must differ")
     i, j = sorted((i, j))
-    return FaceKey(v.rstrip(_FACE_STRIP[i, j]), (i, j))
+    return FaceKey(v.rstrip(EDGE_LETTERS[i, j]), (i, j))
 
 
 def regions_at(v: VertexWord) -> List[RegionKey]:

@@ -11,6 +11,7 @@ from bqdomain.algebra import (BoundaryData, CharacterPoint, DerivedBoundary,
                               face_value, involution_theta, quad_residual,
                               residual_modulus, sigma, solve_fourth,
                               vertex_residual)
+from bqdomain.tree import COLORS, EDGE_COLORS, FACE_PAIRS
 from conftest import random_on_variety_point, sup_norm
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
@@ -171,6 +172,25 @@ class TestBoundaryData:
         assert bd.lam(2, 3) == bd.lam(1, 4) == 2
         assert bd.lam(1, 3) == bd.lam(2, 4) == 3
         assert bd.M == 3
+
+    def test_written_out_tables_match_lam(self):
+        # By repr, which tells -0.0 from 0.0: each table entry must be the
+        # very part of omega that lam names, signed zeros included.
+        rng = np.random.default_rng(11)
+
+        def part():
+            return float(rng.choice([0.0, -0.0, rng.uniform(-2, 2)]))
+        for n in range(100):
+            omega = tuple(complex(part(), part()) if n % 2 else part()
+                          for _ in range(3))
+            bd = BoundaryData(omega)
+            for i in COLORS:
+                want = tuple((j, bd.lam(i, j)) for j in COLORS if j != i)
+                assert repr(bd.move_terms[i]) == repr(want), omega
+            for i, j in FACE_PAIRS:
+                k = EDGE_COLORS[i, j][0]
+                want = (bd.lam(i, j), bd.lam(i, k), bd.lam(j, k))
+                assert repr(bd.lam_rows[i, j]) == repr(want), omega
 
     def test_derived_constants(self):
         pt = CharacterPoint(1, 2, 3, 4, 0, 0, 0)

@@ -1,7 +1,7 @@
 """The closure's per-face step on plain values.
 
 ``attracting_arc`` steps with one ``moved_value`` per edge, ``h_star``
-reads the lambdas from ``lam_table`` and evaluates H on plain values,
+reads the lambdas from ``lam_rows`` and evaluates H on plain values,
 and the canonical keys strip their trailing letters with
 ``str.rstrip``.  These tests hold each of them bitwise to the
 references: one ``move_reference`` per arc step, ``lam`` calls and

@@ -160,6 +160,14 @@ class TestRender:
         assert data.startswith(b"P6\n4 4\n255\n")
         assert len(data) == len(b"P6\n4 4\n255\n") + 3 * 16
 
+    @pytest.mark.parametrize("size", [0, 47, 49])
+    def test_a_body_of_the_wrong_length_is_refused(self, tmp_path, size):
+        # A ValueError, not an assert, so that python -O keeps the check.
+        out = tmp_path / "slice.ppm"
+        with pytest.raises(ValueError, match="body has %d bytes" % size):
+            write_ppm(str(out), small_config(), bytes(size))
+        assert not out.exists()
+
 
 class TestCli:
     def test_check_member_exit_zero(self, capsys):
