@@ -40,12 +40,12 @@ class CharacterPoint(Frozen):
 
 
 class BoundaryData(Frozen):
-    """Boundary traces omega = (x,y,z), their max modulus M, and the
+    """Boundary traces omega = (x,y,z), their max modulus M, and the two
     lambda tables that ``lam`` and the hot loops read.  Equality, hash,
     repr and pickling use omega alone."""
 
     _fields = ("omega",)
-    __slots__ = _fields + ("M", "lam_table", "move_terms", "lam_rows")
+    __slots__ = _fields + ("M", "move_terms", "lam_rows")
 
     def __init__(self, omega: Tuple[complex, complex, complex]):
         require_finite(*omega)
@@ -56,14 +56,12 @@ class BoundaryData(Frozen):
             raise ValueError("boundary trace past float range: %r"
                              % (omega,)) from None
         # The tables are written out from the pairing rule of ``lam``.
-        # lam_table[i-1][j-1] is lambda_ij (None when i == j);
         # move_terms[i] holds (j, lambda_ij) for the three other colors j,
         # the coefficients of ``moved_value``; and lam_rows[i, j], for
         # i < j and k the smaller of the two other colors, is
-        # (lambda_ij, lambda_ik, lambda_jk), the row that
+        # (lambda_ij, lambda_ik, lambda_jk), the row that ``lam``,
         # ``neighbors.face_obstruction`` and ``h_star`` read.
-        self._set(omega, M, ((None, x, z, y), (x, None, y, z),
-                             (z, y, None, x), (y, z, x, None)),
+        self._set(omega, M,
                   {1: ((2, x), (3, z), (4, y)), 2: ((1, x), (3, y), (4, z)),
                    3: ((1, z), (2, y), (4, x)), 4: ((1, y), (2, z), (3, x))},
                   {(1, 2): (x, z, y), (1, 3): (z, x, y), (1, 4): (y, x, z),
@@ -76,7 +74,7 @@ class BoundaryData(Frozen):
         {2,3}~{1,4} -> y, {1,3}~{2,4} -> z.
         """
         if 1 <= i <= 4 and 1 <= j <= 4 and i != j:
-            return self.lam_table[i - 1][j - 1]
+            return self.lam_rows[min(i, j), max(i, j)][0]
         raise ValueError("bad color pair %r" % ((i, j),))
 
 

@@ -63,12 +63,22 @@ class Witness(NamedTuple):
 
 
 class AttractingTree(Record):
-    __slots__ = _fields = ("edges", "arc_bounds")
+    """An InBQ certificate: the arc bounds (n1, n2) of each closure face,
+    in pop order.  ``edges``, the certificate's edge set, is derived on
+    each read as the union of ``arc_edges`` over the bounds."""
 
-    def __init__(self, edges: Optional[Set[EdgeKey]] = None,
+    __slots__ = _fields = ("arc_bounds",)
+
+    def __init__(self,
                  arc_bounds: Optional[Dict[FaceKey, Tuple[int, int]]] = None):
-        self.edges = set() if edges is None else edges
         self.arc_bounds = {} if arc_bounds is None else arc_bounds
+
+    @property
+    def edges(self) -> Set[EdgeKey]:
+        edges = set()
+        for f, (n1, n2) in self.arc_bounds.items():
+            edges.update(arc_edges(f, n1, n2))
+        return edges
 
 
 class Status(Enum):
@@ -211,11 +221,11 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
 
     Walks both rays by position from quad, the quad at f's anchor,
     carrying it one elementary move per step.  With (k, l) =
-    f.edge_colors, the positive ray's letters run k, l, k, ... and the
-    negative ray's l, k, l, ...  Edge t of a ray (t = 0, 1, ...; boundary
-    edge t or -t-1) has the ray's t-th letter as its color, and its side
-    region has the other edge color, read from the quad t steps out along
-    the ray.  A ray may stop once, for both side colors, the latest value
+    EDGE_COLORS[f.colors], the positive ray's letters run k, l, k, ...
+    and the negative ray's l, k, l, ...  Edge t of a ray (t = 0, 1, ...;
+    boundary edge t or -t-1) has the ray's t-th letter as its color, and
+    its side region has the other edge color, read from the quad t steps
+    out along the ray.  A ray may stop once, for both side colors, the latest value
     exceeds the threshold and exceeds its predecessor of the same color
     (beyond that point the sequences are strictly monotone).  A finite
     result carries the quads of the window's vertices.
@@ -238,7 +248,7 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
     if math.isinf(h):
         return ArcResult(ArcOutcome.INFINITE)
     terms, max_steps = m.boundary.move_terms, params.max_arc_steps
-    k, l = f.edge_colors
+    k, l = EDGE_COLORS[f.colors]
     steps, rays = 0, []
     for side, other in ((l, k), (k, l)):
         # Quads at ray positions 0, 1, ..., the leading edges that reach
@@ -324,7 +334,8 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     ``Trie.word`` only when read.  Keys are built from those words only
     for the verdict returned: the witness face, or the arc bounds, in pop
     order so that each anchor read walks only the letters past its
-    source's, and then the edges.
+    source's.  The bounds are the whole certificate: its edges are built
+    only when ``AttractingTree.edges`` is read.
 
     The window screen rests on one invariant: after a face's screen,
     every in-level face at every vertex of its window is in ``seen``.  At
@@ -348,9 +359,8 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     # A screen entry is (i, j, lambda_ij, n), one per face pair, n its
     # index in FACE_PAIRS; the face of pair n at node y is seen when bit n
     # of seen[y] is set.
-    lam = m.boundary.lam_table
-    pairs = [(i, j, lam[i - 1][j - 1], n)
-             for n, (i, j) in enumerate(FACE_PAIRS)]
+    lam = m.boundary.lam_rows
+    pairs = [(i, j, lam[i, j][0], n) for n, (i, j) in enumerate(FACE_PAIRS)]
     crossed = {c: get(pairs) for c, get in _CROSSED.items()}
     KKM = K * K + m.boundary.M
     max_faces, max_total_edges = params.max_faces, params.max_total_edges
@@ -434,8 +444,5 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     log = iter(arcs)
     bounds = {tuple.__new__(FaceKey, (trie.word(x), FACE_PAIRS[t])): (n1, n2)
               for x, t, n1, n2 in zip(log, log, log, log)}
-    edges = set()
-    for f, (n1, n2) in bounds.items():
-        edges.update(arc_edges(f, n1, n2))
-    return BqVerdict(Status.IN_BQ, tree=AttractingTree(edges, bounds),
+    return BqVerdict(Status.IN_BQ, tree=AttractingTree(bounds),
                      steps_used=steps)

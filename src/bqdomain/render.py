@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Dict, List, Tuple
+from itertools import repeat
+from typing import Dict, Tuple
 
 from ._record import Frozen, require_finite
 from .algebra import (BoundaryData, CharacterPoint, MarkoffQuad, RootChoice,
@@ -137,18 +138,15 @@ def pixel_rgb(v: BqVerdict) -> Tuple[int, int, int]:
     return (shade, 0, 0)
 
 
-def _render_rows(args) -> List[Tuple[int, bytes, float]]:
-    config, rows = args
-    out = []
-    for row in rows:
-        buf = bytearray()
-        worst = 0.0
-        for col in range(config.px[0]):
-            verdict, residual = classify_pixel(config, col, row)
-            buf.extend(pixel_rgb(verdict))
-            worst = max(worst, residual)
-        out.append((row, bytes(buf), worst))
-    return out
+def _render_rows(config: SliceConfig, row: int) -> Tuple[bytes, float]:
+    """One row's pixel bytes and its worst residual: one pool task."""
+    buf = bytearray()
+    worst = 0.0
+    for col in range(config.px[0]):
+        verdict, residual = classify_pixel(config, col, row)
+        buf.extend(pixel_rgb(verdict))
+        worst = max(worst, residual)
+    return bytes(buf), worst
 
 
 def mirror_rows(config: SliceConfig) -> Dict[int, int]:
@@ -170,31 +168,26 @@ def mirror_rows(config: SliceConfig) -> Dict[int, int]:
 def render_slice(config: SliceConfig, workers: int = 1
                  ) -> Tuple[bytes, float]:
     """Pixel bytes (without header) and the worst vertex-relation
-    residual seen over the window.  A row of ``mirror_rows`` copies its
+    residual seen over the window.  Each row to decide is one task, of
+    ``_render_rows``: in a pool a free worker takes the next row, so rows
+    of uneven cost spread evenly.  A row of ``mirror_rows`` copies its
     partner's bytes, so each conjugate pair of rows is decided once."""
     h = config.px[1]
     mirror = mirror_rows(config)
-    # one row per batch at any worker count: in a pool a free worker takes
-    # the next row, so rows of uneven cost spread evenly
-    batches = [(config, [row]) for row in range(h) if row not in mirror]
+    rows = [row for row in range(h) if row not in mirror]
     # a forked pool starts all its processes at once; extra ones get no row
-    workers = min(workers, len(batches))
+    workers = min(workers, len(rows))
     if workers <= 1:
-        chunks = map(_render_rows, batches)
+        results = map(_render_rows, repeat(config), rows)
     else:
         # imported here: the pool machinery is a sizeable share of the
         # package's import time and memory, and only this branch uses it
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_render_rows, batches))
-    rows: Dict[int, bytes] = {}
-    worst = 0.0
-    for chunk in chunks:
-        for row, buf, res in chunk:
-            rows[row] = buf
-            worst = max(worst, res)
-    body = b"".join(rows[mirror.get(i, i)] for i in range(h))
-    return body, worst
+            results = list(pool.map(_render_rows, repeat(config), rows))
+    decided = dict(zip(rows, results))
+    body = b"".join(decided[mirror.get(i, i)][0] for i in range(h))
+    return body, max(worst for _, worst in decided.values())
 
 
 def write_ppm(path: str, config: SliceConfig, body: bytes) -> None:

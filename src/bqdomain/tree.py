@@ -178,17 +178,14 @@ class Trie:
 
 
 class TrieFace:
-    """A face of the closure: its anchor's trie node and its colors.  The
-    string ``anchor`` is the node's word, read from the trie."""
+    """A face of the closure: its trie, its anchor's node and its colors.
+    The string ``anchor`` is the node's word, read from the trie; its edge
+    colors are ``EDGE_COLORS[colors]``."""
 
     __slots__ = ("trie", "node", "colors")
 
     def __init__(self, trie: Trie, node: int, colors: Tuple[int, int]):
         self.trie, self.node, self.colors = trie, node, colors
-
-    @property
-    def edge_colors(self) -> Tuple[int, int]:
-        return EDGE_COLORS[self.colors]
 
     @property
     def anchor(self) -> VertexWord:

@@ -809,6 +809,4 @@ def decide_bq_reference(m: KeyedMap,
                     if g not in seen:
                         seen.add(g)
                         queue.append(g)
-    tree.edges = {face_edge_at(f, n) for f, (n1, n2) in tree.arc_bounds.items()
-                  for n in range(n1, n2 + 1)}
     return BqVerdict(Status.IN_BQ, tree=tree, steps_used=steps)

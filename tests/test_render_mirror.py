@@ -44,9 +44,8 @@ FALLBACK = {
 
 
 def unmirrored(config):
-    rows = _render_rows((config, list(range(config.px[1]))))
-    return (b"".join(buf for _, buf, _ in rows),
-            max(worst for _, _, worst in rows))
+    rows = [_render_rows(config, row) for row in range(config.px[1])]
+    return (b"".join(buf for buf, _ in rows), max(worst for _, worst in rows))
 
 
 def counting(monkeypatch):

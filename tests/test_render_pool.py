@@ -14,8 +14,8 @@ ONE_ROW = SliceConfig.from_json(dict(DOC, px=2))
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: runs batches in this process
-    and records the pool size and the batch sizes it was given."""
+    """Stands in for ProcessPoolExecutor: runs tasks in this process
+    and records the pool size and each task's row."""
 
     seen = []
 
@@ -28,18 +28,17 @@ class FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, batches):
-        batches = list(batches)
-        FakePool.seen.append((self.max_workers,
-                              [len(rows) for _, rows in batches]))
-        return [fn(b) for b in batches]
+    def map(self, fn, configs, rows):
+        rows = list(rows)
+        FakePool.seen.append((self.max_workers, rows))
+        return list(map(fn, configs, rows))
 
 
 def test_pool_is_capped_at_the_row_count(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     FakePool.seen = []
     body8, worst8 = render_slice(CONFIG, workers=8)
-    assert FakePool.seen == [(2, [1, 1])]
+    assert FakePool.seen == [(2, [0, 1])]
     assert (body8, worst8) == render_slice(CONFIG, workers=1)
 
 

@@ -15,5 +15,5 @@ def test_each_decided_row_is_its_own_batch(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     FakePool.seen = []
     body2, worst2 = render_slice(FOUR_ROWS, workers=2)
-    assert FakePool.seen == [(2, [1, 1, 1, 1])]
+    assert FakePool.seen == [(2, [0, 1, 2, 3])]
     assert (body2, worst2) == render_slice(FOUR_ROWS, workers=1)

@@ -47,7 +47,7 @@ CASES = {
     Witness: ({"kind": REQUIRED, "face": REQUIRED, "value": None},
               (WitnessKind.SIGMA_ZERO, FACE), WitnessKind.INFINITE_ARC,
               True),
-    AttractingTree: ({"edges": set(), "arc_bounds": {}}, (), {"4"}, False),
+    AttractingTree: ({"arc_bounds": {}}, (), {FACE: (0, -1)}, False),
     BqVerdict: ({"status": REQUIRED, "tree": None, "witness": None,
                  "budget_hit": None, "steps_used": 0}, (Status.IN_BQ,),
                 Status.NOT_BQ, False),
