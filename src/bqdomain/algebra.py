@@ -56,14 +56,15 @@ class BoundaryData(Frozen):
             raise ValueError("boundary trace past float range: %r"
                              % (omega,)) from None
         # The tables are written out from the pairing rule of ``lam``.
-        # move_terms[i] holds (j, lambda_ij) for the three other colors j,
-        # the coefficients of ``moved_value``; and lam_rows[i, j], for
-        # i < j and k the smaller of the two other colors, is
-        # (lambda_ij, lambda_ik, lambda_jk), the row that ``lam``,
-        # ``neighbors.face_obstruction`` and ``h_star`` read.
+        # move_terms[i] is the flat row (j - 1, lambda_ij, ...) over the
+        # three other colors j in increasing order, each 0-based slot
+        # followed by its coefficient in ``moved_value``; and
+        # lam_rows[i, j], for i < j and k the smaller of the two other
+        # colors, is (lambda_ij, lambda_ik, lambda_jk), the row that
+        # ``lam``, ``neighbors.face_obstruction`` and ``h_star`` read.
         self._set(omega, M,
-                  {1: ((2, x), (3, z), (4, y)), 2: ((1, x), (3, y), (4, z)),
-                   3: ((1, z), (2, y), (4, x)), 4: ((1, y), (2, z), (3, x))},
+                  {1: (1, x, 2, z, 3, y), 2: (0, x, 2, y, 3, z),
+                   3: (0, z, 1, y, 3, x), 4: (0, y, 1, z, 2, x)},
                   {(1, 2): (x, z, y), (1, 3): (z, x, y), (1, 4): (y, x, z),
                    (2, 3): (y, x, z), (2, 4): (z, x, y), (3, 4): (x, z, y)})
 
@@ -197,10 +198,12 @@ def solve_fourth(a: complex, b: complex, c: complex,
 
 def moved_value(vals, i: int, terms) -> complex:
     """The new a_i of the elementary move on color i:
-    sum_{j!=i} lambda_ij a_j - prod_{j!=i} a_j - a_i, for a value tuple
-    and ``terms = boundary.move_terms[i]``."""
-    (j1, l1), (j2, l2), (j3, l3) = terms
-    a, b, c = vals[j1 - 1], vals[j2 - 1], vals[j3 - 1]
+    sum_{j!=i} lambda_ij a_j - prod_{j!=i} a_j - a_i, for a sequence of
+    the four values and ``terms = boundary.move_terms[i]``, the flat row
+    of the other colors' 0-based slots and lambdas.  Every move in the
+    package is this expression."""
+    s1, l1, s2, l2, s3, l3 = terms
+    a, b, c = vals[s1], vals[s2], vals[s3]
     return l1 * a + l2 * b + l3 * c - a * b * c - vals[i - 1]
 
 

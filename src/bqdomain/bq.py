@@ -125,11 +125,11 @@ class DescentResult(NamedTuple):
 
 # The pairs screened at the first window vertex of a face of pair index t
 # (all but its own, ``_FIRST[t]``), and after crossing an edge of colour c
-# (``PAIRS_WITH[c]``), as getters of their entries from a sequence of one
-# entry per pair of FACE_PAIRS.
+# (``PAIRS_WITH[c]``, at 0-based slot c - 1 of ``_CROSSED``), as getters of
+# their entries from a sequence of one entry per pair of FACE_PAIRS.
 _FIRST = [itemgetter(*(n for n in range(6) if n != t)) for t in range(6)]
-_CROSSED = {c: itemgetter(*(n for n, q in enumerate(FACE_PAIRS) if c in q))
-            for c in COLORS}
+_CROSSED = [itemgetter(*(n for n, q in enumerate(FACE_PAIRS) if c in q))
+            for c in COLORS]
 
 
 def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
@@ -213,11 +213,13 @@ class ArcResult(NamedTuple):
     quads: List[Quad] = []
 
 
-def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
-                   params: BqParams) -> ArcResult:
+def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad, K: float,
+                   max_steps: int) -> ArcResult:
     """Bound the window of boundary edges whose side regions dip below
-    the face's threshold.  Only f's colors are read, so f may be a
-    ``FaceKey`` or the closure's ``TrieFace``.
+    the face's threshold ``h_star`` at level K, walking at most
+    max_steps steps over both rays; ``decide_bq`` passes the K it
+    resolved once and ``BqParams.max_arc_steps``.  Only f's colors are
+    read, so f may be a ``FaceKey`` or the closure's ``TrieFace``.
 
     Walks both rays by position from quad, the quad at f's anchor,
     carrying it one elementary move per step.  With (k, l) =
@@ -230,15 +232,17 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
     (beyond that point the sequences are strictly monotone).  A finite
     result carries the quads of the window's vertices.
 
-    Each step is one ``moved_value``, capped as ``markoff._cap`` caps it
-    but on the modulus the walk reads anyway, so each moved value's
-    modulus is taken once; the values are those of ``MarkoffMap._move``.
+    Each step is one ``moved_value``, on the ``move_terms`` row of the
+    new side color: the ray alternates between two rows, held in locals
+    that trade places with the colors.  It is capped as ``markoff._cap``
+    caps it but on the modulus the walk reads anyway, so each moved
+    value's modulus is taken once; the values are those of
+    ``MarkoffMap._move``.
     Overflow ends the walk with OVERFLOW: a HUGE in the anchor quad or an
     ``h_star`` that raises an ArithmeticError leaves no threshold, and a
     ray with two HUGE values in a row of one side color never escapes,
     because every later move reads a HUGE and is capped to HUGE again.
     """
-    K = params.level(m)
     if HUGE in quad:
         return ArcResult(ArcOutcome.OVERFLOW)
     try:
@@ -247,16 +251,17 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
         return ArcResult(ArcOutcome.OVERFLOW)
     if math.isinf(h):
         return ArcResult(ArcOutcome.INFINITE)
-    terms, max_steps = m.boundary.move_terms, params.max_arc_steps
+    terms = m.boundary.move_terms
     k, l = EDGE_COLORS[f.colors]
     steps, rays = 0, []
     for side, other in ((l, k), (k, l)):
         # Quads at ray positions 0, 1, ..., the leading edges that reach
         # the window, and the latest quad as a list.  side is edge t's side
-        # color, with its latest modulus u and escape flag; the _o pair is
-        # the other color's (NaN: no value yet).  Step t reads u; unless
-        # the ray stops there, the colors trade places and the move of the
-        # new side color gives the quad at position t + 1.
+        # color, with its move row, latest modulus u and escape flag; the
+        # _o triple is the other color's (NaN: no value yet).  Step t reads
+        # u; unless the ray stops there, the colors trade places and the
+        # move of the new side color gives the quad at position t + 1.
+        row, row_o = terms[side], terms[other]
         quads, cur, window = [quad], list(quad), 0
         prev = prev_o = math.nan
         escaped = escaped_o = False
@@ -275,9 +280,10 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
                 if escaped and escaped_o:
                     break
             side, other = other, side
+            row, row_o = row_o, row
             prev, prev_o = prev_o, u
             escaped, escaped_o = escaped_o, escaped
-            v = moved_value(cur, side, terms[side])
+            v = moved_value(cur, side, row)
             try:
                 u = abs(v)
             except OverflowError:
@@ -288,8 +294,9 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad,
             quads.append(tuple(cur))
         rays.append((quads, window))
     (pos_quads, hi), (neg_quads, lo) = rays
-    return ArcResult(ArcOutcome.FINITE, -lo, hi - 1, steps,
-                     neg_quads[lo:0:-1] + pos_quads[:hi + 1])
+    # Built by the tuple.__new__ that ArcResult(...) would call.
+    return tuple.__new__(ArcResult, (ArcOutcome.FINITE, -lo, hi - 1, steps,
+                                     neg_quads[lo:0:-1] + pos_quads[:hi + 1]))
 
 
 def arc_edges(f: FaceKey, n1: int, n2: int) -> List[EdgeKey]:
@@ -335,7 +342,9 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     for the verdict returned: the witness face, or the arc bounds, in pop
     order so that each anchor read walks only the letters past its
     source's.  The bounds are the whole certificate: its edges are built
-    only when ``AttractingTree.edges`` is read.
+    only when ``AttractingTree.edges`` is read.  The level K is resolved
+    once here (``find_sink`` resolves its own) and every pop hands it to
+    ``attracting_arc`` with the ``max_arc_steps`` budget.
 
     The window screen rests on one invariant: after a face's screen,
     every in-level face at every vertex of its window is in ``seen``.  At
@@ -356,14 +365,17 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         return _stop(steps, witness, budget)
     trie = Trie()
     sink = trie.node(v0)
-    # A screen entry is (i, j, lambda_ij, n), one per face pair, n its
-    # index in FACE_PAIRS; the face of pair n at node y is seen when bit n
-    # of seen[y] is set.
+    # A screen entry is (i - 1, j - 1, lambda_ij, n), one per face pair
+    # (i, j), with its colors as 0-based slots and n its index in
+    # FACE_PAIRS; the face of pair n at node y is seen when bit n of
+    # seen[y] is set.
     lam = m.boundary.lam_rows
-    pairs = [(i, j, lam[i, j][0], n) for n, (i, j) in enumerate(FACE_PAIRS)]
-    crossed = {c: get(pairs) for c, get in _CROSSED.items()}
+    pairs = [(i - 1, j - 1, lam[i, j][0], n)
+             for n, (i, j) in enumerate(FACE_PAIRS)]
+    crossed = [get(pairs) for get in _CROSSED]
     KKM = K * K + m.boundary.M
     max_faces, max_total_edges = params.max_faces, params.max_total_edges
+    max_arc_steps = params.max_arc_steps
     seen, n_seen = trie.flags, len(seeds)
     # A face is queued as its node, its pair index and the quad at its
     # anchor, one item on each stack.  The seeds go in FACE_PAIRS order,
@@ -384,14 +396,14 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                          "max_faces")
         # A band or sigma face's walk ends at once, INFINITE or (on a HUGE
         # anchor quad) OVERFLOW, so a face with a finite arc needs no witness.
-        arc = attracting_arc(m, f, anchor_quad, params)
+        arc = attracting_arc(m, f, anchor_quad, K, max_arc_steps)
         if arc.outcome is not ArcOutcome.FINITE:
             w = face_witness(m, f.key(), anchor_quad)
             if w is None and arc.outcome is ArcOutcome.INFINITE:
                 w = Witness(WitnessKind.INFINITE_ARC, f.key())
             return _stop(steps, w, arc.outcome.value)
         _, n1, n2, _, quads = arc      # locals: a NamedTuple read is slower
-        arcs.extend((x, t, n1, n2))
+        arcs.fromlist([x, t, n1, n2])
         total_edges += max(0, n2 - n1 + 1)
         if total_edges > max_total_edges:
             return _stop(steps, None, "max_total_edges")
@@ -402,22 +414,23 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         # |a_i a_j - lambda_ij| < K*K + M (reference: values_in_level in
         # tests/oracles.py), takes K*K + M once; a face value past the cap is
         # HUGE, never in level, even below K*K + M.  A hit is (its anchor's
-        # position, its pair's index).
-        kl = k, l = EDGE_COLORS[p]
+        # position, its pair's index).  Colors are 0-based slots here.
+        k, l = EDGE_COLORS[p]
+        kl = k - 1, l - 1
         screen = _FIRST[t](pairs)
-        mods, c = list(map(abs, quads[0])), k
+        mods, c = list(map(abs, quads[0])), k - 1
         hits = []
         for n, quad in zip(range(n1, n2 + 2), quads):
-            mods[c - 1] = abs(quad[c - 1])
+            mods[c] = abs(quad[c])
             c = kl[n & 1]         # edge n's color; n's last letter at n < 0
             if not n:
                 screen = crossed[c]
                 continue
             for i, j, lam_ij, t in screen:
-                if not (mods[i - 1] < K or mods[j - 1] < K):
+                if not (mods[i] < K or mods[j] < K):
                     continue
                 try:
-                    v = abs(quad[i - 1] * quad[j - 1] - lam_ij)
+                    v = abs(quad[i] * quad[j] - lam_ij)
                 except OverflowError:           # HUGE under _cap
                     continue
                 if v < KKM and v <= OVERFLOW_CAP:

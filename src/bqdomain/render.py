@@ -32,8 +32,12 @@ BUDGETS = [f for f in BqParams._fields if f.startswith("max_")]
 
 
 class SliceConfig(Frozen):
-    __slots__ = _fields = ("fixed", "varying", "center", "width", "height",
-                           "px", "params", "mode")
+    """A slice, and ``boundary``, the ``BoundaryData`` of its fixed x, y
+    and z, built once for every pixel (None when one of them varies)."""
+
+    _fields = ("fixed", "varying", "center", "width", "height", "px",
+               "params", "mode")
+    __slots__ = _fields + ("boundary",)
 
     def __init__(self, fixed: Dict[str, complex], varying: str,
                  center: complex, width: float, height: float,
@@ -53,7 +57,13 @@ class SliceConfig(Frozen):
             raise ValueError("unknown mode %r" % mode)
         if mode != "raw" and varying == "d":     # solving would overwrite it
             raise ValueError("mode %s solves for d, so d cannot vary" % mode)
-        self._set(fixed, varying, center, width, height, px, params, mode)
+        try:
+            boundary = None if varying in "xyz" else \
+                BoundaryData((fixed["x"], fixed["y"], fixed["z"]))
+        except ValueError:     # past float range: the first pixel raises
+            boundary = None
+        self._set(fixed, varying, center, width, height, px, params, mode,
+                  boundary)
 
     @classmethod
     def from_json(cls, doc: dict) -> "SliceConfig":
@@ -100,26 +110,35 @@ def pixel_value(config: SliceConfig, col: int, row: int) -> complex:
     return complex(re, im)
 
 
+def pixel_boundary(config: SliceConfig,
+                   coords: Dict[str, complex]) -> BoundaryData:
+    """The config's shared boundary, or else that of a pixel's coords."""
+    if config.boundary is not None:
+        return config.boundary
+    return BoundaryData((coords["x"], coords["y"], coords["z"]))
+
+
 def point_coords(config: SliceConfig, value: complex) -> Dict[str, complex]:
     coords = dict(config.fixed)
     coords[config.varying] = value
     if config.mode in ("solve_plus", "solve_minus"):
         which = RootChoice.PLUS if config.mode == "solve_plus" \
             else RootChoice.MINUS
-        boundary = BoundaryData((coords["x"], coords["y"], coords["z"]))
         coords["d"] = solve_fourth(coords["a"], coords["b"], coords["c"],
-                                   boundary, which)
+                                   pixel_boundary(config, coords), which)
     return coords
 
 
 def classify_pixel(config: SliceConfig, col: int, row: int
                    ) -> Tuple[BqVerdict, float]:
-    """The verdict at pixel (col, row) and its ``residual_modulus``."""
-    pt = CharacterPoint(**point_coords(config, pixel_value(config, col, row)))
-    boundary = pt.omega
-    quad = MarkoffQuad(pt.quad, boundary, on_variety=False)
+    """The verdict at pixel (col, row) and its ``residual_modulus``.  When
+    x, y and z are fixed every pixel reads the config's one boundary."""
+    coords = point_coords(config, pixel_value(config, col, row))
+    boundary = pixel_boundary(config, coords)
+    values = (coords["a"], coords["b"], coords["c"], coords["d"])
+    quad = MarkoffQuad(values, boundary, on_variety=False)
     return (decide_bq(MarkoffMap(quad), config.params),
-            residual_modulus(pt.quad, boundary))
+            residual_modulus(values, boundary))
 
 
 def pixel_rgb(v: BqVerdict) -> Tuple[int, int, int]:
@@ -150,8 +169,9 @@ def _render_rows(config: SliceConfig, row: int) -> Tuple[bytes, float]:
 
 
 def mirror_rows(config: SliceConfig) -> Dict[int, int]:
-    """{h-1-r: r} for each row r < h//2 of a real config: every fixed
-    value and the centre are real.
+    """{h-1-r: r} for each row r < h//2 of a real config: the centre and
+    every fixed value a pixel reads are real.  A solve mode recomputes d
+    at every pixel, so its fixed d is a placeholder and is not read.
 
     ``pixel_value`` puts row h-1-r at the exact conjugates of row r's
     values.  Complex conjugation commutes with the mapping class group
@@ -159,7 +179,9 @@ def mirror_rows(config: SliceConfig) -> Dict[int, int]:
     *, complex division, abs, hypot and cmath.sqrt; no branch reads the
     sign of an imaginary part), so the mirror row has row r's verdicts
     and residuals."""
-    if config.center.imag or any(v.imag for v in config.fixed.values()):
+    read = [v for c, v in config.fixed.items()
+            if c != "d" or config.mode == "raw"]
+    if config.center.imag or any(v.imag for v in read):
         return {}
     h = config.px[1]
     return {h - 1 - r: r for r in range(h // 2)}

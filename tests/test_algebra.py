@@ -185,7 +185,8 @@ class TestBoundaryData:
                           for _ in range(3))
             bd = BoundaryData(omega)
             for i in COLORS:
-                want = tuple((j, bd.lam(i, j)) for j in COLORS if j != i)
+                want = tuple(v for j in COLORS if j != i
+                             for v in (j - 1, bd.lam(i, j)))
                 assert repr(bd.move_terms[i]) == repr(want), omega
             for i, j in FACE_PAIRS:
                 k = EDGE_COLORS[i, j][0]

@@ -13,7 +13,7 @@ from bqdomain.bq import (ArcOutcome, BqParams, Status, WitnessKind,
 from bqdomain.tree import (FACE_PAIRS, EdgeKey, FaceKey, canonical_face,
                            faces_at)
 from conftest import (in_bq_fixtures, in_bq_quad, make_map, not_bq_fixtures,
-                      random_markoff_map)
+                      random_markoff_map, slice_map)
 from oracles import face_edge_at, face_in_level, neighbors, points_toward
 
 ZERO = BoundaryData((0.0, 0.0, 0.0))
@@ -106,22 +106,23 @@ class TestArc:
         m = make_map(in_bq_quad(4.0))
         verdict = decide_bq(m)
         f = next(iter(verdict.tree.arc_bounds))
-        arc = attracting_arc(m, f, m.quad_at(f.anchor), BqParams())
+        arc = attracting_arc(m, f, m.quad_at(f.anchor), BqParams().level(m),
+                             BqParams().max_arc_steps)
         assert arc.outcome is ArcOutcome.FINITE
         assert arc.n1 <= arc.n2
 
     def test_infinite_on_band_face(self):
         m = make_map(MarkoffQuad((1.0, 1.5, 0, 0), ZERO, on_variety=False))
         arc = attracting_arc(m, canonical_face("", 1, 2), m.quad_at(""),
-                             BqParams())
+                             BqParams().level(m), BqParams().max_arc_steps)
         assert arc.outcome is ArcOutcome.INFINITE
 
     def test_budget_outcome(self):
         m = make_map(in_bq_quad(4.0))
         verdict = decide_bq(m)
         f = next(iter(verdict.tree.arc_bounds))
-        arc = attracting_arc(m, f, m.quad_at(f.anchor),
-                             BqParams(max_arc_steps=1))
+        K = BqParams().level(m)
+        arc = attracting_arc(m, f, m.quad_at(f.anchor), K, 1)
         assert arc.outcome is ArcOutcome.BUDGET
 
 
@@ -178,6 +179,24 @@ class TestDecide:
         for K in (2.0, 2.5, 3.0):
             assert decide_bq(make_map(quad),
                              BqParams(K=K)).status is Status.IN_BQ
+
+    def test_level_is_resolved_once_per_phase(self, monkeypatch):
+        """``BqParams.level`` is read at most twice per decision, once by
+        the descent and once for the closure, however many faces pop:
+        the three budget-bound points of the render slice pop thousands
+        of faces each, and the arc walk takes K as an argument."""
+        level, calls = BqParams.level, []
+
+        def counting(params, m):
+            calls.append(m)
+            return level(params, m)
+        monkeypatch.setattr(BqParams, "level", counting)
+        for a in (-0.75 + 0.75j, 0.75 - 0.75j, -5.25 + 5.25j):
+            del calls[:]
+            verdict = decide_bq(slice_map(a))
+            assert verdict.status is Status.UNDECIDED
+            assert verdict.steps_used > 1000
+            assert 1 <= len(calls) <= 2, (a, len(calls))
 
 
 def reduced_word(rng: random.Random, n: int) -> str:

@@ -130,9 +130,9 @@ def recorder(monkeypatch, module, name: str):
     left to the verdict record."""
     walk, pops = getattr(module, name), []
 
-    def recording(m, f, quad, params):
+    def recording(m, f, quad, *limits):
         pops.append((f.anchor, f.colors, repr(quad)))
-        return walk(m, f, quad, params)
+        return walk(m, f, quad, *limits)
     monkeypatch.setattr(module, name, recording)
     return pops
 

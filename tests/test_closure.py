@@ -96,7 +96,8 @@ class TestScreen:
         for f in shallow_faces():
             if not face_in_level(m, f, K):
                 continue
-            arc = attracting_arc(m, f, m.quad_at(f.anchor), params)
+            arc = attracting_arc(m, f, m.quad_at(f.anchor), K,
+                                 params.max_arc_steps)
             if arc.outcome is not ArcOutcome.FINITE:
                 continue
             want = first_met(five_pair_screen(m, f, arc, K))
@@ -160,15 +161,17 @@ class TestOverflow:
     def test_huge_anchor_quad_ends_the_arc(self):
         m = raw_map((complex(1.5e308, 1.5e308), 1.9, 1.9, 3))
         f = canonical_face("", 2, 3)
+        K = BqParams().level(m)
         with pytest.raises(ValueError):
-            h_star(m.boundary, f, m.quad_at(f.anchor), BqParams().level(m))
-        assert attracting_arc(m, f, m.quad_at(f.anchor), BqParams()).outcome \
+            h_star(m.boundary, f, m.quad_at(f.anchor), K)
+        assert attracting_arc(m, f, m.quad_at(f.anchor), K,
+                              BqParams().max_arc_steps).outcome \
             is ArcOutcome.OVERFLOW
 
     def test_saturated_ray_is_undecided_at_once(self):
         m = raw_map((1.9, 1.9, 5e149, 5e149))
         arc = attracting_arc(m, canonical_face("", 1, 2), m.quad_at(""),
-                             BqParams())
+                             BqParams().level(m), BqParams().max_arc_steps)
         assert arc.outcome is ArcOutcome.OVERFLOW
         assert arc.steps < 10
         v = decide_bq(raw_map((1.9, 1.9, 5e149, 5e149)))

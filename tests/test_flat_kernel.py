@@ -118,7 +118,7 @@ def test_arc_and_h_star_match_the_references(params):
             got = call(h_star, m.boundary, f, quad, K)
             want = call(h_star_reference, m.boundary, f, quad, K)
             # A face value past the cap raises in h_star, under the arc.
-            arc = call(attracting_arc, m, f, quad, params)
+            arc = call(attracting_arc, m, f, quad, K, params.max_arc_steps)
             ref = call(attracting_arc_reference, m, f, quad, params)
             if not isinstance(arc, tuple):
                 arc, ref = arc_record(arc), arc_record(ref)
@@ -162,9 +162,9 @@ def test_h_star_matches_the_reference_on_closure_pops(monkeypatch):
     from test_carried_decide import frozen_maps
     walk, pops = bq.attracting_arc, []
 
-    def recording(m, f, quad, params):
-        pops.append((m.boundary, f, quad, params.level(m)))
-        return walk(m, f, quad, params)
+    def recording(m, f, quad, K, max_steps):
+        pops.append((m.boundary, f, quad, K))
+        return walk(m, f, quad, K, max_steps)
     monkeypatch.setattr(bq, "attracting_arc", recording)
     for make in frozen_maps():
         bq.decide_bq(make.values[0]())
@@ -288,7 +288,7 @@ def test_window_face_value_past_the_cap_is_not_in_level(monkeypatch):
         assert OVERFLOW_CAP < abs(quad[0] * quad[1]) < K * K
     popped = []
 
-    def arc(m, f, quad, params):
+    def arc(m, f, quad, K, max_steps):
         popped.append((f.node, f.colors))
         if len(popped) == 1:
             return ArcResult(ArcOutcome.FINITE, n1=0, n2=0, steps=2,

@@ -88,7 +88,8 @@ class TestCarriedQuads:
         for f in shallow_faces():
             if not face_in_level(m, f, K):
                 continue
-            arc = attracting_arc(m, f, m.quad_at(f.anchor), params)
+            arc = attracting_arc(m, f, m.quad_at(f.anchor), K,
+                                 params.max_arc_steps)
             if arc.outcome is not ArcOutcome.FINITE:
                 continue
             positions = range(arc.n1, arc.n2 + 2)

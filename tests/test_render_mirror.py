@@ -97,6 +97,20 @@ def test_frozen_slice_decides_half_its_pixels(monkeypatch):
     assert {r for _, r in calls} == set(range(8))
 
 
+def test_a_solve_mode_ignores_its_placeholder_d(monkeypatch):
+    """A solve mode recomputes d at every pixel, so a complex placeholder
+    d leaves the config real: it decides h//2 fewer rows and renders the
+    bytes of the same config with a real placeholder."""
+    real = small(px=[4, 6])
+    placeholder = small(px=[4, 6], fixed=dict(SLICE_DOC["fixed"], d=[1, 2]))
+    assert real.mode == placeholder.mode == "solve_minus"
+    want = render_slice(real, workers=1)
+    assert render_slice(placeholder, workers=2) == want
+    calls = counting(monkeypatch)
+    assert render_slice(placeholder, workers=1) == want
+    assert sorted(calls) == [(c, r) for c in range(4) for r in range(3)]
+
+
 # Real windows (centre, width, height) whose offsets round at most sizes.
 REAL_WINDOWS = [(0, 12.0, 12.0), (0.5, 7.1, 0.3), (-1.25, 1e-3, 3.7)]
 

@@ -49,7 +49,7 @@ def test_a_huge_operand_caps_to_huge():
         for slots in list(subsets(4))[1:]:
             vals = with_huge((x,) * 4, slots)
             for i in COLORS:
-                terms = tuple((j, x) for j in COLORS if j != i)
+                terms = tuple(v for j in COLORS if j != i for v in (j - 1, x))
                 assert _cap(moved_value(vals, i, terms)) is HUGE, (x, slots)
         for slots in list(subsets(3))[1:]:
             ai, aj, psi = with_huge((x,) * 3, slots)
@@ -170,7 +170,8 @@ def test_an_overflowed_level_term_ends_the_arc_with_overflow():
     with pytest.raises(OverflowError):
         h_star(omega, f, quad, 2 + omega.M)
     m = MarkoffMap(MarkoffQuad(quad, omega, on_variety=False))
-    assert attracting_arc(m, f, m.root, BqParams()).outcome \
+    assert attracting_arc(m, f, m.root, BqParams().level(m),
+                          BqParams().max_arc_steps).outcome \
         is ArcOutcome.OVERFLOW
 
 
