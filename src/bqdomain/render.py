@@ -2,14 +2,14 @@
 
 A slice fixes six of the seven trace coordinates, sweeps the seventh
 over a rectangular window, and paints each pixel from its verdict:
-``classify_pixel`` decides the pixel's point with ``decide_bq`` and
-measures its vertex-relation residual by ``check``'s rule
-(``residual_modulus``), and ``pixel_rgb``, the one palette rule, maps
-the verdict to a colour.  Pixels are pure functions of the config, and
-the output buffer is assembled by pixel index, so the bytes are
-identical for any worker count.  A real slice is its own complex
-conjugate, so each conjugate pair of rows is decided once
-(``mirror_rows``).
+``point_coords`` makes the pixel's point and its boundary once,
+``classify_pixel`` decides that point with ``decide_bq`` and measures
+its vertex-relation residual by ``check``'s rule (``residual_modulus``),
+and ``pixel_rgb``, the one palette rule, maps the verdict to a colour.
+Pixels are pure functions of the config, and the output buffer is
+assembled by pixel index, so the bytes are identical for any worker
+count.  A real slice is its own complex conjugate, so each conjugate
+pair of rows is decided once (``mirror_rows``).
 """
 
 from __future__ import annotations
@@ -32,12 +32,14 @@ BUDGETS = [f for f in BqParams._fields if f.startswith("max_")]
 
 
 class SliceConfig(Frozen):
-    """A slice, and ``boundary``, the ``BoundaryData`` of its fixed x, y
-    and z, built once for every pixel (None when one of them varies)."""
+    """A slice: the six fixed coordinates, the varying one swept over a
+    width x height window about center at px pixels, the decision's
+    params, and the mode (raw, or d solved at every pixel).  A plain
+    value: each pixel's point and boundary come from ``point_coords``."""
 
     _fields = ("fixed", "varying", "center", "width", "height", "px",
                "params", "mode")
-    __slots__ = _fields + ("boundary",)
+    __slots__ = _fields
 
     def __init__(self, fixed: Dict[str, complex], varying: str,
                  center: complex, width: float, height: float,
@@ -57,13 +59,7 @@ class SliceConfig(Frozen):
             raise ValueError("unknown mode %r" % mode)
         if mode != "raw" and varying == "d":     # solving would overwrite it
             raise ValueError("mode %s solves for d, so d cannot vary" % mode)
-        try:
-            boundary = None if varying in "xyz" else \
-                BoundaryData((fixed["x"], fixed["y"], fixed["z"]))
-        except ValueError:     # past float range: the first pixel raises
-            boundary = None
-        self._set(fixed, varying, center, width, height, px, params, mode,
-                  boundary)
+        self._set(fixed, varying, center, width, height, px, params, mode)
 
     @classmethod
     def from_json(cls, doc: dict) -> "SliceConfig":
@@ -110,31 +106,27 @@ def pixel_value(config: SliceConfig, col: int, row: int) -> complex:
     return complex(re, im)
 
 
-def pixel_boundary(config: SliceConfig,
-                   coords: Dict[str, complex]) -> BoundaryData:
-    """The config's shared boundary, or else that of a pixel's coords."""
-    if config.boundary is not None:
-        return config.boundary
-    return BoundaryData((coords["x"], coords["y"], coords["z"]))
-
-
-def point_coords(config: SliceConfig, value: complex) -> Dict[str, complex]:
+def point_coords(config: SliceConfig, value: complex
+                 ) -> Tuple[Dict[str, complex], BoundaryData]:
+    """The point whose varying coordinate is value: its coordinates and
+    the one ``BoundaryData`` of its own x, y and z, from which a solve
+    mode solves d."""
     coords = dict(config.fixed)
     coords[config.varying] = value
-    if config.mode in ("solve_plus", "solve_minus"):
+    boundary = BoundaryData((coords["x"], coords["y"], coords["z"]))
+    if config.mode != "raw":
         which = RootChoice.PLUS if config.mode == "solve_plus" \
             else RootChoice.MINUS
         coords["d"] = solve_fourth(coords["a"], coords["b"], coords["c"],
-                                   pixel_boundary(config, coords), which)
-    return coords
+                                   boundary, which)
+    return coords, boundary
 
 
 def classify_pixel(config: SliceConfig, col: int, row: int
                    ) -> Tuple[BqVerdict, float]:
-    """The verdict at pixel (col, row) and its ``residual_modulus``.  When
-    x, y and z are fixed every pixel reads the config's one boundary."""
-    coords = point_coords(config, pixel_value(config, col, row))
-    boundary = pixel_boundary(config, coords)
+    """The verdict at pixel (col, row) and its ``residual_modulus``, both
+    read from the quad and boundary of ``point_coords``."""
+    coords, boundary = point_coords(config, pixel_value(config, col, row))
     values = (coords["a"], coords["b"], coords["c"], coords["d"])
     quad = MarkoffQuad(values, boundary, on_variety=False)
     return (decide_bq(MarkoffMap(quad), config.params),

@@ -80,7 +80,7 @@ class TestPixelMath:
             varying="x", mode="solve_plus")
         # the fixed d is a placeholder: solve modes recompute it from
         # the vertex relation at each pixel
-        coords = point_coords(cfg, 0j)
+        coords, _ = point_coords(cfg, 0j)
         assert coords["d"] == pytest.approx((-1 + 5 ** 0.5) / 2)
 
 
