@@ -201,7 +201,10 @@ def moved_value(vals, i: int, terms) -> complex:
     sum_{j!=i} lambda_ij a_j - prod_{j!=i} a_j - a_i, for a sequence of
     the four values and ``terms = boundary.move_terms[i]``, the flat row
     of the other colors' 0-based slots and lambdas.  Every move in the
-    package is this expression."""
+    package is this expression, in this operand order: walking the arcs
+    with the equal C_s + (lambda_so - a_i a_j) a_o - a_s rounds apart and
+    turns the deep point a = -0.75 + 0.75j of the b = c = 3 slice from
+    Undecided on max_arc_steps (1,303 steps) to max_faces (5,320)."""
     s1, l1, s2, l2, s3, l3 = terms
     a, b, c = vals[s1], vals[s2], vals[s3]
     return l1 * a + l2 * b + l3 * c - a * b * c - vals[i - 1]

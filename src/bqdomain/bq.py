@@ -237,7 +237,7 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad, K: float,
     that trade places with the colors.  It is capped as ``markoff._cap``
     caps it but on the modulus the walk reads anyway, so each moved
     value's modulus is taken once; the values are those of
-    ``MarkoffMap._move``.
+    ``MarkoffMap._move`` (operand order matters: see ``moved_value``).
     Overflow ends the walk with OVERFLOW: a HUGE in the anchor quad or an
     ``h_star`` that raises an ArithmeticError leaves no threshold, and a
     ray with two HUGE values in a row of one side color never escapes,
@@ -331,11 +331,11 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     set in the node's byte of ``Trie.flags``, and an int counts the faces
     seen for "max_faces".  The queue is three stacks, popped together:
     the nodes in an ``array("i")``, the pair indices in a ``bytearray``
-    and the anchor quads in a list.  The arc log is an ``array("i")``
-    holding a popped face as four ints, node, pair index, n1 and n2.  So
-    a queued face costs one bit, 4 + 1 bytes and one list slot, plus 22
-    bytes of trie when its node is new; its anchor quad is the window
-    quad it was met at, shared with every face met there.  Only a face
+    and the anchor quads' values in a list, four a face.  The arc log is
+    an ``array("i")`` holding a popped face as node, pair index, n1, n2.
+    So a queued face costs one bit, 4 + 1 bytes and four list slots, plus
+    22 bytes of trie when its node is new; no window quad tuple outlives
+    the pop that walked it, as the pop rebuilds its own.  Only a face
     that pops becomes a ``tree.TrieFace``, to be handed to
     ``attracting_arc``; its string anchor is the node's word, built by
     ``Trie.word`` only when read.  Keys are built from those words only
@@ -377,17 +377,18 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     max_faces, max_total_edges = params.max_faces, params.max_total_edges
     max_arc_steps = params.max_arc_steps
     seen, n_seen = trie.flags, len(seeds)
-    # A face is queued as its node, its pair index and the quad at its
-    # anchor, one item on each stack.  The seeds go in FACE_PAIRS order,
-    # so the last one pops first.
+    # A face is queued as its node, its pair index and the four values of
+    # its anchor quad: one, one and four items on the stacks.  The seeds go
+    # in FACE_PAIRS order, so the last one pops first.
     queued_pairs = bytearray(map(FACE_PAIRS.index, seeds))
-    queued_nodes, queued_quads = array("i", [sink] * n_seen), [q0] * n_seen
+    queued_nodes, queued_quads = array("i", [sink] * n_seen), list(q0) * n_seen
     seen[sink] = sum(1 << t for t in queued_pairs)
     arcs = array("i")              # node, pair index, n1, n2; in pop order
     total_edges = 0
     while queued_nodes:
         x, t = queued_nodes.pop(), queued_pairs.pop()
-        anchor_quad = queued_quads.pop()
+        anchor_quad = tuple(queued_quads[-4:])
+        del queued_quads[-4:]
         p = FACE_PAIRS[t]
         f = TrieFace(trie, x, p)
         steps += 1
@@ -451,7 +452,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
                 n_seen += 1
                 queued_nodes.append(y)
                 queued_pairs.append(t)
-                queued_quads.append(quads[s - n1])
+                queued_quads.extend(quads[s - n1])
     # Keys are built once, for the certificate that is returned, by the
     # tuple.__new__ that FaceKey(...) would call.
     log = iter(arcs)

@@ -1,14 +1,16 @@
 """The closure's state stays small.
 
 ``decide_bq`` keeps a face's seen flag as one bit of its anchor node's
-byte in ``Trie.flags``, and the queued nodes and pair indices, the arc
-log and the trie in typed arrays.  On the deep slice point
+byte in ``Trie.flags``, the queued nodes and pair indices, the arc
+log and the trie in typed arrays, and each queued face's anchor quad
+as its four values in a flat list.  On the deep slice point
 a = 0.75 - 0.75j, which stops at ``max_faces`` after 6,141 pops with
-about 20,000 faces seen, one decision's traced peak read 2.15 MB on
-Python 3.11; with the queue and the arc log as flat lists of ints it
-read 3.0 MB on Python 3.10 to 3.13, and with a set of int keys, a queue
-of tuples and dict trie children 8.1-8.2 MB.  The bound sits between
-the first two.
+about 20,000 faces seen, one decision's traced peak reads 1.67 MB on
+Python 3.10 to 3.13.  With each queued face holding a reference to the
+window quad tuple it was met at, which kept about 13,000 such tuples
+alive, it read 2.17 MB; with the queue and the arc log as flat lists of
+ints 3.0 MB, and with a set of int keys, a queue of tuples and dict
+trie children 8.1-8.2 MB.  The bound sits between the first two.
 """
 
 import tracemalloc
@@ -17,7 +19,7 @@ from bqdomain.bq import Status, decide_bq
 
 from conftest import slice_map
 
-PEAK_BOUND = 2_500_000     # bytes
+PEAK_BOUND = 1_900_000     # bytes
 
 
 def test_a_max_faces_decision_peaks_under_the_bound():
