@@ -169,8 +169,9 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
             i, j = p
             ai, aj = quad[i - 1], quad[j - 1]
             psi, kind = face_obstruction(b, i, j, ai, aj)
-            if kind is not None:
-                w = face_witness(m, canonical_face(v, i, j), quad)
+            if kind is not None:        # by face_witness's rule
+                w = Witness(kind, canonical_face(v, i, j),
+                            psi if kind is WitnessKind.BQ1_VIOLATION else None)
                 return DescentResult(vertex=v, quad=quad, witness=w,
                                      steps=step)
             if (abs(ai) < K or abs(aj) < K) and abs(psi) < KKM:
@@ -334,7 +335,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     and the anchor quads' values in a list, four a face.  The arc log is
     an ``array("i")`` holding a popped face as node, pair index, n1, n2.
     So a queued face costs one bit, 4 + 1 bytes and four list slots, plus
-    22 bytes of trie when its node is new; no window quad tuple outlives
+    21 bytes of trie when its node is new; no window quad tuple outlives
     the pop that walked it, as the pop rebuilds its own.  Only a face
     that pops becomes a ``tree.TrieFace``, to be handed to
     ``attracting_arc``; its string anchor is the node's word, built by
@@ -405,7 +406,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
             return _stop(steps, w, arc.outcome.value)
         _, n1, n2, _, quads = arc      # locals: a NamedTuple read is slower
         arcs.fromlist([x, t, n1, n2])
-        total_edges += max(0, n2 - n1 + 1)
+        total_edges += n2 - n1 + 1
         if total_edges > max_total_edges:
             return _stop(steps, None, "max_total_edges")
         # Screen each window vertex but f's anchor on the carried quad and

@@ -81,6 +81,12 @@ def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
     value is zero — in each case the whole boundary geodesic stays
     attracting and no finite arc exists.  H is computed from plain values
     with psi as X; a finite H* past float range raises an ArithmeticError.
+
+    H is the larger threshold of the orderings (Q, R) and (R, Q), one per
+    interleaved side sequence, and one threshold per face is evaluated:
+    num = Q^2 + R^2 - XQR + S(X^2 - 4) and T = num/(X^2 - 4)^2 are
+    symmetric in (Q, R), and for fixed T and |lam| > 1, H = t(W + 1) +
+    |eta| increases with |eta|, so the larger H has the larger |eta|.
     """
     i, j = f.colors
     ai, aj = quad[i - 1], quad[j - 1]
@@ -114,17 +120,12 @@ def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
     if mod <= 1 + 1e-12:
         h = math.inf
     else:
-        # H is the larger over both orderings of (Q, R), the face's two
-        # interleaved side sequences; an infinite H in either wins over
-        # the other's overflow.
-        try:
-            h = _threshold(Q, R, S, psi, mod, denom)[3]
-        except ArithmeticError:
-            if _threshold(R, Q, S, psi, mod, denom)[3] < math.inf:
-                raise
-            h = math.inf
-        if h != math.inf:
-            h = max(h, _threshold(R, Q, S, psi, mod, denom)[3])
+        # One threshold per face: the ordering of (Q, R) with the larger
+        # eta numerator, or a NaN one, so that an overflow still raises.
+        e_qr, e_rq = abs(2 * Q - psi * R), abs(2 * R - psi * Q)
+        if e_rq > e_qr or e_rq != e_rq:
+            Q, R = R, Q
+        h = _threshold(Q, R, S, psi, mod, denom)[3]
     level = (K * K + 2 * boundary.M) / lo
     if level == math.inf > h:
         raise OverflowError("the level term of H* overflowed")

@@ -22,13 +22,14 @@ The closure in ``bq.decide_bq`` meets faces whose anchors run to
 thousands of letters, so it names vertices by int nodes of a ``Trie``
 instead of by word: a node is one child step from its parent, and a
 face is the pair (anchor node, colors), O(1) to build.  The trie keeps
-its nodes in typed arrays, 22 bytes a node: the parent, the last letter,
-four child slots and one byte of flags for its user (the closure keeps
-there which of the node's six faces it has seen).  A face that the
-closure pops is handed on as a ``TrieFace`` carrying that pair; its
-string ``anchor`` is the node's word, which ``Trie.word`` builds only
-when read.  The key builders here are for the few vertices and faces
-that need a name: the keys a verdict or a report returns.
+its nodes in typed arrays, 21 bytes a node: the parent, four child slots
+and one byte of flags for its user (the closure keeps there which of the
+node's six faces it has seen); a node's last letter is its slot among
+its parent's child slots.  A face that the closure pops is handed on as
+a ``TrieFace`` carrying that pair; its string ``anchor`` is the node's
+word, which ``Trie.word`` builds only when read.  The key builders here
+are for the few vertices and faces that need a name: the keys a verdict
+or a report returns.
 """
 
 from __future__ import annotations
@@ -83,11 +84,6 @@ class FaceKey(NamedTuple):
     anchor: VertexWord
     colors: Tuple[int, int]  # sorted pair of region colors
 
-    @property
-    def edge_colors(self) -> Tuple[int, int]:
-        """Colors of the edges along this face's boundary geodesic."""
-        return EDGE_COLORS[self.colors]
-
 
 def canonical_region(v: VertexWord, c: int) -> RegionKey:
     """Strip the maximal trailing run of letters != c."""
@@ -125,24 +121,23 @@ _NO_KIDS = bytes(4 * array("i").itemsize)
 class Trie:
     """Reduced words interned as int nodes, grown one letter at a time.
 
-    Node 0 is the root, and node x is the word of ``parent[x]`` followed
-    by ``letter[x]``.  Node x's child by letter c is ``_kids[4 * x + c]``,
-    0 for none (the root is no node's child), so a child is one read of
-    an int array with four slots a node.  ``flags`` holds one byte per
-    node for the trie's user, 0 when the node is made.  A node's word is
-    built only when ``word`` reads it, and kept.
+    Node 0 is the root, and node x's child by letter c is
+    ``_kids[4 * x + c]``, 0 for none (the root is no node's child), so a
+    child is one read of an int array with four slots a node.  Node x is
+    the word of ``parent[x]`` followed by the letter of the slot that
+    holds x.  ``flags`` holds one byte per node for the trie's user, 0
+    when the node is made.  A node's word is built only when ``word``
+    reads it, and kept.
     """
 
     def __init__(self):
-        self.parent, self.letter = array("i", [0]), bytearray(1)
-        self.flags = bytearray(1)
+        self.parent, self.flags = array("i", [0]), bytearray(1)
         self._kids = array("i", [0] * 5)     # slot 0 is read by no node
         self._words = {0: ""}
 
     def walk(self, x: int, letters) -> List[int]:
         """The nodes 0, 1, ... letters past x, one child step each."""
-        kids, parent, letter, flags = \
-            self._kids, self.parent, self.letter, self.flags
+        kids, parent, flags = self._kids, self.parent, self.flags
         out = [x]
         for c in letters:
             slot = 4 * x + c
@@ -150,7 +145,6 @@ class Trie:
             if not y:
                 y = kids[slot] = len(parent)
                 parent.append(x)
-                letter.append(c)
                 flags.append(0)
                 kids.frombytes(_NO_KIDS)
             out.append(y)
@@ -163,12 +157,14 @@ class Trie:
     def word(self, x: int) -> VertexWord:
         """The word of node x: its letters read up the parent pointers to
         the nearest node whose word is known, joined onto that word, and
-        kept for later reads."""
-        words, parent, letter = self._words, self.parent, self.letter
+        kept for later reads.  Node y's letter is its slot among the four
+        child slots of its parent p, 4p + 1 to 4p + 4."""
+        words, parent, kids = self._words, self.parent, self._kids
         tail, y = [], x
         while y not in words:
-            tail.append(letter[y])
-            y = parent[y]
+            p = parent[y]
+            tail.append(kids.index(y, 4 * p + 1, 4 * p + 5) - 4 * p)
+            y = p
         w = words[x] = words[y] + bytes(tail[::-1]).translate(_DIGITS).decode()
         return w
 

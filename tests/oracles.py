@@ -41,8 +41,9 @@ from bqdomain.fib import FibTable, GrowthReport, keys_to_depth
 from bqdomain.markoff import HUGE, OVERFLOW_CAP, MarkoffMap, Quad, _cap
 from bqdomain.neighbors import (TOL_REAL, TOL_SIGMA, WitnessKind, _threshold,
                                 dist_to_interval)
-from bqdomain.tree import (COLORS, FACE_PAIRS, EdgeKey, FaceKey, RegionKey,
-                           canonical_face, canonical_region, faces_at)
+from bqdomain.tree import (COLORS, EDGE_COLORS, FACE_PAIRS, EdgeKey, FaceKey,
+                           RegionKey, canonical_face, canonical_region,
+                           faces_at)
 
 
 class KeyedMap(MarkoffMap):
@@ -111,7 +112,7 @@ def edge_surrounding(e: EdgeKey):
 
 def face_vertex_at(f: FaceKey, pos: int) -> str:
     """Vertex at signed position pos on f's boundary geodesic."""
-    k, l = f.edge_colors
+    k, l = EDGE_COLORS[f.colors]
     pair = "%d%d" % ((k, l) if pos > 0 else (l, k))
     n = abs(pos)
     return f.anchor + (pair * ((n + 1) // 2))[:n]
@@ -568,8 +569,9 @@ def h_value(inp: HInputs) -> HOutputs:
 
 def h_value_sym(inp: HInputs) -> float:
     """The larger of ``h_value``'s H over both orderings of (Q,R), an
-    infinite H in either winning over the other's overflow: the rule
-    ``neighbors.h_star`` applies to the recurrence of a face."""
+    infinite H in either winning over the other's overflow: the
+    two-ordering reference for ``neighbors.h_star``, which evaluates one
+    threshold per face, the ordering with the larger |eta|."""
     Q, R, S, X = inp
     try:
         h = h_value(inp).H
@@ -662,7 +664,7 @@ def attracting_arc_reference(m: MarkoffMap, f: FaceKey, quad,
     h = h_star_reference(m.boundary, f, quad, K)
     if math.isinf(h):
         return ArcResult(ArcOutcome.INFINITE)
-    k, l = f.edge_colors
+    k, l = EDGE_COLORS[f.colors]
     steps = 0
     rays = []
     for letters in ((k, l), (l, k)):
@@ -705,7 +707,7 @@ def boundary_face(f: FaceKey, n: int, i: int, j: int) -> FaceKey:
     it, so the anchor drops exactly one letter; only when that empties
     the walked prefix does the anchor's own word need a scan.
     """
-    k, l = f.edge_colors
+    k, l = EDGE_COLORS[f.colors]
     if n > 0 and (k, l)[(n - 1) & 1] not in (i, j):
         n -= 1
     elif n < 0 and (k, l)[n & 1] not in (i, j):

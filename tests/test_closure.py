@@ -21,7 +21,7 @@ from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
                          decide_bq)
 from bqdomain.markoff import HUGE, _cap
 from bqdomain.neighbors import h_star
-from bqdomain.tree import COLORS, FACE_PAIRS, FaceKey, canonical_face
+from bqdomain.tree import COLORS, EDGE_COLORS, FACE_PAIRS, canonical_face
 
 from conftest import shallow_faces, slice_map
 from oracles import (KeyedMap, boundary_face, face_in_level, face_vertex_at,
@@ -56,7 +56,7 @@ def three_pair_screen(m, f, arc, K):
     """Five pairs at the first vertex, then the pairs holding the colour
     of the edge just crossed, keyed from the position."""
     M = m.boundary.M
-    k, l = f.edge_colors
+    k, l = EDGE_COLORS[f.colors]
     screen = [p for p in FACE_PAIRS if p != f.colors]
     for n, quad in enumerate(arc.quads, arc.n1):
         for i, j in screen:
@@ -82,7 +82,7 @@ class TestBoundaryFace:
             for j in COLORS:
                 if i != j:
                     want = tuple(c for c in COLORS if c not in (i, j))
-                    assert FaceKey("", (i, j)).edge_colors == want
+                    assert EDGE_COLORS[i, j] == want
 
 
 class TestScreen:

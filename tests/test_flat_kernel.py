@@ -33,8 +33,8 @@ from bqdomain.tree import (COLORS, FACE_PAIRS, FaceKey, canonical_face,
 from conftest import random_on_variety_point
 from oracles import (HInputs, attracting_arc_reference,
                      canonical_face_reference, canonical_region_reference,
-                     h_star_reference, h_value_reference, h_value_sym,
-                     values_in_level)
+                     face_h_inputs_reference, h_star_reference,
+                     h_value_reference, h_value_sym, values_in_level)
 
 
 def same(x, y) -> bool:
@@ -152,13 +152,65 @@ def test_arc_and_h_star_match_the_references(params):
         assert ArcOutcome.BUDGET in seen["variety"] | seen["raw"]
 
 
+def near_cap_omega_cases(seed: int = 37, count: int = 60):
+    """(omega, quad) pairs: a random omega != 0, which makes
+    Q != R and so tells the two orderings of each face apart, and one or
+    two entries near the overflow cap, where the references' H* is NaN
+    on some faces.  They are kept out of ``kernel_cases``, whose test
+    counts the NaN faces of its own cases."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for n in range(count):
+        omega = tuple(random_complex(rng, 2.0) for _ in range(3))
+        quad = [random_complex(rng, 6.0) for _ in range(4)]
+        for slot in rng.choice(4, 1 + n % 2, replace=False):
+            quad[slot] = complex(rng.uniform(1e149, 8e149),
+                                 rng.uniform(-4e149, 4e149))
+        cases.append((omega, tuple(quad)))
+    return cases
+
+
+@pytest.mark.parametrize("params", [
+    BqParams(),
+    BqParams(K=9.0, max_arc_steps=40),
+], ids=["default", "short_budget"])
+def test_near_cap_omega_faces_match_the_two_ordering_references(params):
+    """H* and the arc bitwise against the references on
+    ``near_cap_omega_cases``, raised errors included.  Where the
+    two-ordering ``h_star_reference`` reads NaN, ``h_star`` raises the
+    error that ``h_value_sym``, the two-ordering rule on the face's
+    (Q, R, S, X), raises, and the arc ends at once with OVERFLOW."""
+    counts = {"finite": 0, "raised": 0, "nan": 0}
+    for omega, quad in near_cap_omega_cases():
+        m = kernel_map(omega, quad)
+        K = params.level(m)
+        for i, j in FACE_PAIRS:
+            f = FaceKey("", (i, j))
+            got = call(h_star, m.boundary, f, quad, K)
+            want = call(h_star_reference, m.boundary, f, quad, K)
+            arc = call(attracting_arc, m, f, quad, K, params.max_arc_steps)
+            if same(want, math.nan):
+                inp = face_h_inputs_reference(m.boundary, quad, i, j)
+                assert got[:2] == ("raised", OverflowError), (f, quad)
+                assert same(got, call(h_value_sym, inp)), (f, quad)
+                assert arc == (ArcOutcome.OVERFLOW, 0, -1, 0, []), (f, quad)
+                counts["nan"] += 1
+                continue
+            assert same(got, want), (f, quad, got, want)
+            ref = call(attracting_arc_reference, m, f, quad, params)
+            assert same(arc, ref), (f, quad)
+            counts["raised" if isinstance(got, tuple) else "finite"] += 1
+    assert min(counts.values()) >= 20, counts
+
+
 def test_h_star_matches_the_reference_on_closure_pops(monkeypatch):
     """H* bitwise, raised errors included, at the anchor quad of every
     face the closure pops on the 25 frozen points of
     ``test_carried_decide``: the (Q, R, S, X) and multiplier that
     ``h_star`` computes on these quads are otherwise pinned only through
     the windows they bound.  Every one of these H* is finite, so each
-    pop reaches the recurrence and both orderings of its threshold."""
+    pop reaches the recurrence, where ``h_star`` evaluates one threshold
+    per face and the reference both orderings."""
     from test_carried_decide import frozen_maps
     walk, pops = bq.attracting_arc, []
 

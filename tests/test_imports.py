@@ -5,7 +5,8 @@ No lint tool is a test dependency, so this scans each module's syntax
 tree with the standard library: a name bound by an import must be read
 somewhere in the module, or listed in its ``__all__``.  ``from
 __future__`` imports bind no name and are skipped.  A module-level
-function or class of ``bqdomain`` that only tests read belongs with them.
+function or class of ``bqdomain``, or a method or property of one of its
+classes, that only tests read belongs with them.
 """
 
 import ast
@@ -54,22 +55,36 @@ def test_no_unused_import(path):
 
 
 
+def definitions(tree):
+    """(name, node) of each module-level function and class in tree, and
+    of each method and property of its classes, as "Class.name"; dunders
+    are skipped."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from (("%s.%s" % (node.name, d.name), d) for d in node.body
+                        if isinstance(d, ast.FunctionDef))
+
+
 def unread_definitions(sources):
-    """(module, name) of each module-level function or class in sources,
-    a dict of module name to source, that no code there reads outside its
-    own definition.  Dunders are skipped, and a string equal to the name,
-    as in an ``__all__``, counts as a read."""
+    """(module, name) of each definition in sources, a dict of module name
+    to source, that no code there reads outside its own definition: each
+    module-level function or class, and each method or property of a
+    class as "Class.name", read as an attribute of any object.  Dunders
+    are skipped, and a string equal to the name, as in an ``__all__``,
+    counts as a read."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     out = []
     for mod, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("__"):
-                inside = set(map(id, ast.walk(node)))
-                if not any(id(n) not in inside and node.name in (
-                        getattr(n, k, None) for k in ("id", "attr", "value"))
-                        for t in trees.values() for n in ast.walk(t)):
-                    out.append((mod, node.name))
+        for qualname, node in definitions(tree):
+            if node.name.startswith("__"):
+                continue
+            inside = set(map(id, ast.walk(node)))
+            if not any(id(n) not in inside and node.name in (
+                    getattr(n, k, None) for k in ("id", "attr", "value"))
+                    for t in trees.values() for n in ast.walk(t)):
+                out.append((mod, qualname))
     return out
 
 
@@ -78,6 +93,19 @@ def test_scanner_finds_an_unread_definition():
                     "def used(): pass\ndef alone(n): return alone(n - 1)\n",
                "b": "from a import used\nused()\n"}
     assert unread_definitions(sources) == [("a", "alone")]
+
+
+def test_scanner_finds_an_unread_method_and_property():
+    sources = {"a": "class C:\n"
+                    "    def __init__(self): self.run()\n"
+                    "    def run(self): pass\n"
+                    "    def again(self): return self.again()\n"
+                    "    @property\n"
+                    "    def size(self): return 1\n"
+                    "    @property\n"
+                    "    def shown(self): return 2\n",
+               "b": "from a import C\nprint(C().shown)\n"}
+    assert unread_definitions(sources) == [("a", "C.again"), ("a", "C.size")]
 
 
 def test_src_holds_no_test_only_definition():

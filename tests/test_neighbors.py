@@ -49,9 +49,9 @@ class TestHValue:
         assert h_value(HInputs(0, 0, 0, 3)).H == math.inf
 
     def test_symmetric_version_takes_worst_order(self):
-        # h_star's H is the larger over both orderings of (Q, R): (Q, R)
-        # wins at the first quad, (R, Q) at the second, both above the
-        # level term.
+        # h_star evaluates one threshold per face, and its H is the larger
+        # over both orderings of (Q, R): (Q, R) wins at the first quad,
+        # (R, Q) at the second, both above the level term.
         bd = BoundaryData((1.0, 0.5, -0.3))
         K = 2 + bd.M
         wins = set()

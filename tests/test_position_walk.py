@@ -17,7 +17,7 @@ import pytest
 from bqdomain.algebra import BoundaryData
 from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
                          decide_bq)
-from bqdomain.tree import EdgeKey
+from bqdomain.tree import EDGE_COLORS, EdgeKey
 
 from conftest import shallow_faces, slice_map
 from oracles import (KeyedMap, face_edge_at, face_in_level, face_side_region,
@@ -28,7 +28,7 @@ POSITIONS = range(-40, 41)
 
 def carried_quads(m: KeyedMap, f, count: int):
     """Quads at positions 0..count and 0..-count, one move per step."""
-    k, l = f.edge_colors
+    k, l = EDGE_COLORS[f.colors]
     rays = {}
     for sign, letters in ((1, (k, l)), (-1, (l, k))):
         quad = m.quad_at(f.anchor)
@@ -45,7 +45,7 @@ def same(x, y) -> bool:
 
 
 def letterwise_vertex_at(f, pos):
-    k, l = f.edge_colors
+    k, l = EDGE_COLORS[f.colors]
     first, second = (str(k), str(l)) if pos > 0 else (str(l), str(k))
     word = f.anchor
     for n in range(abs(pos)):
@@ -60,7 +60,7 @@ class TestCarriedQuads:
     def test_side_value_matches_region_lookup(self):
         m = slice_map(HARD)
         for f in shallow_faces():
-            k, l = f.edge_colors
+            k, l = EDGE_COLORS[f.colors]
             quads = carried_quads(m, f, 41)
             for n in POSITIONS:
                 # edge n of the positive ray reads position n; of the

@@ -11,6 +11,7 @@ reproducers below, and a seeded sweep of extreme raw inputs, end as
 Undecided/``overflow`` or with a verdict whose certificate holds.
 """
 
+import cmath
 import itertools
 import math
 
@@ -142,15 +143,84 @@ def order_h_star():
                   2 + ORDER_OMEGA.M)
 
 
-# raising holds the orderings whose threshold overflows: 0 is (Q, R) and
-# 1 is (R, Q).
-@pytest.mark.parametrize("raising", [{0}, {1}])
-def test_an_infinite_ordering_wins_over_an_overflowed_one(raising,
-                                                          monkeypatch):
-    qs = order_qs()
-    monkeypatch.setattr(neighbors, "_threshold",
-                        fake_threshold({qs[n] for n in raising}))
-    assert order_h_star() == math.inf
+def threshold_orderings(boundary, f, quad):
+    """The orderings (Q, R) of the face's recurrence that ``h_star`` may
+    hand to ``_threshold``: none when it stops before the recurrence (a
+    HUGE value, a band or sigma face, a zero region, a multiplier of
+    modulus one, or an eta numerator too large for abs), else the ones
+    whose numerator 2Q - XR is NaN, else the one whose numerator is the
+    larger in modulus, (Q, R) on a tie."""
+    i, j = f.colors
+    ai, aj = quad[i - 1], quad[j - 1]
+    psi, kind = face_obstruction(boundary, i, j, ai, aj)
+    if psi is HUGE or HUGE in quad or kind is not None \
+            or min(abs(ai), abs(aj)) == 0:
+        return []
+    Q, R, _, X = face_h_inputs_reference(boundary, quad, i, j)
+    mu = X * X - 2
+    root = cmath.sqrt(mu * mu - 4)
+    lam = (mu + root) / 2
+    if abs(lam) < 1:
+        lam = (mu - root) / 2
+    if abs(lam) <= 1 + 1e-12:
+        return []
+    try:
+        nums = {(Q, R): abs(2 * Q - X * R), (R, Q): abs(2 * R - X * Q)}
+    except OverflowError:
+        return []
+    nan = [qr for qr, n in nums.items() if math.isnan(n)]
+    return nan or [max(nums, key=nums.get)]
+
+
+# Faces (1, 2) whose eta numerator is NaN in one ordering only.  With
+# lambda_jk = 1e300, a region value 1e10 at color 1 makes R infinite and
+# 2R - XQ = (inf - inf) + 0j, while |2Q - XR| is inf; at color 2 it does
+# the same with Q and R swapped.
+NAN_OMEGA = BoundaryData((0.5, 1e300, 1.0))
+NAN_QUADS = ((1e10 + 0j, 1 + 0j, 2 + 0j, 3 + 0j),
+             (1 + 0j, 1e10 + 0j, 2 + 0j, 3 + 0j))
+
+
+def test_one_threshold_per_face_on_the_larger_numerator(monkeypatch):
+    """``h_star`` calls ``_threshold`` once for each face that reaches the
+    recurrence, on the ordering with the larger eta numerator, or on a
+    NaN one, and never for a face that stops before it: on every face of
+    the two-ordering quad, the NaN quads and the root quads of
+    ``extreme_inputs``."""
+    calls, threshold = [], neighbors._threshold
+
+    def recording(Q, R, *rest):
+        calls.append((Q, R))
+        return threshold(Q, R, *rest)
+    monkeypatch.setattr(neighbors, "_threshold", recording)
+    faces = [(ORDER_OMEGA, ORDER_QUAD, 2 + ORDER_OMEGA.M)]
+    faces += [(NAN_OMEGA, quad, None) for quad in NAN_QUADS]
+    faces += [(quad.boundary, MarkoffMap(quad).root, K)
+              for quad, K in extreme_inputs()]
+    chosen = {"(Q, R)": 0, "(R, Q)": 0, "NaN": 0, "none": 0}
+    for boundary, quad, K in faces:
+        for p in FACE_PAIRS:
+            f = FaceKey("", p)
+            want = threshold_orderings(boundary, f, quad)
+            calls.clear()
+            try:
+                h_star(boundary, f, quad, K if K is not None
+                       else 2 + boundary.M)
+            except (ValueError, ArithmeticError):
+                pass
+            if not want:
+                assert calls == [], (boundary, quad, p)
+                chosen["none"] += 1
+                continue
+            assert len(calls) == 1 and repr(calls[0]) in map(repr, want), \
+                (boundary, quad, p, calls, want)
+            i, j = p
+            inp = face_h_inputs_reference(boundary, quad, i, j)
+            if math.isnan(abs(2 * calls[0][0] - inp.X * calls[0][1])):
+                chosen["NaN"] += 1
+            else:
+                chosen["(Q, R)" if same(calls[0], inp[:2]) else "(R, Q)"] += 1
+    assert min(chosen.values()) >= 2, chosen
 
 
 def test_overflow_in_both_orderings_raises(monkeypatch):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqdomain.tree import (COLORS, FACE_PAIRS, PAIRS_WITH, EdgeKey, FaceKey,
-                           RegionKey, ball_vertices, canonical_face,
-                           canonical_region, faces_at, regions_at)
+from bqdomain.tree import (COLORS, EDGE_COLORS, FACE_PAIRS, PAIRS_WITH,
+                           EdgeKey, FaceKey, RegionKey, ball_vertices,
+                           canonical_face, canonical_region, faces_at,
+                           regions_at)
 from oracles import (edge_surrounding, face_edge_at, face_side_region,
                      face_vertex_at, neighbors)
 
@@ -115,8 +116,8 @@ class TestFaces:
                         assert same_face == same_regions
 
     def test_edge_colors_are_complement(self):
-        assert FaceKey("", (1, 2)).edge_colors == (3, 4)
-        assert FaceKey("", (2, 4)).edge_colors == (1, 3)
+        assert EDGE_COLORS[FaceKey("", (1, 2)).colors] == (3, 4)
+        assert EDGE_COLORS[FaceKey("", (2, 4)).colors] == (1, 3)
 
 
 class TestEdges:

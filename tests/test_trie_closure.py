@@ -8,20 +8,12 @@ reads up the parent pointers.  The closure itself, each pop's anchor
 included, is pinned pop by pop against the ``canonical_face`` keys of
 the string-keyed reference in ``test_carried_decide``; this test checks
 that ``Trie.node`` interns every word and that ``Trie.word`` spells
-every node in any read order.
+every node in any read order: each is the other's inverse.
 """
 
 import random
 
 from bqdomain.tree import Trie
-
-
-def trie_word(trie: Trie, x: int) -> str:
-    out = []
-    while x:
-        out.append(str(trie.letter[x]))
-        x = trie.parent[x]
-    return "".join(reversed(out))
 
 
 def random_word(rng: random.Random) -> str:
@@ -43,10 +35,11 @@ def test_word_spells_every_node_in_any_read_order():
     trie = Trie()
     words = [random_word(rng) for _ in range(500)]
     for word in words:
-        assert trie_word(trie, trie.node(word)) == word
+        assert trie.word(trie.node(word)) == word
     # A fresh trie reads every node's word in shuffled order, descendants
     # both before and after their ancestors, so each read must keep its
     # word under the node read, not under the known node where it stopped.
+    # Each word read must name its own node again, one parent entry a node.
     fresh = Trie()
     for word in words:
         fresh.node(word)
@@ -54,7 +47,8 @@ def test_word_spells_every_node_in_any_read_order():
     rng.shuffle(order)
     read, after_parent = set(), 0
     for x in order:
-        assert fresh.word(x) == trie_word(fresh, x)
+        assert fresh.node(fresh.word(x)) == x
         after_parent += fresh.parent[x] in read
         read.add(x)
+    assert len(fresh.parent) == len(order) == len(set(map(fresh.word, order)))
     assert 1000 < after_parent < len(order) - 1000

@@ -97,6 +97,8 @@ class TestRenderColours:
         v = decide_bq(raw_map(*SIGMA_ZERO))
         assert v.status is Status.NOT_BQ
         assert v.witness.kind is WitnessKind.SIGMA_ZERO
+        # The descent's witness: only a band witness carries the face value.
+        assert v.steps_used == 0 and v.witness.value is None
 
     def test_infinite_arc_is_red_by_steps(self):
         v = decide_bq(raw_map(*INFINITE_ARC))
