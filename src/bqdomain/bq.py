@@ -98,11 +98,13 @@ class BqVerdict(NamedTuple):
 def face_witness(m: MarkoffMap, f: FaceKey, quad: Quad) -> Optional[Witness]:
     """Band or sigma witness at f, if any (``face_obstruction``), from the
     quad at a vertex on f's boundary; a band witness carries the face
-    value."""
+    value.  f may be a ``FaceKey`` or the closure's ``TrieFace``: its
+    anchor is read, and a ``FaceKey`` built, only for a witness."""
     i, j = f.colors
     psi, kind = face_obstruction(m.boundary, i, j, quad[i - 1], quad[j - 1])
     return None if kind is None else Witness(
-        kind, f, psi if kind is WitnessKind.BQ1_VIOLATION else None)
+        kind, FaceKey(f.anchor, f.colors),
+        psi if kind is WitnessKind.BQ1_VIOLATION else None)
 
 
 def _stop(steps: int, witness: Optional[Witness],
@@ -342,9 +344,10 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     ``Trie.word`` only when read.  Keys are built from those words only
     for the verdict returned: the witness face, or the arc bounds, in pop
     order so that each anchor read walks only the letters past its
-    source's.  The bounds are the whole certificate: its edges are built
-    only when ``AttractingTree.edges`` is read.  The level K is resolved
-    once here (``find_sink`` resolves its own) and every pop hands it to
+    source's; a stop with no witness names no face.  The bounds are the
+    whole certificate: its edges are built only when
+    ``AttractingTree.edges`` is read.  The level K is resolved once here
+    (``find_sink`` resolves its own) and every pop hands it to
     ``attracting_arc`` with the ``max_arc_steps`` budget.
 
     The window screen rests on one invariant: after a face's screen,
@@ -394,15 +397,14 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         f = TrieFace(trie, x, p)
         steps += 1
         if n_seen > max_faces:
-            return _stop(steps, face_witness(m, f.key(), anchor_quad),
-                         "max_faces")
+            return _stop(steps, face_witness(m, f, anchor_quad), "max_faces")
         # A band or sigma face's walk ends at once, INFINITE or (on a HUGE
         # anchor quad) OVERFLOW, so a face with a finite arc needs no witness.
         arc = attracting_arc(m, f, anchor_quad, K, max_arc_steps)
         if arc.outcome is not ArcOutcome.FINITE:
-            w = face_witness(m, f.key(), anchor_quad)
+            w = face_witness(m, f, anchor_quad)
             if w is None and arc.outcome is ArcOutcome.INFINITE:
-                w = Witness(WitnessKind.INFINITE_ARC, f.key())
+                w = Witness(WitnessKind.INFINITE_ARC, FaceKey(f.anchor, p))
             return _stop(steps, w, arc.outcome.value)
         _, n1, n2, _, quads = arc      # locals: a NamedTuple read is slower
         arcs.fromlist([x, t, n1, n2])

@@ -187,9 +187,6 @@ class TrieFace:
     def anchor(self) -> VertexWord:
         return self.trie.word(self.node)
 
-    def key(self) -> FaceKey:
-        return FaceKey(self.anchor, self.colors)
-
 
 def ball_vertices(depth: int) -> Iterator[VertexWord]:
     """All vertices with |word| <= depth, in breadth-first order."""

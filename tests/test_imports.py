@@ -56,34 +56,43 @@ def test_no_unused_import(path):
 
 
 def definitions(tree):
-    """(name, node) of each module-level function and class in tree, and
-    of each method and property of its classes, as "Class.name"; dunders
-    are skipped."""
+    """(qualified name, name, node) of each module-level function, class
+    and name bound by a plain or annotated assignment in tree, and of each
+    method and property of its classes, as "Class.name"."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
-            yield from (("%s.%s" % (node.name, d.name), d) for d in node.body
-                        if isinstance(d, ast.FunctionDef))
+            yield from (("%s.%s" % (node.name, d.name), d.name, d)
+                        for d in node.body if isinstance(d, ast.FunctionDef))
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) and node.value \
+            else []
+        yield from ((n.id, n.id, node) for t in targets for n in ast.walk(t)
+                    if isinstance(getattr(n, "ctx", None), ast.Store)
+                    and isinstance(n, ast.Name))
 
 
 def unread_definitions(sources):
     """(module, name) of each definition in sources, a dict of module name
     to source, that no code there reads outside its own definition: each
-    module-level function or class, and each method or property of a
-    class as "Class.name", read as an attribute of any object.  Dunders
-    are skipped, and a string equal to the name, as in an ``__all__``,
-    counts as a read."""
+    module-level function, class or assigned name, and each method or
+    property of a class as "Class.name", read as an attribute of any
+    object.  Dunders are skipped, a name that is only bound again is not
+    read, and a string equal to the name, as in an ``__all__``, counts as
+    a read."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     out = []
     for mod, tree in trees.items():
-        for qualname, node in definitions(tree):
-            if node.name.startswith("__"):
+        for qualname, name, node in definitions(tree):
+            if name.startswith("__"):
                 continue
             inside = set(map(id, ast.walk(node)))
-            if not any(id(n) not in inside and node.name in (
-                    getattr(n, k, None) for k in ("id", "attr", "value"))
-                    for t in trees.values() for n in ast.walk(t)):
+            if not any(id(n) not in inside
+                       and not isinstance(getattr(n, "ctx", None), ast.Store)
+                       and name in (getattr(n, k, None)
+                                    for k in ("id", "attr", "value"))
+                       for t in trees.values() for n in ast.walk(t)):
                 out.append((mod, qualname))
     return out
 
@@ -106,6 +115,17 @@ def test_scanner_finds_an_unread_method_and_property():
                     "    def shown(self): return 2\n",
                "b": "from a import C\nprint(C().shown)\n"}
     assert unread_definitions(sources) == [("a", "C.again"), ("a", "C.size")]
+
+
+def test_scanner_finds_an_unread_assigned_name():
+    sources = {"a": "__version__ = '1'\nLIMIT = 3\nBOUND: int = 4\n"
+                    "SPARE: float = 0.5\nSPARE = 1.5\nSHOWN = 5\n"
+                    "TABLE = {}\nTABLE[0] = TABLE\nx, (y, z) = 1, (2, 3)\n"
+                    "HINT: int\n"
+                    "def f(): return LIMIT + y\nf()\n",
+               "b": "from a import BOUND\nimport a\nprint(a.SHOWN, BOUND)\n"}
+    assert unread_definitions(sources) == [
+        ("a", "SPARE"), ("a", "SPARE"), ("a", "x"), ("a", "z")]
 
 
 def test_src_holds_no_test_only_definition():

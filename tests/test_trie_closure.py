@@ -8,12 +8,20 @@ reads up the parent pointers.  The closure itself, each pop's anchor
 included, is pinned pop by pop against the ``canonical_face`` keys of
 the string-keyed reference in ``test_carried_decide``; this test checks
 that ``Trie.node`` interns every word and that ``Trie.word`` spells
-every node in any read order: each is the other's inverse.
+every node in any read order: each is the other's inverse, and that a
+stop with no witness reads no word, as no face is named for it.
 """
 
 import random
 
-from bqdomain.tree import Trie
+import pytest
+
+from bqdomain.bq import Status, decide_bq, face_witness
+from bqdomain.neighbors import WitnessKind
+from bqdomain.tree import FaceKey, Trie, TrieFace
+
+from conftest import slice_map
+from test_witness import CLOSURE_BAND, INFINITE_ARC, raw_map
 
 
 def random_word(rng: random.Random) -> str:
@@ -52,3 +60,51 @@ def test_word_spells_every_node_in_any_read_order():
         read.add(x)
     assert len(fresh.parent) == len(order) == len(set(map(fresh.word, order)))
     assert 1000 < after_parent < len(order) - 1000
+
+
+def counted_words(monkeypatch):
+    """The nodes that ``Trie.word`` reads from here on, in read order."""
+    reads, word = [], Trie.word
+
+    def counting(trie, x):
+        reads.append(x)
+        return word(trie, x)
+    monkeypatch.setattr(Trie, "word", counting)
+    return reads
+
+
+@pytest.mark.parametrize("a, budget", [
+    (-0.75 + 0.75j, "max_arc_steps"), (0.75 - 0.75j, "max_faces"),
+    (-5.25 + 5.25j, "max_faces")])
+def test_a_stop_with_no_witness_reads_no_word(a, budget, monkeypatch):
+    m = slice_map(a)
+    reads = counted_words(monkeypatch)
+    v = decide_bq(m)
+    assert (v.status, v.witness, v.budget_hit) == (
+        Status.UNDECIDED, None, budget)
+    assert reads == []
+
+
+def test_an_infinite_arc_stop_reads_its_face_once(monkeypatch):
+    m = raw_map(*INFINITE_ARC)
+    reads = counted_words(monkeypatch)
+    w = decide_bq(m).witness
+    assert (w.kind, w.face) == (WitnessKind.INFINITE_ARC, FaceKey("2", (1, 2)))
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize("values, anchor, colors, kind", [
+    (CLOSURE_BAND, "4", (1, 4), WitnessKind.BQ1_VIOLATION),
+    (INFINITE_ARC, "2", (1, 2), None)], ids=["band_witness", "no_witness"])
+def test_face_witness_on_a_trie_face_matches_its_key(values, anchor, colors,
+                                                     kind, monkeypatch):
+    m = raw_map(*values)
+    quad = m.quad_at(anchor)
+    trie = Trie()
+    f = TrieFace(trie, trie.node(anchor), colors)
+    want = face_witness(m, FaceKey(anchor, colors), quad)
+    assert (want and want.kind) == kind
+    reads = counted_words(monkeypatch)
+    assert face_witness(m, f, quad) == want
+    # Only a witness names its face, and so reads the anchor's word.
+    assert len(reads) == (kind is not None)
