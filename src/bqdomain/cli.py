@@ -96,7 +96,7 @@ def cmd_torelli(args) -> int:
         f = factored(name)
         dev = character_agree(MAGNUS[name], f, trials=args.trials,
                               seed=args.seed)
-        ok = equal_in_out(MAGNUS[name], f, search_radius=6)
+        ok = equal_in_out(MAGNUS[name], f)
         worst = max(worst, dev)
         print("%s = %s: conjugate=%s, trace deviation %.3g"
               % (name, " * ".join("tau_" + t for t in

@@ -10,7 +10,6 @@ search) and numerically (trace coordinates of random matrix triples).
 from __future__ import annotations
 
 import cmath
-import itertools
 import random
 from typing import Dict, Iterator, Tuple
 
@@ -18,9 +17,6 @@ from ._record import Frozen
 
 GENS = "ABC"
 LETTERS = "ABCabc"
-
-
-_INVERSE = {"A": "a", "a": "A", "B": "b", "b": "B", "C": "c", "c": "C"}
 
 
 def invert(w: str) -> str:
@@ -31,7 +27,7 @@ def reduce_word(w: str) -> str:
     out: list = []
     last = ""
     for ch in w:
-        if last and last == _INVERSE[ch]:
+        if last and last == ch.swapcase():
             out.pop()
             last = out[-1] if out else ""
         else:
@@ -63,13 +59,6 @@ IDENTITY = Automorphism(("A", "B", "C"))
 def compose(f: Automorphism, g: Automorphism) -> Automorphism:
     """(f o g)(w) = f(g(w))."""
     return Automorphism(tuple(f.apply(w) for w in g.images))
-
-
-def compose_all(*maps: Automorphism) -> Automorphism:
-    out = IDENTITY
-    for m in maps:
-        out = compose(out, m)
-    return out
 
 
 # The seven involutive generators, lifted to Aut(F3).
@@ -108,7 +97,10 @@ IDENTITY_FACTORS: Dict[str, Tuple[str, ...]] = {
 def factored(name: str) -> Automorphism:
     """The involution product for a named generator; the leftmost factor
     acts first, so the composition nests right over left."""
-    return compose_all(*(TAU[t] for t in reversed(IDENTITY_FACTORS[name])))
+    out = IDENTITY
+    for t in reversed(IDENTITY_FACTORS[name]):
+        out = compose(out, TAU[t])
+    return out
 
 
 def _words_up_to(radius: int) -> Iterator[str]:
@@ -130,22 +122,13 @@ def equal_in_out(f: Automorphism, g: Automorphism,
                  search_radius: int = 6) -> bool:
     """Whether f = w g w^-1 for some conjugator w of bounded length.
 
-    Inconclusive when False at small radius; numeric trace agreement
-    should be consulted as well.
+    Tries the reduced words of length at most ``search_radius``, in
+    breadth-first order.  False is inconclusive: see ``character_agree``.
     """
-    targets = tuple(f.apply(x) for x in GENS)
-    candidates = itertools.chain(
-        (reduce_word(targets[0][:k]) for k in range(len(targets[0]) + 1)),
-        _words_up_to(search_radius),
-    )
-    seen = set()
-    for w in candidates:
-        if w in seen:
-            continue
-        seen.add(w)
+    images = tuple((g.apply(x), f.apply(x)) for x in GENS)
+    for w in _words_up_to(search_radius):
         wi = invert(w)
-        if all(reduce_word(w + g.apply(x) + wi) == t
-               for x, t in zip(GENS, targets)):
+        if all(reduce_word(w + y + wi) == t for y, t in images):
             return True
     return False
 

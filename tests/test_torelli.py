@@ -4,10 +4,12 @@ induced action on trace coordinates."""
 import numpy as np
 import pytest
 
+from bqdomain import cli
 from bqdomain.algebra import CharacterPoint, Theta, involution_theta
 from bqdomain.torelli import (IDENTITY, IDENTITY_FACTORS, MAGNUS, TAU,
                               Automorphism, character_agree, character_coords,
-                              compose, equal_in_out, factored)
+                              compose, equal_in_out, factored, invert,
+                              reduce_word)
 from conftest import random_on_variety_point, sup_norm
 from free_group import induced_character_map, lift_point
 
@@ -60,6 +62,29 @@ class TestConjugacyCheck:
     def test_rejects_genuinely_different(self):
         assert not equal_in_out(MAGNUS["K12"], MAGNUS["K23"],
                                 search_radius=3)
+
+    @pytest.mark.parametrize("radius, found", [(3, False), (4, False),
+                                               (5, True), (6, True)])
+    def test_conjugator_is_bounded_by_the_radius(self, radius, found):
+        # f is g conjugated by a five-letter word, so only a search
+        # radius of at least five finds the conjugator.
+        g, w = MAGNUS["K12"], "ABCAB"
+        inner = Automorphism(tuple(reduce_word(w + x + invert(w))
+                                   for x in "ABC"))
+        assert equal_in_out(compose(inner, g), g, radius) is found
+
+
+def test_torelli_command_reports_every_identity(capsys):
+    assert cli.main(["torelli", "--trials", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = sorted(MAGNUS)
+    assert len(lines) == len(names) + 1
+    for name, line in zip(names, lines):
+        factors = " * ".join("tau_" + t for t in IDENTITY_FACTORS[name])
+        head = "%s = %s: conjugate=True, trace deviation " % (name, factors)
+        assert line.startswith(head), line
+        assert float(line[len(head):]) <= 1e-8
+    assert lines[-1].startswith("max deviation: ")
 
 
 class TestLift:

@@ -12,7 +12,7 @@ import cmath
 
 import pytest
 
-from bqdomain import neighbors
+from bqdomain import cli, neighbors
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import BqParams, Status, WitnessKind, decide_bq, find_sink
 from bqdomain.markoff import MarkoffMap
@@ -104,3 +104,21 @@ class TestRenderColours:
         v = decide_bq(raw_map(*INFINITE_ARC))
         assert v.status is Status.NOT_BQ
         assert (v.witness.kind, v.steps_used) == (WitnessKind.INFINITE_ARC, 5)
+
+
+@pytest.mark.parametrize("coords, lines, value", [
+    (["2", "0", "0", "0", "0", "0", "0"],
+     ["verdict: NotBQ (bq1_violation)",
+      "witness face: FaceKey(anchor='', colors=(1, 2))"], "0j"),
+    (["3", "0,2.23606797749979", "0", "0", "0", "0", "0"],
+     ["verdict: NotBQ (sigma_zero)",
+      "witness face: FaceKey(anchor='', colors=(1, 2))"], None)],
+    ids=["bq1_violation", "sigma_zero"])
+def test_check_prints_the_not_bq_witness(coords, lines, value, capsys):
+    """A band witness prints its value; a sigma witness carries none, so
+    check prints no value line for it."""
+    assert cli.main(["check", *coords]) == cli.EXIT_NOT_BQ
+    out = capsys.readouterr().out.splitlines()
+    assert all(line in out for line in lines)
+    values = [line for line in out if line.startswith("witness value: ")]
+    assert values == ([] if value is None else ["witness value: " + value])
