@@ -204,7 +204,7 @@ class ArcOutcome(Enum):
     FINITE = "finite"
     INFINITE = "infinite"
     BUDGET = "max_arc_steps"
-    OVERFLOW = "overflow"     # a value or the threshold overflowed
+    OVERFLOW = "overflow"     # a value overflowed, or h_star raised
 
 
 class ArcResult(NamedTuple):
@@ -331,24 +331,26 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
 
     A closure face is its anchor's node in a ``tree.Trie`` and its color
     pair's index in ``FACE_PAIRS``.  It is seen when that index's bit is
-    set in the node's byte of ``Trie.flags``, and an int counts the faces
-    seen for "max_faces".  The queue is three stacks, popped together:
-    the nodes in an ``array("i")``, the pair indices in a ``bytearray``
-    and the anchor quads' values in a list, four a face.  The arc log is
-    an ``array("i")`` holding a popped face as node, pair index, n1, n2.
-    So a queued face costs one bit, 4 + 1 bytes and four list slots, plus
-    21 bytes of trie when its node is new; no window quad tuple outlives
-    the pop that walked it, as the pop rebuilds its own.  Only a face
-    that pops becomes a ``tree.TrieFace``, to be handed to
-    ``attracting_arc``; its string anchor is the node's word, built by
-    ``Trie.word`` only when read.  Keys are built from those words only
-    for the verdict returned: the witness face, or the arc bounds, in pop
-    order so that each anchor read walks only the letters past its
-    source's; a stop with no witness names no face.  The bounds are the
-    whole certificate: its edges are built only when
-    ``AttractingTree.edges`` is read.  The level K is resolved once here
-    (``find_sink`` resolves its own) and every pop hands it to
-    ``attracting_arc`` with the ``max_arc_steps`` budget.
+    set in the node's byte of ``seen``, the closure's own ``bytearray`` of
+    one byte a node, grown with zero bytes once per batch of interned
+    hits; an int counts the faces seen for "max_faces".  The queue is
+    three stacks, popped together: the nodes in an ``array("i")``, the
+    pair indices in a ``bytearray`` and the anchor quads' values in a
+    list, four a face.  The arc log is an ``array("i")`` holding a popped
+    face as node, pair index, n1, n2.  So a queued face costs one bit,
+    4 + 1 bytes and four list slots, plus 20 bytes of trie and one byte
+    of ``seen`` when its node is new; no window quad tuple outlives the
+    pop that walked it, as the pop rebuilds its own.  Only a face that
+    pops becomes a ``tree.TrieFace``, to be handed to ``attracting_arc``;
+    its string anchor is the node's word, built by ``Trie.word`` only
+    when read.  Keys are built from those words only for the verdict
+    returned: the witness face, or the arc bounds, in pop order so that
+    each anchor read walks only the letters past its source's; a stop
+    with no witness names no face.  The bounds are the whole
+    certificate: its edges are built only when ``AttractingTree.edges``
+    is read.  The level K is resolved once here (``find_sink`` resolves
+    its own) and every pop hands it to ``attracting_arc`` with the
+    ``max_arc_steps`` budget.
 
     The window screen rests on one invariant: after a face's screen,
     every in-level face at every vertex of its window is in ``seen``.  At
@@ -380,7 +382,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     KKM = K * K + m.boundary.M
     max_faces, max_total_edges = params.max_faces, params.max_total_edges
     max_arc_steps = params.max_arc_steps
-    seen, n_seen = trie.flags, len(seeds)
+    seen, n_seen = bytearray(len(trie.parent)), len(seeds)
     # A face is queued as its node, its pair index and the four values of
     # its anchor quad: one, one and four items on the stacks.  The seeds go
     # in FACE_PAIRS order, so the last one pops first.
@@ -448,6 +450,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         # Name the hits: intern each ray only out to its outermost anchor.
         lo, hi = min(0, min(hits)[0]), max(0, hits[-1][0])
         nodes = trie.ray(x, l, k, -lo)[:0:-1] + trie.ray(x, k, l, hi)
+        seen += bytes(len(trie.parent) - len(seen))
         for s, t in hits:
             y, bit = nodes[s - lo], 1 << t
             if not seen[y] & bit:

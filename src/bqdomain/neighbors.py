@@ -80,7 +80,9 @@ def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
     on the forbidden band, or sigma vanishes), or when a bounding region
     value is zero — in each case the whole boundary geodesic stays
     attracting and no finite arc exists.  H is computed from plain values
-    with psi as X; a finite H* past float range raises an ArithmeticError.
+    with psi as X; a finite H* past float range, or a multiplier whose
+    modulus rounds to within 1e-12 of one although psi is off the band,
+    raises an ArithmeticError.
 
     H is the larger threshold of the orderings (Q, R) and (R, Q), one per
     interleaved side sequence, and one threshold per face is evaluated:
@@ -108,9 +110,9 @@ def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
     R = ljk * ai + lik * aj
     S = Q * ak + R * al - ak * ak - al * al - psi * ak * al
     # The multiplier: the root of lam + 1/lam = X^2 - 2 with |lam| >= 1.
-    # H is infinite when |lam| is one.  It would be for X within 1e-12 of
-    # the band [-2,2] too, but psi passed face_obstruction's band test,
-    # so it lies more than TOL_REAL off the band.
+    # psi passed face_obstruction's band test, so |lam| > 1 exactly; but
+    # psi^2 - 2 can round onto [-2,2] (psi = 1e-8j gives -2), which leaves
+    # |lam| one in floats and no threshold to compute.
     mu = psi * psi - 2
     root = cmath.sqrt(mu * mu - 4)
     lam = (mu + root) / 2
@@ -118,14 +120,13 @@ def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
         lam = (mu - root) / 2
     denom, mod = psi * psi - 4, abs(lam)
     if mod <= 1 + 1e-12:
-        h = math.inf
-    else:
-        # One threshold per face: the ordering of (Q, R) with the larger
-        # eta numerator, or a NaN one, so that an overflow still raises.
-        e_qr, e_rq = abs(2 * Q - psi * R), abs(2 * R - psi * Q)
-        if e_rq > e_qr or e_rq != e_rq:
-            Q, R = R, Q
-        h = _threshold(Q, R, S, psi, mod, denom)[3]
+        raise ArithmeticError("the multiplier rounded to modulus one")
+    # One threshold per face: the ordering of (Q, R) with the larger eta
+    # numerator, or a NaN one, so that an overflow still raises.
+    e_qr, e_rq = abs(2 * Q - psi * R), abs(2 * R - psi * Q)
+    if e_rq > e_qr or e_rq != e_rq:
+        Q, R = R, Q
+    h = _threshold(Q, R, S, psi, mod, denom)[3]
     level = (K * K + 2 * boundary.M) / lo
     if level == math.inf > h:
         raise OverflowError("the level term of H* overflowed")

@@ -22,14 +22,12 @@ The closure in ``bq.decide_bq`` meets faces whose anchors run to
 thousands of letters, so it names vertices by int nodes of a ``Trie``
 instead of by word: a node is one child step from its parent, and a
 face is the pair (anchor node, colors), O(1) to build.  The trie keeps
-its nodes in typed arrays, 21 bytes a node: the parent, four child slots
-and one byte of flags for its user (the closure keeps there which of the
-node's six faces it has seen); a node's last letter is its slot among
-its parent's child slots.  A face that the closure pops is handed on as
-a ``TrieFace`` carrying that pair; its string ``anchor`` is the node's
-word, which ``Trie.word`` builds only when read.  The key builders here
-are for the few vertices and faces that need a name: the keys a verdict
-or a report returns.
+its nodes in typed arrays, 20 bytes a node: the parent and four child
+slots; a node's last letter is its slot among its parent's child slots.
+A face that the closure pops is handed on as a ``TrieFace`` carrying
+that pair; its string ``anchor`` is the node's word, which ``Trie.word``
+builds only when read.  The key builders here are for the few vertices
+and faces that need a name: the keys a verdict or a report returns.
 """
 
 from __future__ import annotations
@@ -125,19 +123,18 @@ class Trie:
     ``_kids[4 * x + c]``, 0 for none (the root is no node's child), so a
     child is one read of an int array with four slots a node.  Node x is
     the word of ``parent[x]`` followed by the letter of the slot that
-    holds x.  ``flags`` holds one byte per node for the trie's user, 0
-    when the node is made.  A node's word is built only when ``word``
-    reads it, and kept.
+    holds x, and ``len(parent)`` counts the nodes.  A node's word is
+    built only when ``word`` reads it, and kept.
     """
 
     def __init__(self):
-        self.parent, self.flags = array("i", [0]), bytearray(1)
+        self.parent = array("i", [0])
         self._kids = array("i", [0] * 5)     # slot 0 is read by no node
         self._words = {0: ""}
 
     def walk(self, x: int, letters) -> List[int]:
         """The nodes 0, 1, ... letters past x, one child step each."""
-        kids, parent, flags = self._kids, self.parent, self.flags
+        kids, parent = self._kids, self.parent
         out = [x]
         for c in letters:
             slot = 4 * x + c
@@ -145,7 +142,6 @@ class Trie:
             if not y:
                 y = kids[slot] = len(parent)
                 parent.append(x)
-                flags.append(0)
                 kids.frombytes(_NO_KIDS)
             out.append(y)
             x = y

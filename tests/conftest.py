@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from typing import List, Tuple
 
 import numpy as np
@@ -68,6 +69,24 @@ def slice_map(a: complex) -> KeyedMap:
     zero = BoundaryData((0.0, 0.0, 0.0))
     d = solve_fourth(a, 3, 3, zero, RootChoice.MINUS)
     return KeyedMap(MarkoffQuad((a, 3, 3, d), zero, on_variety=False))
+
+
+def population(n: int = 400, seed: int = 7) -> List[MarkoffQuad]:
+    """The seeded population of ROADMAP's shared fixtures: for each point,
+    omega and then a, b, c uniform in the complex boxes [-2,2]^2 and
+    [-4,4]^2 (real part first) from ``random.Random(seed)``, and d from
+    ``solve_plus``."""
+    rng = random.Random(seed)
+
+    def draw(r: float) -> complex:
+        return complex(rng.uniform(-r, r), rng.uniform(-r, r))
+    out = []
+    for _ in range(n):
+        omega = BoundaryData(tuple(draw(2) for _ in range(3)))
+        abc = tuple(draw(4) for _ in range(3))
+        d = solve_fourth(*abc, omega, RootChoice.PLUS)
+        out.append(MarkoffQuad((*abc, d), omega))
+    return out
 
 
 def shallow_faces() -> List[FaceKey]:

@@ -624,7 +624,9 @@ def face_h_inputs_reference(boundary: BoundaryData, quad, i: int,
 def h_star_reference(boundary: BoundaryData, f: FaceKey, quad,
                      K: float) -> float:
     """``neighbors.h_star`` from ``lam`` calls, HInputs and one
-    ``h_value_reference`` per ordering of (Q, R)."""
+    ``h_value_reference`` per ordering of (Q, R).  Off the band, a
+    multiplier whose modulus rounds to within 1e-12 of one raises
+    ArithmeticError, as in ``h_star``."""
     i, j = f.colors
     ai, aj = quad[i - 1], quad[j - 1]
     lam = boundary.lam
@@ -640,6 +642,10 @@ def h_star_reference(boundary: BoundaryData, f: FaceKey, quad,
     if band or abs(sig) <= TOL_SIGMA or lo == 0:
         return math.inf
     inp = face_h_inputs_reference(boundary, quad, i, j)
+    mu = inp.X * inp.X - 2
+    roots = [(mu + s * cmath.sqrt(mu * mu - 4)) / 2 for s in (1, -1)]
+    if max(map(abs, roots)) <= 1 + 1e-12:
+        raise ArithmeticError("the multiplier rounded to modulus one")
     h_psi = max(h_value_reference(inp),
                 h_value_reference(HInputs(inp.R, inp.Q, inp.S, inp.X)))
     return max(h_psi, (K * K + 2 * boundary.M) / lo)
@@ -657,11 +663,15 @@ def move_reference(m: MarkoffMap, vals, i: int):
 def attracting_arc_reference(m: MarkoffMap, f: FaceKey, quad,
                              params: BqParams) -> ArcResult:
     """``bq.attracting_arc`` with one ``move_reference`` per step, the
-    escape state in per-parity lists and ``h_star_reference``."""
+    escape state in per-parity lists and ``h_star_reference``; a
+    threshold that raises ArithmeticError ends it with OVERFLOW."""
     K = params.level(m)
     if HUGE in quad:
         return ArcResult(ArcOutcome.OVERFLOW)
-    h = h_star_reference(m.boundary, f, quad, K)
+    try:
+        h = h_star_reference(m.boundary, f, quad, K)
+    except ArithmeticError:
+        return ArcResult(ArcOutcome.OVERFLOW)
     if math.isinf(h):
         return ArcResult(ArcOutcome.INFINITE)
     k, l = EDGE_COLORS[f.colors]

@@ -1,8 +1,8 @@
 """The closure's state stays small.
 
 ``decide_bq`` keeps a face's seen flag as one bit of its anchor node's
-byte in ``Trie.flags``, the queued nodes and pair indices, the arc
-log and the trie in typed arrays, and each queued face's anchor quad
+byte in its own ``seen`` bytearray, the queued nodes and pair indices,
+the arc log and the trie (20 bytes a node) in typed arrays, and each queued face's anchor quad
 as its four values in a flat list.  On the deep slice point
 a = 0.75 - 0.75j, which stops at ``max_faces`` after 6,141 pops with
 about 20,000 faces seen, one decision's traced peak reads 1.67 MB on

@@ -1,7 +1,10 @@
-"""A command imports only what it runs: ``bqdomain.cli`` leaves ``render``
-and ``fib`` unimported, and the package reads its render names through
-``render`` when first asked for them.  No module loads ``dataclasses``
-or the ``inspect`` it pulls in: every launch would pay for them."""
+"""``check`` imports none of ``render``, ``fib`` and ``torelli``:
+``bqdomain.cli`` leaves all three unimported, each is imported by its own
+command, and the package reads its render names through ``render`` when
+first asked for them.  A command may import more than it runs: ``fib``
+and ``torelli`` load the decision path too, through ``bqdomain`` and
+``cli``'s module-level imports.  No module loads ``dataclasses`` or the
+``inspect`` it pulls in: every launch would pay for them."""
 
 import os
 import subprocess
@@ -15,6 +18,7 @@ import sys
 import bqdomain.cli
 assert "bqdomain.render" not in sys.modules, "render"
 assert "bqdomain.fib" not in sys.modules, "fib"
+assert "bqdomain.torelli" not in sys.modules, "torelli"
 import bqdomain
 assert bqdomain.SliceConfig is bqdomain.render.SliceConfig
 names = {}

@@ -16,6 +16,7 @@ import pytest
 from bqdomain import cli
 from bqdomain.bq import BqParams, Status, decide_bq
 
+from conftest import population
 from oracles import KeyedMap
 from test_budget_monotonicity import real_slice_maps
 from test_carried_decide import SMALL, frozen_maps, seeded_quads
@@ -53,6 +54,13 @@ def test_real_slice_is_level_invariant():
 def test_seeded_points_are_level_invariant():
     assert decided_pairs([lambda q=q: KeyedMap(q) for q in seeded_quads()],
                          SMALL, (1.5, 3)) == {1.5: [193, 88], 3: [176, 87]}
+
+
+def test_population_is_level_invariant():
+    """The first 200 points of the seeded population; all 400 give
+    [146, 0] at c = 3."""
+    makes = [lambda q=q: KeyedMap(q) for q in population()[:200]]
+    assert decided_pairs(makes, SMALL, (3,)) == {3: [71, 0]}
 
 
 # The deep frozen points: Undecided at every level.

@@ -122,3 +122,46 @@ def test_check_prints_the_not_bq_witness(coords, lines, value, capsys):
     assert all(line in out for line in lines)
     values = [line for line in out if line.startswith("witness value: ")]
     assert values == ([] if value is None else ["witness value: " + value])
+
+
+# A raw quad whose face (1, 4) has value 1.05e-8j, ten times TOL_REAL off
+# the band, so that its multiplier has modulus about 1 + 1e-8: the arc is
+# finite.  In floats psi^2 - 2 rounds to -2 and the modulus to exactly 1.
+ROUNDED_ONE = ("0,1.5e-9", "1", "5", "7", "0", "0", "0")
+
+
+def test_a_multiplier_rounded_to_modulus_one_is_overflow(capsys):
+    """Not an infinite arc: no threshold can be computed in floats, so
+    the point is Undecided on overflow, not NotBQ."""
+    assert cli.main(["check", *ROUNDED_ONE]) == cli.EXIT_UNDECIDED
+    assert "verdict: Undecided (budget: overflow)" \
+        in capsys.readouterr().out.splitlines()
+
+
+def test_h_star_raises_on_a_multiplier_rounded_to_modulus_one():
+    m = raw_map((1.5e-9j, 1, 5, 7), (0, 0, 0))
+    with pytest.raises(ArithmeticError):
+        neighbors.h_star(m.boundary, FaceKey("", (1, 2)), m.root,
+                         BqParams().level(m))
+
+
+# ROADMAP item 18's reproduction: the descent's move on colour 3 cancels
+# to exactly 0 in floats where exact arithmetic leaves about 3866 + 992j,
+# and h_star reads the zero as a vanishing region value.
+CANCELLED_DESCENT = (
+    "8524486303.828581,70359044657.95567",
+    "4945445.619896387,-19928381.745976772",
+    "-2.040611122361555e+19,1.87286254225116e+19",
+    "12.342274119925545,-14.489038677626752",
+    "0.9308950636746154,1.9901192211914416",
+    "1.7263819922695678,-0.6830289605056192",
+    "-1.2579512401679684,1.7435262061595194")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18: the float descent "
+                   "cancels a region value to 0, read as an infinite arc")
+def test_a_cancelled_descent_is_not_a_witness():
+    values = [cli.parse_complex(s) for s in CANCELLED_DESCENT]
+    m = MarkoffMap(MarkoffQuad(tuple(values[:4]), BoundaryData(values[4:]),
+                               on_variety=False))
+    assert decide_bq(m).status is not Status.NOT_BQ
