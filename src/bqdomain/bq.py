@@ -204,7 +204,7 @@ class ArcOutcome(Enum):
     FINITE = "finite"
     INFINITE = "infinite"
     BUDGET = "max_arc_steps"
-    OVERFLOW = "overflow"     # a value overflowed, or h_star raised
+    OVERFLOW = "overflow"     # h_star raised, or a ray saturated
 
 
 class ArcResult(NamedTuple):
@@ -241,13 +241,11 @@ def attracting_arc(m: MarkoffMap, f: FaceKey, quad: Quad, K: float,
     caps it but on the modulus the walk reads anyway, so each moved
     value's modulus is taken once; the values are those of
     ``MarkoffMap._move`` (operand order matters: see ``moved_value``).
-    Overflow ends the walk with OVERFLOW: a HUGE in the anchor quad or an
-    ``h_star`` that raises an ArithmeticError leaves no threshold, and a
+    Overflow ends the walk with OVERFLOW: an ``h_star`` that raises an
+    ArithmeticError, as on a HUGE anchor quad, leaves no threshold, and a
     ray with two HUGE values in a row of one side color never escapes,
     because every later move reads a HUGE and is capped to HUGE again.
     """
-    if HUGE in quad:
-        return ArcResult(ArcOutcome.OVERFLOW)
     try:
         h = h_star(m.boundary, f, quad, K)
     except ArithmeticError:
@@ -333,7 +331,8 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     pair's index in ``FACE_PAIRS``.  It is seen when that index's bit is
     set in the node's byte of ``seen``, the closure's own ``bytearray`` of
     one byte a node, grown with zero bytes once per batch of interned
-    hits; an int counts the faces seen for "max_faces".  The queue is
+    hits.  A face is queued once, when seen, so the faces seen for
+    "max_faces" are those popped and those queued.  The queue is
     three stacks, popped together: the nodes in an ``array("i")``, the
     pair indices in a ``bytearray`` and the anchor quads' values in a
     list, four a face.  The arc log is an ``array("i")`` holding a popped
@@ -381,13 +380,13 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
     crossed = [get(pairs) for get in _CROSSED]
     KKM = K * K + m.boundary.M
     max_faces, max_total_edges = params.max_faces, params.max_total_edges
-    max_arc_steps = params.max_arc_steps
-    seen, n_seen = bytearray(len(trie.parent)), len(seeds)
+    max_arc_steps, d = params.max_arc_steps, steps     # d: descent steps
+    seen, n = bytearray(len(trie.parent)), len(seeds)
     # A face is queued as its node, its pair index and the four values of
     # its anchor quad: one, one and four items on the stacks.  The seeds go
     # in FACE_PAIRS order, so the last one pops first.
     queued_pairs = bytearray(map(FACE_PAIRS.index, seeds))
-    queued_nodes, queued_quads = array("i", [sink] * n_seen), list(q0) * n_seen
+    queued_nodes, queued_quads = array("i", [sink] * n), list(q0) * n
     seen[sink] = sum(1 << t for t in queued_pairs)
     arcs = array("i")              # node, pair index, n1, n2; in pop order
     total_edges = 0
@@ -398,7 +397,7 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
         p = FACE_PAIRS[t]
         f = TrieFace(trie, x, p)
         steps += 1
-        if n_seen > max_faces:
+        if steps + len(queued_nodes) > max_faces + d:
             return _stop(steps, face_witness(m, f, anchor_quad), "max_faces")
         # A band or sigma face's walk ends at once, INFINITE or (on a HUGE
         # anchor quad) OVERFLOW, so a face with a finite arc needs no witness.
@@ -455,7 +454,6 @@ def decide_bq(m: MarkoffMap, params: BqParams = BqParams()) -> BqVerdict:
             y, bit = nodes[s - lo], 1 << t
             if not seen[y] & bit:
                 seen[y] |= bit
-                n_seen += 1
                 queued_nodes.append(y)
                 queued_pairs.append(t)
                 queued_quads.extend(quads[s - n1])

@@ -45,9 +45,8 @@ class MarkoffMap:
         self.root_quad = root_quad
         # The capped root quad, where every carried walk starts.
         self.root: Quad = tuple(map(_cap, root_quad.values))
-        self._move_terms = self.boundary.move_terms
 
     def _move(self, vals, i: int):
         out = list(vals)
-        out[i - 1] = _cap(moved_value(vals, i, self._move_terms[i]))
+        out[i - 1] = _cap(moved_value(vals, i, self.boundary.move_terms[i]))
         return tuple(out)

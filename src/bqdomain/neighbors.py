@@ -80,9 +80,9 @@ def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
     on the forbidden band, or sigma vanishes), or when a bounding region
     value is zero — in each case the whole boundary geodesic stays
     attracting and no finite arc exists.  H is computed from plain values
-    with psi as X; a finite H* past float range, or a multiplier whose
-    modulus rounds to within 1e-12 of one although psi is off the band,
-    raises an ArithmeticError.
+    with psi as X.  A face with no threshold raises OverflowError for a
+    HUGE quad value or psi (tested first) or a finite H* past float
+    range, and ArithmeticError for |lam| within 1e-12 of one off the band.
 
     H is the larger threshold of the orderings (Q, R) and (R, Q), one per
     interleaved side sequence, and one threshold per face is evaluated:
@@ -94,7 +94,7 @@ def h_star(boundary: BoundaryData, f: FaceKey, quad: Quad,
     ai, aj = quad[i - 1], quad[j - 1]
     psi, obstruction = face_obstruction(boundary, i, j, ai, aj)
     if psi is HUGE or HUGE in quad:
-        raise ValueError("h_star called on a face with overflowed values")
+        raise OverflowError("h_star called on a face with overflowed values")
     lo = min(abs(ai), abs(aj))
     if obstruction is not None or lo == 0:
         return math.inf

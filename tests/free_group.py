@@ -20,7 +20,12 @@ from bqdomain.tree import FaceKey, RegionKey
 
 
 def cyclic_reduce(w: str) -> str:
-    w = reduce_word(w)
+    return strip_cyclic_ends(reduce_word(w))
+
+
+def strip_cyclic_ends(w: str) -> str:
+    """The cyclic reduction of a freely reduced word w: its cancelling
+    end pairs stripped."""
     while len(w) >= 2 and w[0] == w[-1].swapcase():
         w = w[1:-1]
     return w
@@ -69,7 +74,8 @@ class WordTable:
         else:
             base = BASE_FACE_WORD[key.colors]
         g = self.automorphism(key.anchor)
-        return WordRep(key, cyclic_reduce(g.apply(base)))
+        # apply has freely reduced the image already.
+        return WordRep(key, strip_cyclic_ends(g.apply(base)))
 
 
 def lift_point(pt: CharacterPoint):

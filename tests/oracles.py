@@ -637,7 +637,7 @@ def h_star_reference(boundary: BoundaryData, f: FaceKey, quad,
     band = abs(psi) <= 2.0 + TOL_REAL \
         and dist_to_interval(psi) <= TOL_REAL
     if psi is HUGE or HUGE in quad:
-        raise ValueError("h_star called on a face with overflowed values")
+        raise OverflowError("h_star called on a face with overflowed values")
     lo = min(abs(ai), abs(aj))
     if band or abs(sig) <= TOL_SIGMA or lo == 0:
         return math.inf

@@ -17,11 +17,12 @@ import pytest
 
 from bqdomain import cli
 from bqdomain.algebra import BoundaryData, MarkoffQuad, sigma
-from bqdomain.bq import (ArcOutcome, BqParams, Status, attracting_arc,
-                         decide_bq)
+from bqdomain.bq import (ArcOutcome, ArcResult, BqParams, Status,
+                         attracting_arc, decide_bq)
 from bqdomain.markoff import HUGE, _cap
 from bqdomain.neighbors import h_star
-from bqdomain.tree import COLORS, EDGE_COLORS, FACE_PAIRS, canonical_face
+from bqdomain.tree import (COLORS, EDGE_COLORS, FACE_PAIRS, FaceKey,
+                           canonical_face)
 
 from conftest import shallow_faces, slice_map
 from oracles import (KeyedMap, boundary_face, face_in_level, face_vertex_at,
@@ -162,11 +163,20 @@ class TestOverflow:
         m = raw_map((complex(1.5e308, 1.5e308), 1.9, 1.9, 3))
         f = canonical_face("", 2, 3)
         K = BqParams().level(m)
-        with pytest.raises(ValueError):
+        with pytest.raises(OverflowError):
             h_star(m.boundary, f, m.quad_at(f.anchor), K)
         assert attracting_arc(m, f, m.quad_at(f.anchor), K,
                               BqParams().max_arc_steps).outcome \
             is ArcOutcome.OVERFLOW
+
+    def test_huge_face_value_ends_the_arc(self):
+        # No value of the quad is HUGE, but its face value 1e200 is past
+        # the cap, so h_star leaves no threshold and no step is walked.
+        m = raw_map((1e100, 1e100, 1, 1))
+        arc = attracting_arc(m, FaceKey("", (1, 2)), m.root,
+                             BqParams().level(m), 100)
+        assert arc == ArcResult(ArcOutcome.OVERFLOW)
+        assert arc.steps == 0
 
     def test_saturated_ray_is_undecided_at_once(self):
         m = raw_map((1.9, 1.9, 5e149, 5e149))

@@ -237,5 +237,5 @@ class TestHStar:
     def test_raises_on_overflowed_values(self):
         m = KeyedMap(MarkoffQuad((1e120, 1e120, 1e120, 1e120), ZERO,
                                    on_variety=False))
-        with pytest.raises(ValueError):
+        with pytest.raises(OverflowError):
             h_star(m.boundary, canonical_face("1", 1, 2), m.quad_at("1"), 2.0)
