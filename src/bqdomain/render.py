@@ -7,17 +7,17 @@ over a rectangular window, and paints each pixel from its verdict:
 its vertex-relation residual by ``check``'s rule (``residual_modulus``),
 and ``pixel_rgb``, the one palette rule, maps the verdict to a colour.
 Pixels are pure functions of the config, and the output buffer is
-assembled by pixel index, so the bytes are identical for any worker
-count.  A real slice is its own complex conjugate, so each conjugate
-pair of rows is decided once (``mirror_rows``).
+assembled by pixel index, so the bytes are identical for any count of
+forked workers.  A real slice is its own complex conjugate, so each
+conjugate pair of rows is decided once (``mirror_rows``).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
-from itertools import repeat
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from ._record import Frozen, require_finite
 from .algebra import (BoundaryData, CharacterPoint, MarkoffQuad, RootChoice,
@@ -150,7 +150,7 @@ def pixel_rgb(v: BqVerdict) -> Tuple[int, int, int]:
 
 
 def _render_rows(config: SliceConfig, row: int) -> Tuple[bytes, float]:
-    """One row's pixel bytes and its worst residual: one pool task."""
+    """One row's pixel bytes and its worst residual: one worker task."""
     buf = bytearray()
     worst = 0.0
     for col in range(config.px[0]):
@@ -183,25 +183,85 @@ def render_slice(config: SliceConfig, workers: int = 1
                  ) -> Tuple[bytes, float]:
     """Pixel bytes (without header) and the worst vertex-relation
     residual seen over the window.  Each row to decide is one task, of
-    ``_render_rows``: in a pool a free worker takes the next row, so rows
-    of uneven cost spread evenly.  A row of ``mirror_rows`` copies its
+    ``_render_rows``, run by ``_fork_rows`` past one worker where
+    ``os.fork`` exists.  The parent decides no row, so a traced run's
+    worker tasks hold all the work.  A row of ``mirror_rows`` copies its
     partner's bytes, so each conjugate pair of rows is decided once."""
     h = config.px[1]
     mirror = mirror_rows(config)
     rows = [row for row in range(h) if row not in mirror]
-    # a forked pool starts all its processes at once; extra ones get no row
-    workers = min(workers, len(rows))
-    if workers <= 1:
-        results = map(_render_rows, repeat(config), rows)
+    workers = min(workers, len(rows))     # fork no child without a row
+    if workers > 1 and hasattr(os, "fork"):
+        decided = _fork_rows(config, rows, workers)
     else:
-        # imported here: the pool machinery is a sizeable share of the
-        # package's import time and memory, and only this branch uses it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_render_rows, repeat(config), rows))
-    decided = dict(zip(rows, results))
+        decided = {row: _render_rows(config, row) for row in rows}
     body = b"".join(decided[mirror.get(i, i)][0] for i in range(h))
     return body, max(worst for _, worst in decided.values())
+
+
+def _fork_rows(config: SliceConfig, rows: List[int], workers: int
+               ) -> Dict[int, Tuple[bytes, float]]:
+    """Each row's ``_render_rows`` from forked children.  A free child
+    takes the next row number off one shared pipe and pickles (row,
+    result), or its exception, to its own pipe.  One loop feeds and
+    drains the pipes, so none stalls; all children are reaped first."""
+    import io
+    import pickle
+    import selectors
+    # 8-byte row records, in writes of 512 bytes, atomic by POSIX's PIPE_BUF
+    todo = memoryview(b"".join(row.to_bytes(8, "little") for row in rows))
+    rows_r, rows_w = os.pipe()
+    fds, pids, received = [rows_r, rows_w], [], {}
+    with selectors.DefaultSelector() as sel:
+        try:
+            for _ in range(workers):
+                out_r, out_w = os.pipe()
+                fds += out_r, out_w
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    try:
+                        for fd in fds[1:-1]:    # rows_w, all read ends
+                            os.close(fd)
+                        with open(out_w, "wb") as out:
+                            try:
+                                while record := os.read(rows_r, 8):
+                                    row = int.from_bytes(record, "little")
+                                    got = _render_rows(config, row)
+                                    pickle.dump((row, got), out)
+                            except Exception as exc:
+                                pickle.dump((None, exc), out)
+                    finally:
+                        os._exit(0)
+                os.close(fds.pop())
+                received[out_r] = bytearray()
+                sel.register(out_r, selectors.EVENT_READ)
+            os.set_blocking(rows_w, False)
+            sel.register(rows_w, selectors.EVENT_WRITE)
+            # rows_r stays open, so no write fails once every child left
+            while len(sel.get_map()) > (rows_w in sel.get_map()):
+                for key, _ in sel.select():
+                    if key.fd == rows_w:
+                        todo = todo[os.write(rows_w, todo[:512]):]
+                        if not todo:
+                            sel.unregister(rows_w)
+                            os.close(fds.pop(1))        # rows_w
+                    elif chunk := os.read(key.fd, 1 << 16):
+                        received[key.fd] += chunk
+                    else:
+                        sel.unregister(key.fd)
+        finally:
+            for fd in fds:
+                os.close(fd)
+            for pid in pids:
+                os.waitpid(pid, 0)
+    decided = {}
+    for data in map(io.BytesIO, received.values()):
+        while data.tell() < len(data.getbuffer()):
+            row, got = pickle.load(data)
+            if row is None:
+                raise got
+            decided[row] = got
+    return decided
 
 
 def write_ppm(path: str, config: SliceConfig, body: bytes) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 from typing import List, Tuple
 
 import numpy as np
@@ -123,3 +124,17 @@ def random_markoff_map(rng: np.random.Generator) -> KeyedMap:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def time_bound():
+    """Fail a test that stalls for 60 s instead of hanging the run.  A
+    render's alarm exception reaches render_slice, which reaps its
+    children on the way out."""
+    def expire(signum, frame):
+        raise TimeoutError("the test stalled")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)

@@ -11,6 +11,7 @@ varies d, and a vertex-relation residual that is not finite."""
 
 import json
 import math
+import os
 
 import pytest
 
@@ -154,15 +155,20 @@ def test_check_rejects_non_finite_k(k, capsys):
 
 
 # A finite pair whose modulus is past float range, as a boundary trace,
-# must not crash a command with exit 1, NotBQ's code.
-@pytest.mark.parametrize("command", ["check", "fib", "render"])
+# must not crash a command with exit 1, NotBQ's code.  The complex x
+# stops the row mirror, so at two threads each of the two rows is
+# decided in a forked child, whose ValueError reaches the command.
+@pytest.mark.parametrize("command", ["check", "fib", "render",
+                                     "render --threads 2"])
 def test_boundary_trace_past_float_range(command, tmp_path, capsys):
     cfg, out = tmp_path / "cfg.json", tmp_path / "o.ppm"
     cfg.write_text(json.dumps(dict(SLICE, fixed=dict(
         SLICE["fixed"], x=[1.5e308, 1.5e308]))))
-    argv = ["render", "--config", str(cfg), "--out", str(out)] \
-        if command == "render" else \
+    argv = command.split() + ["--config", str(cfg), "--out", str(out)] \
+        if command.startswith("render") else \
         [command, "0", "0", "0", "0", "1.5e308,1.5e308", "0", "0"]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+    with pytest.raises(ChildProcessError):     # no child left behind
+        os.waitpid(-1, os.WNOHANG)

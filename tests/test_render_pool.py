@@ -1,10 +1,18 @@
-"""render_slice sizes its process pool by the rows it has to decide."""
+"""render_slice's pool is its forked children: one per decided row, up
+to its worker count, every one reaped before it returns, and the bytes
+are the one-worker render's."""
 
-import concurrent.futures
+import os
+
+import pytest
 
 from bqdomain.render import SliceConfig, render_slice
 
 from conftest import SLICE_DOC
+
+pytestmark = [pytest.mark.skipif(not hasattr(os, "fork"),
+                                 reason="rows are forked out only on POSIX"),
+              pytest.mark.usefixtures("time_bound")]
 
 # A real slice decides each conjugate pair of rows once: 2x4 pixels have
 # two rows to hand out, 2x2 pixels only one.
@@ -13,38 +21,46 @@ CONFIG = SliceConfig.from_json(dict(DOC, px=[2, 4]))
 ONE_ROW = SliceConfig.from_json(dict(DOC, px=2))
 
 
-class FakePool:
-    """Stands in for ProcessPoolExecutor: runs tasks in this process
-    and records the pool size and each task's row."""
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked while the test runs."""
+    pids, fork = [], os.fork
 
-    seen = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, configs, rows):
-        rows = list(rows)
-        FakePool.seen.append((self.max_workers, rows))
-        return list(map(fn, configs, rows))
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
-def test_pool_is_capped_at_the_row_count(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    FakePool.seen = []
+def no_child_left():
+    """Fail unless no child of this process is running or waiting to be
+    reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_is_capped_at_the_row_count(forks):
     body8, worst8 = render_slice(CONFIG, workers=8)
-    assert FakePool.seen == [(2, [0, 1])]
+    assert len(forks) == 2
+    no_child_left()
     assert (body8, worst8) == render_slice(CONFIG, workers=1)
 
 
-def test_one_decided_row_starts_no_pool(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    FakePool.seen = []
+def test_one_decided_row_starts_no_pool(forks):
     body8, worst8 = render_slice(ONE_ROW, workers=8)
-    assert FakePool.seen == []
+    assert forks == []
     assert (body8, worst8) == render_slice(ONE_ROW, workers=1)
+
+
+# The benchmark's 16x16 slice decides 8 rows: at 8 workers, more than
+# the cores of most test machines, each child decides one of them.
+@pytest.mark.parametrize("workers", [3, 8])
+def test_more_workers_give_the_one_worker_bytes(forks, workers):
+    config = SliceConfig.from_json(SLICE_DOC)
+    got = render_slice(config, workers)
+    assert len(forks) == workers
+    no_child_left()
+    assert got == render_slice(config, workers=1)

@@ -7,7 +7,8 @@ the same record, with the conjugate witness value.  On the render slice
 a -> -a also keeps every pixel's colour.  A sign change keeps every
 modulus, so it keeps the record too, with the witness value up to sign;
 re-rooting by theta_A..theta_D moves the point along its own orbit, so
-it never turns a decided InBQ into NotBQ or back.
+it never turns a decided InBQ into NotBQ or back, and it maps an InBQ
+certificate's faces onto the re-rooted certificate's faces.
 """
 
 from collections import Counter
@@ -22,6 +23,7 @@ from bqdomain.bq import BqParams, Status, decide_bq
 from bqdomain.markoff import MarkoffMap
 from bqdomain.render import (SliceConfig, classify_pixel, pixel_rgb,
                              pixel_value)
+from bqdomain.tree import canonical_face
 
 from conftest import SLICE_DOC, population, slice_map
 from test_budget_monotonicity import real_slice_maps
@@ -159,3 +161,39 @@ def test_rerooting_never_flips_a_decided_status():
     assert pairs[Status.NOT_BQ, Status.IN_BQ] == 0
     assert pairs[Status.IN_BQ, Status.IN_BQ] >= 300
     assert pairs[Status.NOT_BQ, Status.NOT_BQ] >= 300
+
+
+def reduce(word: str) -> str:
+    """word with equal adjacent letters cancelled: each letter of the
+    tree's words is an involution."""
+    out = []
+    for letter in word:
+        if out and out[-1] == letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return "".join(out)
+
+
+def test_rerooting_maps_in_bq_faces_onto_faces():
+    """The in-level faces depend only on the point, so theta_c carries
+    the face (w, p) of an InBQ certificate to canonical_face(c.w, p) of
+    the re-rooted one.  Edge sets depend on the anchoring (ROADMAP item
+    16), so only the faces are compared."""
+    cases = 0
+    for q in population()[:100]:
+        v = decide_bq(MarkoffMap(q), P500)
+        if v.status is not Status.IN_BQ:
+            continue
+        pt = CharacterPoint(*q.values, *q.boundary.omega)
+        for letter, theta in zip("1234", (Theta.A, Theta.B, Theta.C,
+                                          Theta.D)):
+            moved = involution_theta(pt, theta)
+            u = decide_bq(MarkoffMap(MarkoffQuad(moved.quad, moved.omega,
+                                                 on_variety=False)), P500)
+            assert u.status is Status.IN_BQ
+            assert set(u.tree.arc_bounds) == {
+                canonical_face(reduce(letter + f.anchor), *f.colors)
+                for f in v.tree.arc_bounds}
+            cases += 1
+    assert cases >= 160
