@@ -24,7 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ._record import Frozen, Record
 from .algebra import moved_value
-from .markoff import HUGE, OVERFLOW_CAP, MarkoffMap, Quad
+from .markoff import HUGE, OVERFLOW_CAP, MarkoffMap, Quad, _cap
 from .neighbors import WitnessKind, face_obstruction, h_star
 from .tree import (COLORS, EDGE_COLORS, EDGE_LETTERS, FACE_PAIRS, PAIRS_WITH,
                    EdgeKey, FaceKey, Trie, TrieFace, VertexWord,
@@ -134,6 +134,51 @@ _CROSSED = [itemgetter(*(n for n, q in enumerate(FACE_PAIRS) if c in q))
             for c in COLORS]
 
 
+CANCELLED, MAX_REPLAY = 2.0 ** -40, 8      # find_sink's exact replay rule
+
+
+class _Exact:
+    """(re + im*1j) / 2**k over ints: exact under moved_value's + - *."""
+    __slots__ = ("re", "im", "k")
+
+    def __init__(self, re: int, im: int, k: int):
+        self.re, self.im, self.k = re, im, k
+
+    def __add__(self, o):
+        s, t = max(o.k - self.k, 0), max(self.k - o.k, 0)
+        return _Exact((self.re << s) + (o.re << t),
+                      (self.im << s) + (o.im << t), self.k + s)
+
+    def __sub__(self, o):
+        return self + _Exact(-o.re, -o.im, o.k)
+
+    def __mul__(self, o):
+        return _Exact(self.re * o.re - self.im * o.im,
+                      self.re * o.im + self.im * o.re, self.k + o.k)
+
+
+def _exact_quad(m: MarkoffMap, v: VertexWord) -> Quad:
+    """The quad at v, carried from ``m.root`` by ``moved_value`` exactly,
+    each value then correctly rounded (as int / int is) and capped.  Bit
+    lengths at most add up over a move: 12341234 from a root of parts
+    near 2**-1074 and 2**500 ends on integers of 300,000 bits."""
+    def exact(z):
+        (p, q), (r, s) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        return _Exact(p * s, r * q, (q * s).bit_length() - 1)
+    vals = list(map(exact, m.root))
+    rows = {c: [exact(t) if n & 1 else t for n, t in enumerate(row)]
+            for c, row in m.boundary.move_terms.items()}
+    for c in map(int, v):
+        vals[c - 1] = moved_value(vals, c, rows[c])
+    quad = []
+    for z in vals:
+        try:
+            quad.append(_cap(complex(z.re / (1 << z.k), z.im / (1 << z.k))))
+        except OverflowError:
+            quad.append(HUGE)
+    return tuple(quad)
+
+
 def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
     """Steepest descent from the root toward small-modulus regions.
 
@@ -141,10 +186,18 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
     threshold, or else names its stop: the first face on the way with a
     band or sigma witness (the only face keyed), a vertex with no strictly
     outgoing edge (``budget_hit`` "overflow" if its quad holds HUGE, else
-    "no_seed_face"), or "max_descent_steps".
+    "no_seed_face"), "max_descent_steps", or "precision" (below).
     The quad is carried, one move per child edge tried; the edge back,
     crossed because it made its value strictly smaller, is not outgoing,
     so it is never tried.
+
+    A float move can cancel a value to 0, which ``h_star`` reads as a
+    vanishing region value.  So a move taken to a modulus at most
+    CANCELLED times the summed moduli of its five terms is redone: the
+    descent goes on from the quad that ``_exact_quad`` carries to its
+    vertex (its exact value may not be the smaller, and the pairs without
+    c keep their screen above), or stops on "precision" past MAX_REPLAY
+    moves.
 
     Each vertex is screened in one pass over its pairs, the face value
     psi = a_i a_j - lambda_ij of ``face_obstruction`` serving both the
@@ -192,9 +245,20 @@ def find_sink(m: MarkoffMap, params: BqParams) -> DescentResult:
             stop = "overflow" if HUGE in quad else "no_seed_face"
             return DescentResult(vertex=v, quad=quad, budget_hit=stop,
                                  steps=step)
-        _, back, quad = min(down)      # steepest; ties to the smaller colour
+        far_mod, back, far = min(down)  # steepest; ties to the smaller colour
         v += str(back)
-        screen = PAIRS_WITH[back]
+        s1, l1, s2, l2, s3, l3 = b.move_terms[back]
+        a1, a2, a3 = quad[s1], quad[s2], quad[s3]
+        try:                            # the moduli of moved_value's terms
+            total = abs(l1 * a1) + abs(l2 * a2) + abs(l3 * a3) \
+                + abs(a1 * a2 * a3) + abs(quad[back - 1])
+        except OverflowError:
+            total = math.inf
+        if far_mod <= total * CANCELLED < math.inf:
+            if len(v) > MAX_REPLAY:
+                return DescentResult(budget_hit="precision", steps=step + 1)
+            far = _exact_quad(m, v)
+        quad, screen = far, PAIRS_WITH[back]
     return DescentResult(budget_hit="max_descent_steps",
                          steps=params.max_descent_steps)
 

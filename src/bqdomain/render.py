@@ -183,10 +183,10 @@ def render_slice(config: SliceConfig, workers: int = 1
                  ) -> Tuple[bytes, float]:
     """Pixel bytes (without header) and the worst vertex-relation
     residual seen over the window.  Each row to decide is one task, of
-    ``_render_rows``, run by ``_fork_rows`` past one worker where
-    ``os.fork`` exists.  The parent decides no row, so a traced run's
-    worker tasks hold all the work.  A row of ``mirror_rows`` copies its
-    partner's bytes, so each conjugate pair of rows is decided once."""
+    ``_render_rows``, run past one worker, where ``os.fork`` exists, by
+    ``_fork_rows``, whose children report once, after the rows run out.
+    The parent decides no row, so a traced run's worker tasks hold all
+    the work.  A row of ``mirror_rows`` copies its partner's bytes."""
     h = config.px[1]
     mirror = mirror_rows(config)
     rows = [row for row in range(h) if row not in mirror]
@@ -202,65 +202,61 @@ def render_slice(config: SliceConfig, workers: int = 1
 def _fork_rows(config: SliceConfig, rows: List[int], workers: int
                ) -> Dict[int, Tuple[bytes, float]]:
     """Each row's ``_render_rows`` from forked children.  A free child
-    takes the next row number off one shared pipe and pickles (row,
-    result), or its exception, to its own pipe.  One loop feeds and
-    drains the pipes, so none stalls; all children are reaped first."""
-    import io
+    takes the next row number off one shared pipe; when that pipe is
+    empty and closed, or a row raised, it closes its read end and pickles
+    {row: result}, or the exception, once to its own pipe.  So the parent
+    needs no event loop: it feeds all rows by blocking writes, closes the
+    row pipe, reads each child's pipe to its end and reaps every child,
+    then raises a ChildProcessError for one that a signal killed."""
     import pickle
-    import selectors
-    # 8-byte row records, in writes of 512 bytes, atomic by POSIX's PIPE_BUF
-    todo = memoryview(b"".join(row.to_bytes(8, "little") for row in rows))
     rows_r, rows_w = os.pipe()
-    fds, pids, received = [rows_r, rows_w], [], {}
-    with selectors.DefaultSelector() as sel:
-        try:
-            for _ in range(workers):
-                out_r, out_w = os.pipe()
-                fds += out_r, out_w
-                pids.append(os.fork())
-                if pids[-1] == 0:
+    fds, pids, got = [rows_r, rows_w], [], []
+    try:
+        for _ in range(workers):
+            out_r, out_w = os.pipe()
+            fds += out_r, out_w
+            pids.append(os.fork())
+            if pids[-1] == 0:
+                try:
+                    for fd in fds[1:-1]:        # rows_w, all read ends
+                        os.close(fd)
+                    decided = {}
                     try:
-                        for fd in fds[1:-1]:    # rows_w, all read ends
-                            os.close(fd)
-                        with open(out_w, "wb") as out:
-                            try:
-                                while record := os.read(rows_r, 8):
-                                    row = int.from_bytes(record, "little")
-                                    got = _render_rows(config, row)
-                                    pickle.dump((row, got), out)
-                            except Exception as exc:
-                                pickle.dump((None, exc), out)
-                    finally:
-                        os._exit(0)
-                os.close(fds.pop())
-                received[out_r] = bytearray()
-                sel.register(out_r, selectors.EVENT_READ)
-            os.set_blocking(rows_w, False)
-            sel.register(rows_w, selectors.EVENT_WRITE)
-            # rows_r stays open, so no write fails once every child left
-            while len(sel.get_map()) > (rows_w in sel.get_map()):
-                for key, _ in sel.select():
-                    if key.fd == rows_w:
-                        todo = todo[os.write(rows_w, todo[:512]):]
-                        if not todo:
-                            sel.unregister(rows_w)
-                            os.close(fds.pop(1))        # rows_w
-                    elif chunk := os.read(key.fd, 1 << 16):
-                        received[key.fd] += chunk
-                    else:
-                        sel.unregister(key.fd)
-        finally:
-            for fd in fds:
-                os.close(fd)
-            for pid in pids:
-                os.waitpid(pid, 0)
+                        while record := os.read(rows_r, 8):
+                            row = int.from_bytes(record, "little")
+                            decided[row] = _render_rows(config, row)
+                    except Exception as exc:
+                        decided = exc
+                    os.close(rows_r)
+                    with open(out_w, "wb") as out:
+                        pickle.dump(decided, out)
+                finally:
+                    os._exit(0)
+            os.close(fds.pop())                 # out_w
+        os.close(fds.pop(0))                    # rows_r
+        try:    # 8-byte row records, 64 a write: atomic, by PIPE_BUF
+            for n in range(0, len(rows), 64):
+                os.write(rows_w, b"".join(row.to_bytes(8, "little")
+                                          for row in rows[n:n + 64]))
+        except BrokenPipeError:                 # every child has stopped
+            pass
+        os.close(fds.pop(0))                    # rows_w
+        while fds:                              # the children's pipes
+            with open(fds.pop(0), "rb") as out:
+                got.append(out.read())
+    finally:
+        for fd in fds:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     decided = {}
-    for data in map(io.BytesIO, received.values()):
-        while data.tell() < len(data.getbuffer()):
-            row, got = pickle.load(data)
-            if row is None:
-                raise got
-            decided[row] = got
+    for worker, (status, data) in enumerate(zip(statuses, got), 1):
+        if status:                      # each child ends by os._exit(0)
+            raise ChildProcessError("render worker %d was killed by signal %d"
+                                    % (worker, os.WTERMSIG(status)))
+        result = pickle.loads(data)
+        if isinstance(result, Exception):
+            raise result
+        decided.update(result)
     return decided
 
 

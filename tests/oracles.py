@@ -30,13 +30,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from bqdomain.algebra import BoundaryData, face_value, moved_value, sigma
-from bqdomain.bq import (ArcOutcome, ArcResult, AttractingTree, BqParams,
-                         BqVerdict, Status, Witness, face_witness)
+from bqdomain.bq import (CANCELLED, MAX_REPLAY, ArcOutcome, ArcResult,
+                         AttractingTree, BqParams, BqVerdict, Status, Witness,
+                         face_witness)
 from bqdomain.fib import FibTable, GrowthReport, keys_to_depth
 from bqdomain.markoff import HUGE, OVERFLOW_CAP, MarkoffMap, Quad, _cap
 from bqdomain.neighbors import (TOL_REAL, TOL_SIGMA, WitnessKind, _threshold,
@@ -46,12 +48,58 @@ from bqdomain.tree import (COLORS, EDGE_COLORS, FACE_PAIRS, EdgeKey, FaceKey,
                            faces_at)
 
 
+def move_cancels(m: MarkoffMap, vals, i: int, new: complex) -> bool:
+    """Whether the move on color i from vals, giving new, loses 40 bits:
+    |new| is at most CANCELLED times the finite sum of the moduli of the
+    move's five terms, lambda_ij a_j for the other colors j in increasing
+    order, their product and a_i, summed in that order."""
+    others = [j for j in COLORS if j != i]
+    a, b, c = (vals[j - 1] for j in others)
+    try:
+        total = sum(abs(m.boundary.lam(i, j) * vals[j - 1]) for j in others) \
+            + abs(a * b * c) + abs(vals[i - 1])
+    except OverflowError:
+        return False
+    return abs(new) <= total * CANCELLED < math.inf
+
+
+def exact_quad_reference(m: MarkoffMap, v: str) -> Quad:
+    """The quad at v from the root quad in ``fractions.Fraction`` pairs,
+    the move written out from ``BoundaryData.lam``, each part rounded by
+    ``Fraction.__float__`` and each value capped."""
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def exact(z):
+        return Fraction(z.real), Fraction(z.imag)
+    vals = [exact(z) for z in m.root]
+    for i in map(int, v):
+        new = [-part for part in vals[i - 1]]
+        product = (Fraction(1), Fraction(0))
+        for j in COLORS:
+            if j != i:
+                term = mul(exact(m.boundary.lam(i, j)), vals[j - 1])
+                new = [new[0] + term[0], new[1] + term[1]]
+                product = mul(product, vals[j - 1])
+        vals[i - 1] = (new[0] - product[0], new[1] - product[1])
+    quad = []
+    for re, im in vals:
+        try:
+            quad.append(_cap(complex(float(re), float(im))))
+        except OverflowError:
+            quad.append(HUGE)
+    return tuple(quad)
+
+
 class KeyedMap(MarkoffMap):
     """A ``MarkoffMap`` whose ``quad_at`` memoizes the quad of every vertex
     it reaches, so the memo is closed under prefixes: a lookup replays the
-    letters past the longest memoized prefix with ``_move``, iteratively.
-    Carried and memoized quads agree bit for bit, and the library, which
-    reads only ``root`` and ``_move``, leaves the memo at the root quad.
+    letters past the longest memoized prefix with ``_move``, iteratively,
+    except that a move that ``move_cancels`` is replaced by the exact
+    quad at its vertex, ``exact_quad_reference``, as ``bq.find_sink``
+    replaces the descent's.  Carried and memoized quads agree bit for
+    bit, and the library, which reads only ``root`` and ``_move``, leaves
+    the memo at the root quad.
     """
 
     def __init__(self, root_quad):
@@ -70,8 +118,11 @@ class KeyedMap(MarkoffMap):
             n -= 1
             got = quads.get(v[:n])
         for k in range(n, len(v)):
-            got = self._move(got, int(v[k]))
-            quads[v[:k + 1]] = got
+            i = int(v[k])
+            moved = self._move(got, i)
+            if move_cancels(self, got, i, moved[i - 1]):
+                moved = exact_quad_reference(self, v[:k + 1])
+            got = quads[v[:k + 1]] = moved
         return got
 
     def eval_region(self, r: RegionKey) -> complex:
@@ -759,18 +810,25 @@ def decide_bq_reference(m: KeyedMap,
         if any(face_in_level(m, f, K) for f in faces):
             steps = step
             break
+        # The moves are ranked by their float values, and the edge back is
+        # never taken: a move that cancels is redone exactly only once it
+        # is taken, when the memo replaces its quad.
         quad = m.quad_at(v)
         best = None
         for c in COLORS:
-            far = v[:-1] if v and v[-1] == str(c) else v + str(c)
-            far_mod = abs(m.quad_at(far)[c - 1])
-            if far_mod < abs(quad[c - 1]):
-                if best is None or far_mod < best[0]:
-                    best = (far_mod, far)
+            if v[-1:] != str(c):
+                far_mod = abs(m._move(quad, c)[c - 1])
+                if far_mod < abs(quad[c - 1]):
+                    if best is None or far_mod < best[0]:
+                        best = (far_mod, c)
         if best is None:
             steps = step
             break
-        v = best[1]
+        far_mod, c = best
+        v += str(c)
+        if len(v) > MAX_REPLAY and move_cancels(m, quad, c, far_mod):
+            return BqVerdict(Status.UNDECIDED, budget_hit="precision",
+                             steps_used=step + 1)
     if steps is None:
         return BqVerdict(Status.UNDECIDED, budget_hit="max_descent_steps",
                          steps_used=params.max_descent_steps)

@@ -46,8 +46,10 @@ def test_frozen_points_keep_their_records_at_tenfold_budgets():
 def test_seeded_points_keep_their_records_at_tenfold_budgets():
     counts = decided_records_hold(
         [lambda q=q: KeyedMap(q) for q in seeded_quads()], SMALL)
-    assert counts == {Status.IN_BQ: 200, Status.NOT_BQ: 90,
-                      Status.UNDECIDED: 110}
+    # Three of them, #141, #167 and #193, descend by a move that cancels
+    # to 0 in floats: redone exactly, it stops on no_seed_face.
+    assert counts == {Status.IN_BQ: 200, Status.NOT_BQ: 87,
+                      Status.UNDECIDED: 113}
 
 
 def real_slice_maps():

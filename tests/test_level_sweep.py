@@ -52,8 +52,10 @@ def test_real_slice_is_level_invariant():
 
 
 def test_seeded_points_are_level_invariant():
+    """#141, #167 and #193 stop on no_seed_face at every level: each
+    descends by a move that cancels to 0 in floats and is redone exactly."""
     assert decided_pairs([lambda q=q: KeyedMap(q) for q in seeded_quads()],
-                         SMALL, (1.5, 3)) == {1.5: [193, 88], 3: [176, 87]}
+                         SMALL, (1.5, 3)) == {1.5: [193, 85], 3: [176, 84]}
 
 
 def test_population_is_level_invariant():

@@ -107,8 +107,8 @@ class TestClassify:
 
 
 FACE = FaceKey("", (1, 2))
-BUDGETS = ["max_descent_steps", "overflow", "no_seed_face", "max_arc_steps",
-           "max_faces", "max_total_edges"]
+BUDGETS = ["max_descent_steps", "overflow", "no_seed_face", "precision",
+           "max_arc_steps", "max_faces", "max_total_edges"]
 
 
 def verdicts(status_or_kind, steps):

@@ -1,8 +1,10 @@
 """render_slice hands its decided rows out one at a time, so that
-whichever child is free takes the next row, and feeds and drains its
-pipes in one loop, so that no pipe size can stall it."""
+whichever child is free takes the next row.  A child reports once, after
+the rows run out, so that no pipe size can stall the feed or the reads,
+and a child that a signal kills is a named error."""
 
 import os
+import signal
 import time
 
 import pytest
@@ -56,4 +58,31 @@ def test_no_pipe_size_stalls_the_render(px):
     config = SliceConfig.from_json(dict(FLAT, px=px))
     assert render.mirror_rows(config) == {}
     assert render_slice(config, workers=2) == render_slice(config, workers=1)
+    no_child_left()
+
+
+def test_a_child_killed_by_a_signal_is_a_named_error(monkeypatch):
+    decide = render._render_rows
+
+    def killed_on_row_one(config, row):
+        if row == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return decide(config, row)
+    monkeypatch.setattr(render, "_render_rows", killed_on_row_one)
+    killed = "worker [12] was killed by signal %d" % signal.SIGKILL
+    with pytest.raises(ChildProcessError, match=killed):
+        render_slice(FOUR_ROWS, workers=2)
+    no_child_left()
+
+
+def test_children_that_all_raise_end_the_feed(monkeypatch):
+    """Each child raises on its first row while more rows remain than a
+    pipe holds: the feed stops at the broken pipe, and the exception a
+    child raised reaches the caller."""
+    def fails(config, row):
+        raise ValueError("row %d" % row)
+    monkeypatch.setattr(render, "_render_rows", fails)
+    config = SliceConfig.from_json(dict(FLAT, px=[1, 20000]))
+    with pytest.raises(ValueError, match="row "):
+        render_slice(config, workers=2)
     no_child_left()

@@ -9,17 +9,19 @@ vanishing sigma produce, which ``test_render.test_palette`` paints.
 """
 
 import cmath
+import random
 
 import pytest
 
-from bqdomain import cli, neighbors
+import oracles
+from bqdomain import bq, cli, neighbors
 from bqdomain.algebra import BoundaryData, MarkoffQuad
 from bqdomain.bq import BqParams, Status, WitnessKind, decide_bq, find_sink
 from bqdomain.markoff import MarkoffMap
 from bqdomain.tree import FaceKey
 
 from conftest import in_bq_quad, slice_map
-from oracles import KeyedMap
+from oracles import KeyedMap, decide_bq_reference, exact_quad_reference
 
 # An on-variety real point whose band witness is met in the closure, not
 # on the descent.
@@ -158,10 +160,43 @@ CANCELLED_DESCENT = (
     "-1.2579512401679684,1.7435262061595194")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 18: the float descent "
-                   "cancels a region value to 0, read as an infinite arc")
-def test_a_cancelled_descent_is_not_a_witness():
+def cancelled_descent() -> KeyedMap:
     values = [cli.parse_complex(s) for s in CANCELLED_DESCENT]
-    m = MarkoffMap(MarkoffQuad(tuple(values[:4]), BoundaryData(values[4:]),
-                               on_variety=False))
-    assert decide_bq(m).status is not Status.NOT_BQ
+    return raw_map(values[:4], values[4:])
+
+
+def test_a_cancelled_descent_is_not_a_witness():
+    """The move is redone exactly: the descent goes on from 3866 + 992j
+    and finds no face in the level, as the keyed reference does."""
+    d = find_sink(cancelled_descent(), BqParams())
+    assert (d.vertex, d.budget_hit, d.steps) == ("3", "no_seed_face", 1)
+    assert repr(d.quad[2]) == "(3866.129399925041+991.8187497859445j)"
+    for decide in (decide_bq, decide_bq_reference):
+        v = decide(cancelled_descent())
+        assert (v.status, v.budget_hit) == (Status.UNDECIDED, "no_seed_face")
+
+
+def test_a_cancelled_move_past_the_replay_bound_is_undecided(monkeypatch):
+    monkeypatch.setattr(bq, "MAX_REPLAY", 0)
+    monkeypatch.setattr(oracles, "MAX_REPLAY", 0)
+    for decide in (decide_bq, decide_bq_reference):
+        v = decide(cancelled_descent())
+        assert (v.status, v.budget_hit, v.steps_used) \
+            == (Status.UNDECIDED, "precision", 1)
+
+
+def test_the_exact_replay_matches_a_fraction_reference():
+    """Bitwise, on values from 1e-20 to 1e20 walked by up to six moves:
+    both carry exact values and round each part correctly once."""
+    rng = random.Random(3)
+    for _ in range(200):
+        values = [complex(rng.uniform(-5, 5) * 10 ** rng.uniform(-20, 20),
+                          rng.uniform(-5, 5)) for _ in range(4)]
+        omega = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                 for _ in range(3)]
+        m, word, last = raw_map(values, omega), "", 0
+        for _ in range(rng.randint(1, 6)):
+            last = rng.choice([c for c in (1, 2, 3, 4) if c != last])
+            word += str(last)
+        assert repr(bq._exact_quad(m, word)) \
+            == repr(exact_quad_reference(m, word)), (values, omega, word)
